@@ -89,36 +89,6 @@ def _print_shard_chaos(metrics: dict) -> None:
         print(f"   {'':16s} recovered by kind: {kinds}")
 
 
-def _print_serving(metrics: dict) -> None:
-    """Print the serving stage's per-thread-count latency table."""
-    print(
-        f"   {'serving':16s} best concurrent "
-        f"{metrics.get('concurrent_seconds', 0.0) * 1000:9.2f} ms, "
-        f"engine {metrics.get('engine_seconds', 0.0) * 1000:9.2f} ms, "
-        f"naive {metrics.get('naive_seconds', 0.0) * 1000:9.2f} ms"
-        f"  -> {metrics.get('speedup', 0.0):6.1f}x"
-    )
-    print(
-        f"   {'':16s} {'threads':>8s} {'seconds':>10s} {'p50 ms':>9s} "
-        f"{'p95 ms':>9s} {'p99 ms':>9s} {'tail':>6s} {'req/s':>10s}"
-    )
-    thread_counts = sorted(
-        int(key[len("concurrent_seconds_threads_"):])
-        for key in metrics
-        if key.startswith("concurrent_seconds_threads_")
-    )
-    for n in thread_counts:
-        print(
-            f"   {'':16s} {n:8d} "
-            f"{metrics[f'concurrent_seconds_threads_{n}']:10.4f} "
-            f"{metrics[f'p50_ms_threads_{n}']:9.3f} "
-            f"{metrics[f'p95_ms_threads_{n}']:9.3f} "
-            f"{metrics[f'p99_ms_threads_{n}']:9.3f} "
-            f"{metrics[f'tail_amplification_threads_{n}']:5.1f}x "
-            f"{metrics[f'requests_per_second_threads_{n}']:10.0f}"
-        )
-
-
 def _print_report(report: BenchReport) -> None:
     print(f"== {report.scenario} (seed {report.seed}) ==")
     print(
@@ -131,9 +101,6 @@ def _print_report(report: BenchReport) -> None:
             continue
         if section == "shard_chaos":
             _print_shard_chaos(metrics)
-            continue
-        if section == "serving":
-            _print_serving(metrics)
             continue
         if "recovery_rate" in metrics:
             print(

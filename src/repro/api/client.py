@@ -19,28 +19,36 @@ Accounting contract: every attempt that reaches the transport is recorded
 exactly once in :class:`ClientStats` (``requests``/``by_status``/
 ``by_domain``), on every path — single ``get``, ``get_many`` batches,
 ``metadata_many`` rounds and ``stream_timeline`` — so retries are visible in
-the same counters the dataset statistics already use.
+the same counters the dataset statistics already use.  The batch paths
+count a whole group of responses in the same pass that stores and
+classifies them, in request order.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.api.http import (
     ATTEMPTS_HEADER,
     DEFAULT_USER_AGENT,
     FAULT_HEADER,
+    TRANSIENT_STATUSES,
     HTTPRequest,
     HTTPResponse,
     HTTPStatus,
 )
 from repro.api.server import FediverseAPIServer, TimelineStream
 from repro.faults.plan import FaultKind
-from repro.faults.retry import TRANSIENT_STATUSES, RetryPolicy
+from repro.faults.retry import RetryPolicy
+
+#: The local answer of an open circuit breaker (frozen, so shared).
+BREAKER_OPEN = HTTPResponse.error(
+    HTTPStatus.SERVICE_UNAVAILABLE,
+    "circuit breaker open",
+    {FAULT_HEADER: FaultKind.CIRCUIT_OPEN.value},
+)
 
 
 class APIError(Exception):
@@ -68,15 +76,7 @@ class APIError(Exception):
 
 @dataclass
 class ClientStats:
-    """Counters kept by the client across all requests.
-
-    Every counter update is atomic under an internal lock, so one client
-    (and its stats) can be shared between concurrent crawler threads.  The
-    ``by_status``/``by_domain`` read-modify-writes in particular were
-    lost-update races without it: two threads reading the same
-    ``get(domain, 0)`` and both writing back ``+ 1`` silently drop a
-    request from the accounting the dataset statistics are built on.
-    """
+    """Counters kept by the client across all requests."""
 
     requests: int = 0
     ok: int = 0
@@ -90,41 +90,31 @@ class ClientStats:
     short_circuited: int = 0
     #: Simulated seconds spent waiting between attempts.
     backoff_seconds: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def record(
         self, status: HTTPStatus, domain: str = "", short_circuited: bool = False
     ) -> None:
-        """Update the counters for one response status, atomically."""
+        """Update the counters for one response status."""
         code = int(status)
-        with self._lock:
-            self.requests += 1
-            self.by_status[code] = self.by_status.get(code, 0) + 1
-            if 200 <= code < 300:
-                self.ok += 1
-            else:
-                self.failed += 1
-            if domain:
-                self.by_domain[domain] = self.by_domain.get(domain, 0) + 1
-            if short_circuited:
-                self.short_circuited += 1
-
-    def add_retries(self, count: int) -> None:
-        """Count ``count`` retry attempts, atomically."""
-        with self._lock:
-            self.retries += count
-
-    def add_backoff(self, seconds: float) -> None:
-        """Charge ``seconds`` of simulated backoff wait, atomically."""
-        with self._lock:
-            self.backoff_seconds += seconds
+        self.requests += 1
+        self.by_status[code] = self.by_status.get(code, 0) + 1
+        if 200 <= code < 300:
+            self.ok += 1
+        else:
+            self.failed += 1
+        if domain:
+            self.by_domain[domain] = self.by_domain.get(domain, 0) + 1
+        if short_circuited:
+            self.short_circuited += 1
 
 
 @dataclass
 class _BreakerState:
-    """Per-domain circuit-breaker bookkeeping."""
+    """Per-domain circuit-breaker bookkeeping.
+
+    A domain has an entry only between a transient outcome and the next
+    reset: a fresh state behaves exactly like a reset one.
+    """
 
     failures: int = 0
     opened_at: float | None = None
@@ -161,7 +151,7 @@ class APIClient:
 
     def _spend(self, domain: str, count: int) -> None:
         self._budgets[domain] = self._budget(domain) - count
-        self.stats.add_retries(count)
+        self.stats.retries += count
 
     def _jitter_rng(self, domain: str) -> random.Random:
         rng = self._jitter.get(domain)
@@ -191,7 +181,7 @@ class APIClient:
             )
         if delay > 0:
             self.server.registry.clock.advance(delay)
-        self.stats.add_backoff(delay)
+        self.stats.backoff_seconds += delay
 
     def _normalise(self, response: HTTPResponse) -> HTTPResponse:
         """Convert a malformed 200 into the failure the client treats it as.
@@ -216,11 +206,52 @@ class APIClient:
             return response
         headers = dict(response.headers)
         headers[ATTEMPTS_HEADER] = str(attempts)
-        return HTTPResponse(
-            status=response.status,
-            body=response.body,
-            headers=MappingProxyType(headers),
-        )
+        return HTTPResponse(status=response.status, body=response.body, headers=headers)
+
+    def _annotate_retried(
+        self, responses: list[HTTPResponse], attempts: dict[int, int]
+    ) -> list[HTTPResponse]:
+        """Annotate, in place, the responses at the retried indices."""
+        for index, count in attempts.items():
+            responses[index] = self._annotate(responses[index], count)
+        return responses
+
+    def _absorb(
+        self,
+        responses: list[HTTPResponse],
+        indices: Sequence[int],
+        served: Sequence[HTTPResponse],
+        domains: Sequence[str],
+    ) -> list[int]:
+        """Store ``served[k]`` at ``responses[indices[k]]`` and count it.
+
+        One pass, in request order: each response is normalised, stored and
+        counted exactly as :meth:`ClientStats.record` would count it (the
+        domain of ``responses[i]`` is ``domains[i]``).  Returns the indices
+        whose response is transient, in order.
+        """
+        stats = self.stats
+        by_status = stats.by_status
+        by_domain = stats.by_domain
+        transient = []
+        ok = 0
+        for index, response in zip(indices, served):
+            if response.ok and isinstance(response.body, str):
+                response = self._normalise(response)
+            responses[index] = response
+            code = int(response.status)
+            by_status[code] = by_status.get(code, 0) + 1
+            domain = domains[index]
+            by_domain[domain] = by_domain.get(domain, 0) + 1
+            if response.ok:
+                ok += 1
+            if response.transient:
+                transient.append(index)
+        count = len(indices)
+        stats.requests += count
+        stats.ok += ok
+        stats.failed += count - ok
+        return transient
 
     def _breaker_blocked(self, domain: str) -> HTTPResponse | None:
         """Return the short-circuit response for ``domain``, or ``None``.
@@ -238,11 +269,7 @@ class APIClient:
             return None
         if self._clock_now() - state.opened_at >= policy.breaker_cooldown_seconds:
             return None  # half-open: let a trial through
-        return HTTPResponse.error(
-            HTTPStatus.SERVICE_UNAVAILABLE,
-            "circuit breaker open",
-            {FAULT_HEADER: FaultKind.CIRCUIT_OPEN.value},
-        )
+        return BREAKER_OPEN
 
     def _record_short_circuit(self, response: HTTPResponse, domain: str) -> None:
         self.stats.record(response.status, domain, short_circuited=True)
@@ -252,8 +279,9 @@ class APIClient:
 
         Only *transient* failures count toward opening (a permanent 404 is
         the server answering normally); any other outcome resets the
-        breaker.  With a zero-fault transport nothing is ever transient,
-        so the breaker provably never opens.
+        breaker by dropping the domain's entry.  With a zero-fault
+        transport nothing is ever transient, so the breaker provably never
+        opens.
         """
         policy = self.retry
         if policy is None:
@@ -264,10 +292,25 @@ class APIClient:
             if state.failures >= policy.breaker_threshold:
                 state.opened_at = self._clock_now()
         else:
-            state = self._breakers.get(domain)
-            if state is not None:
-                state.failures = 0
-                state.opened_at = None
+            self._breakers.pop(domain, None)
+
+    def _settle(
+        self,
+        responses: list[HTTPResponse],
+        indices: Sequence[int],
+        domains: Sequence[str],
+    ) -> None:
+        """Feed the final outcomes at ``indices`` to the breaker, in order.
+
+        Runs after every retry wait, since opening a breaker reads the
+        clock.  An outcome that is neither transient nor for a domain with
+        breaker state would be a no-op, so it is skipped.
+        """
+        breakers = self._breakers
+        for index in indices:
+            response = responses[index]
+            if response.transient or domains[index] in breakers:
+                self._note_outcome(domains[index], response.transient)
 
     def _send_with_retry(
         self, domain: str, send: Callable[[], HTTPResponse]
@@ -280,7 +323,7 @@ class APIClient:
         if policy is None:
             return response, attempts
         while (
-            policy.transient(response)
+            response.transient
             and attempts < policy.max_attempts
             and self._budget(domain) > 0
         ):
@@ -289,7 +332,7 @@ class APIClient:
             response = self._normalise(send())
             self.stats.record(response.status, domain)
             attempts += 1
-        self._note_outcome(domain, policy.transient(response))
+        self._note_outcome(domain, response.transient)
         return response, attempts
 
     # ------------------------------------------------------------------ #
@@ -329,26 +372,17 @@ class APIClient:
                 self._record_short_circuit(blocked, domain)
             return [blocked] * len(paths)
         policy = self.retry
-        record = self.stats.record
-        responses = [
-            self._normalise(response)
-            for response in self.server.handle_batch(
-                domain, paths, user_agent=self.user_agent
-            )
-        ]
-        for response in responses:
-            record(response.status, domain)
+        count = len(paths)
+        domains = [domain] * count
+        responses: list[HTTPResponse] = [None] * count  # type: ignore[list-item]
+        served = self.server.handle_batch(domain, paths, user_agent=self.user_agent)
+        pending = self._absorb(responses, range(count), served, domains)
         if policy is None:
             return responses
-        attempts = [1] * len(responses)
+        attempts: dict[int, int] = {}
         round_no = 1
-        while round_no < policy.max_attempts:
-            pending = [
-                index
-                for index, response in enumerate(responses)
-                if policy.transient(response)
-            ]
-            if not pending or self._budget(domain) < len(pending):
+        while pending and round_no < policy.max_attempts:
+            if self._budget(domain) < len(pending):
                 break
             self._wait(
                 [(domain, responses[index].retry_after) for index in pending],
@@ -360,18 +394,12 @@ class APIClient:
                 [paths[index] for index in pending],
                 user_agent=self.user_agent,
             )
-            for index, response in zip(pending, retried):
-                response = self._normalise(response)
-                responses[index] = response
-                record(response.status, domain)
-                attempts[index] += 1
+            for index in pending:
+                attempts[index] = attempts.get(index, 1) + 1
+            pending = self._absorb(responses, pending, retried, domains)
             round_no += 1
-        for response in responses:
-            self._note_outcome(domain, policy.transient(response))
-        return [
-            self._annotate(response, count)
-            for response, count in zip(responses, attempts)
-        ]
+        self._settle(responses, range(count), domains)
+        return self._annotate_retried(responses, attempts)
 
     def metadata_many(self, domains: Sequence[str]) -> list[HTTPResponse]:
         """Fetch ``/api/v1/instance`` for a whole snapshot round of domains.
@@ -383,61 +411,52 @@ class APIClient:
         its payload cache.
         """
         policy = self.retry
-        record = self.stats.record
-        responses: list[HTTPResponse | None] = [None] * len(domains)
-        open_domains: list[tuple[int, str]] = []
-        for index, domain in enumerate(domains):
-            blocked = self._breaker_blocked(domain)
-            if blocked is not None:
-                responses[index] = blocked
-                self._record_short_circuit(blocked, domain)
-            else:
-                open_domains.append((index, domain))
+        responses: list[HTTPResponse] = [None] * len(domains)  # type: ignore[list-item]
+        open_indices: Sequence[int] = range(len(domains))
+        open_domains = domains
+        if self._breakers:
+            breakers = self._breakers
+            open_indices = []
+            for index, domain in enumerate(domains):
+                if domain in breakers:
+                    blocked = self._breaker_blocked(domain)
+                    if blocked is not None:
+                        responses[index] = blocked
+                        self._record_short_circuit(blocked, domain)
+                        continue
+                open_indices.append(index)
+            open_domains = [domains[index] for index in open_indices]
+        pending: list[int] = []
         if open_domains:
             served = self.server.metadata_round(
-                [domain for _, domain in open_domains],
-                user_agent=self.user_agent,
+                open_domains, user_agent=self.user_agent
             )
-            for (index, domain), response in zip(open_domains, served):
-                response = self._normalise(response)
-                responses[index] = response
-                record(response.status, domain)
+            pending = self._absorb(responses, open_indices, served, domains)
         if policy is None:
-            return list(responses)  # type: ignore[arg-type]
-        attempts = [1] * len(domains)
+            return responses
+        # Only a re-issued request can turn (or stay) transient, and a
+        # retry budget never grows: each round scans the previous round's
+        # pending indices only.
+        attempts: dict[int, int] = {}
         round_no = 1
-        while round_no < policy.max_attempts:
-            pending = [
-                (index, domain)
-                for index, domain in open_domains
-                if policy.transient(responses[index]) and self._budget(domain) > 0
-            ]
+        while pending and round_no < policy.max_attempts:
+            pending = [index for index in pending if self._budget(domains[index]) > 0]
             if not pending:
                 break
             self._wait(
-                [
-                    (domain, responses[index].retry_after)
-                    for index, domain in pending
-                ],
+                [(domains[index], responses[index].retry_after) for index in pending],
                 round_no,
             )
-            for _, domain in pending:
-                self._spend(domain, 1)
+            for index in pending:
+                self._spend(domains[index], 1)
+                attempts[index] = attempts.get(index, 1) + 1
             retried = self.server.metadata_round(
-                [domain for _, domain in pending], user_agent=self.user_agent
+                [domains[index] for index in pending], user_agent=self.user_agent
             )
-            for (index, domain), response in zip(pending, retried):
-                response = self._normalise(response)
-                responses[index] = response
-                record(response.status, domain)
-                attempts[index] += 1
+            pending = self._absorb(responses, pending, retried, domains)
             round_no += 1
-        for index, domain in open_domains:
-            self._note_outcome(domain, policy.transient(responses[index]))
-        return [
-            self._annotate(response, count)
-            for response, count in zip(responses, attempts)
-        ]
+        self._settle(responses, open_indices, domains)
+        return self._annotate_retried(responses, attempts)
 
     def stream_timeline(
         self,
@@ -509,16 +528,12 @@ class APIClient:
         """Perform a GET and return the JSON body, raising :class:`APIError`."""
         response = self.get(domain, path)
         if not response.ok:
-            message = ""
-            if isinstance(response.body, Mapping):
-                message = str(response.body.get("error", ""))
-            attempts = int(response.header(ATTEMPTS_HEADER, "1") or 1)
             raise APIError(
                 domain,
                 path,
                 response.status,
-                message,
-                attempts=attempts,
+                response.message,
+                attempts=response.attempts,
                 fault_kind=response.fault_kind,
             )
         return response.body

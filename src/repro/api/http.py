@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
 #: Standard header carrying the server's requested retry delay (seconds).
@@ -72,6 +73,14 @@ _REASONS = {
 
 #: A shared immutable empty header mapping (the default for responses).
 EMPTY_HEADERS: Mapping[str, str] = MappingProxyType({})
+
+#: Statuses the base simulated server never emits, so retrying them can
+#: never change a zero-fault crawl: 408/429/500/504 are injector-only.
+TRANSIENT_STATUSES = frozenset({408, 429, 500, 504})
+#: The ``X-Fault`` value of a malformed (non-JSON) 200 body.  Equal to
+#: ``FaultKind.MALFORMED``, spelled out because :mod:`repro.faults` imports
+#: this module.
+MALFORMED_FAULT = "malformed"
 
 
 class FrozenList(list):
@@ -158,16 +167,69 @@ class HTTPRequest:
 
 @dataclass(frozen=True)
 class HTTPResponse:
-    """The response produced by the API server for one request."""
+    """The response produced by the API server for one request.
+
+    Headers are copied and frozen behind ``MappingProxyType``, and the
+    response is classified once, at construction: ``ok``, ``retry_after``,
+    ``fault_kind``, ``attempts``, ``message`` and ``transient`` are stored
+    fields, not re-derived from the headers on every read.  Most responses
+    are shared objects — the server's cached metadata responses and
+    availability errors — so each is classified once however many rounds
+    read it.
+    """
 
     status: HTTPStatus
     body: Any = None
-    headers: Mapping[str, str] = field(default_factory=dict)
+    headers: Mapping[str, str] = field(default_factory=lambda: EMPTY_HEADERS)
+    #: ``True`` for 2xx responses.
+    ok: bool = field(init=False, repr=False, compare=False)
+    #: The ``Retry-After`` delay in seconds, when present and numeric.
+    retry_after: float | None = field(init=False, repr=False, compare=False)
+    #: The injected-fault attribution of this response (or ``""``).
+    fault_kind: str = field(init=False, repr=False, compare=False)
+    #: Attempts the retrying client spent on the request (``X-Attempts``).
+    attempts: int = field(init=False, repr=False, compare=False)
+    #: The error message of a failed response's body (or ``""``).
+    message: str = field(init=False, repr=False, compare=False)
+    #: Whether a retry is worth it: a status the base server never emits
+    #: (:data:`TRANSIENT_STATUSES`), a ``Retry-After`` header, or a
+    #: malformed-body attribution.  Permanent failures are never transient.
+    transient: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def ok(self) -> bool:
-        """Return ``True`` for 2xx responses."""
-        return 200 <= int(self.status) < 300
+    def __post_init__(self) -> None:
+        headers = MappingProxyType(dict(self.headers)) if self.headers else EMPTY_HEADERS
+        code = int(self.status)
+        ok = 200 <= code < 300
+        retry_after = None
+        fault_kind = ""
+        attempts = 1
+        if headers:
+            raw = headers.get(RETRY_AFTER_HEADER)
+            if raw is not None:
+                try:
+                    retry_after = float(raw)
+                except ValueError:
+                    pass
+            fault_kind = headers.get(FAULT_HEADER, "")
+            attempts = int(headers.get(ATTEMPTS_HEADER, "1") or 1)
+        body = self.body
+        message = ""
+        if not ok and isinstance(body, Mapping):
+            message = str(body.get("error", ""))
+        store = object.__setattr__
+        store(self, "headers", headers)
+        store(self, "ok", ok)
+        store(self, "retry_after", retry_after)
+        store(self, "fault_kind", fault_kind)
+        store(self, "attempts", attempts)
+        store(self, "message", message)
+        store(
+            self,
+            "transient",
+            code in TRANSIENT_STATUSES
+            or retry_after is not None
+            or fault_kind == MALFORMED_FAULT,
+        )
 
     def json(self) -> Any:
         """Return the JSON body, raising on error responses."""
@@ -178,22 +240,6 @@ class HTTPResponse:
     def header(self, name: str, default: str | None = None) -> str | None:
         """Return one response header."""
         return self.headers.get(name, default)
-
-    @property
-    def retry_after(self) -> float | None:
-        """Return the ``Retry-After`` delay in seconds, when present."""
-        raw = self.headers.get(RETRY_AFTER_HEADER)
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return None
-
-    @property
-    def fault_kind(self) -> str:
-        """Return the injected-fault attribution of this response (or ``""``)."""
-        return self.headers.get(FAULT_HEADER, "")
 
     @classmethod
     def json_ok(cls, body: Any) -> "HTTPResponse":
@@ -211,11 +257,9 @@ class HTTPResponse:
 
         Error responses are shared across consumers (the server's
         availability-error cache hands one object to a whole batch), so
-        their body and headers are frozen behind ``MappingProxyType`` —
-        a consumer mutating one cannot corrupt its siblings.
+        their body is frozen behind ``MappingProxyType`` like every
+        response's headers — a consumer mutating one cannot corrupt its
+        siblings.
         """
         body = MappingProxyType({"error": message or status.reason})
-        frozen_headers = (
-            MappingProxyType(dict(headers)) if headers else EMPTY_HEADERS
-        )
-        return cls(status=status, body=body, headers=frozen_headers)
+        return cls(status=status, body=body, headers=headers or EMPTY_HEADERS)

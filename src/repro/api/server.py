@@ -16,21 +16,16 @@ endpoint from a fingerprint-validated payload cache), and
 collection in one call while keeping request accounting identical to a
 client paging through it.
 
-Concurrency: the server is safe to share between crawler threads.  Request
-counters and the shared response caches are guarded by a state lock, every
-instance's mutable state (timelines, metadata, availability evaluation) is
-read under a per-instance re-entrant lock, and cached payloads are frozen
-(:func:`~repro.api.http.freeze_json`) so no client can corrupt what another
-sees.  :class:`RequestExecutor` is the thread-pool front end the concurrent
-crawl engine and the load harness drive requests through.
+Cached responses (metadata payloads, availability errors) are shared by
+every caller and every round, so they are frozen
+(:func:`~repro.api.http.freeze_json`): no caller can corrupt what the next
+one sees.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.api.http import (
     USER_AGENT_HEADER,
@@ -165,65 +160,39 @@ class FediverseAPIServer:
         self.registry = registry
         self.router = Router()
         self.requests_served = 0
-        #: Guards the request counter, the shared error cache and the
-        #: per-instance lock table.  Held only for constant-time updates.
-        self._state_lock = threading.Lock()
-        #: One re-entrant lock per instance domain: every read of an
-        #: instance's mutable state (metadata fingerprinting and payload
-        #: rebuilds, timeline walks, endpoint dispatch) happens under its
-        #: domain's lock.  Re-entrant because the batch path holds it while
-        #: serving the cached metadata payload, which re-acquires.
-        self._instance_locks: dict[str, threading.RLock] = {}
         #: Metadata responses served by the batch path, keyed by domain and
         #: validated against :meth:`Instance.metadata_fingerprint` (the
         #: single-request path stays stateless and seed-faithful).  Cached
-        #: payloads are frozen — shared across every concurrent client —
-        #: and each domain's entry is only written under that domain's lock.
+        #: payloads are frozen, since every caller shares them.
         self._metadata_cache: dict[str, tuple[tuple, HTTPResponse]] = {}
         #: Availability-error responses, keyed by (status, reason) — the
         #: full availability fingerprint at the serving instant, since both
         #: fields are re-derived from :meth:`InstanceAvailability.status_at`
         #: on every call.  An instance flipping down mid-campaign (churn)
         #: therefore keys a *different* entry; nothing here can go stale.
-        #: The responses are frozen and content-equal, so they are shared;
-        #: writes happen under the state lock.
+        #: The responses are frozen and content-equal, so they are shared.
         self._error_cache: dict[tuple[int, str], HTTPResponse] = {}
         self._register_routes()
-
-    def instance_lock(self, domain: str) -> threading.RLock:
-        """Return (creating on first use) the lock guarding one instance."""
-        lock = self._instance_locks.get(domain)
-        if lock is None:
-            with self._state_lock:
-                lock = self._instance_locks.setdefault(domain, threading.RLock())
-        return lock
-
-    def _count_requests(self, count: int) -> None:
-        with self._state_lock:
-            self.requests_served += count
 
     # ------------------------------------------------------------------ #
     # Transport entry point
     # ------------------------------------------------------------------ #
     def handle(self, request: HTTPRequest) -> HTTPResponse:
         """Handle one request addressed to one instance."""
-        self._count_requests(1)
+        self.requests_served += 1
         try:
             instance = self.registry.get(request.domain)
         except UnknownInstanceError:
             return HTTPResponse.error(HTTPStatus.NOT_FOUND, "unknown instance")
 
-        with self.instance_lock(instance.domain):
-            now = self.registry.clock.now()
-            if not instance.availability.ok_at(now):
-                status = HTTPStatus(instance.availability.status_at(now))
-                return HTTPResponse.error(
-                    status, instance.availability.reason_at(now)
-                )
-            agent = request.headers.get(USER_AGENT_HEADER, "")
-            if agent_blocked(instance, agent):
-                return HTTPResponse.error(HTTPStatus.FORBIDDEN, UA_BLOCKED_REASON)
-            return self.router.dispatch(request)
+        now = self.registry.clock.now()
+        if not instance.availability.ok_at(now):
+            status = HTTPStatus(instance.availability.status_at(now))
+            return HTTPResponse.error(status, instance.availability.reason_at(now))
+        agent = request.headers.get(USER_AGENT_HEADER, "")
+        if agent_blocked(instance, agent):
+            return HTTPResponse.error(HTTPStatus.FORBIDDEN, UA_BLOCKED_REASON)
+        return self.router.dispatch(request)
 
     def get(
         self, domain: str, url: str, *, user_agent: str = ""
@@ -254,36 +223,35 @@ class FediverseAPIServer:
         accounting are identical to per-request :meth:`handle` calls.
         """
         count = len(requests)
-        self._count_requests(count)
+        self.requests_served += count
         try:
             instance = self.registry.get(domain)
         except UnknownInstanceError:
             error = self._availability_error(404, "unknown instance")
             return [error] * count
-        with self.instance_lock(instance.domain):
-            availability = instance.availability
-            now = self.registry.clock.now()
-            if not availability.ok_at(now):
-                error = self._availability_error(
-                    availability.status_at(now), availability.reason_at(now)
-                )
-                return [error] * count
-            if agent_blocked(instance, user_agent):
-                error = self._availability_error(403, UA_BLOCKED_REASON)
-                return [error] * count
+        availability = instance.availability
+        now = self.registry.clock.now()
+        if not availability.ok_at(now):
+            error = self._availability_error(
+                availability.status_at(now), availability.reason_at(now)
+            )
+            return [error] * count
+        if agent_blocked(instance, user_agent):
+            error = self._availability_error(403, UA_BLOCKED_REASON)
+            return [error] * count
 
-            responses = []
-            serves = self._resolved_serves
-            for request in requests:
-                path = request if isinstance(request, str) else request.path
-                serve = serves.get(path)
-                if serve is not None:
-                    responses.append(serve(instance))
-                    continue
-                if isinstance(request, str):
-                    request = HTTPRequest.from_url(domain, request)
-                responses.append(self.router.dispatch(request))
-            return responses
+        responses = []
+        serves = self._resolved_serves
+        for request in requests:
+            path = request if isinstance(request, str) else request.path
+            serve = serves.get(path)
+            if serve is not None:
+                responses.append(serve(instance))
+                continue
+            if isinstance(request, str):
+                request = HTTPRequest.from_url(domain, request)
+            responses.append(self.router.dispatch(request))
+        return responses
 
     def metadata_payload(self, instance: Instance) -> Any:
         """Return the instance-metadata payload, cached across batch calls.
@@ -310,30 +278,28 @@ class FediverseAPIServer:
         error responses.  Domains must already be normalised (crawl rounds
         draw them from directory listings and instance records).
         """
-        self._count_requests(len(domains))
+        self.requests_served += len(domains)
         registry = self.registry
         now = registry.clock.now()
         get = registry.get_normalised
         serve = self._serve_metadata
+        error = self._availability_error
         responses = []
+        append = responses.append
         for domain in domains:
             try:
                 instance = get(domain)
             except UnknownInstanceError:
-                responses.append(self._availability_error(404, "unknown instance"))
+                append(error(404, "unknown instance"))
                 continue
-            with self.instance_lock(instance.domain):
-                availability = instance.availability
-                if not availability.ok_at(now):
-                    responses.append(
-                        self._availability_error(
-                            availability.status_at(now), availability.reason_at(now)
-                        )
-                    )
-                elif agent_blocked(instance, user_agent):
-                    responses.append(self._availability_error(403, UA_BLOCKED_REASON))
-                else:
-                    responses.append(serve(instance))
+            availability = instance.availability
+            status = availability.status_at(now)
+            if status != 200:
+                append(error(status, availability.reason_at(now)))
+            elif agent_blocked(instance, user_agent):
+                append(error(403, UA_BLOCKED_REASON))
+            else:
+                append(serve(instance))
         return responses
 
     def _availability_error(self, status: int, reason: str) -> HTTPResponse:
@@ -344,17 +310,13 @@ class FediverseAPIServer:
         ``InstanceAvailability.status_at/reason_at(now)`` on every call —
         so a churned instance flipping from 200 to 503 mid-campaign simply
         selects a different entry; cached entries can never serve a stale
-        availability.  Double-checked under the state lock so concurrent
-        clients share one frozen response per distinct error.
+        availability.
         """
         key = (status, reason)
         response = self._error_cache.get(key)
         if response is None:
-            with self._state_lock:
-                response = self._error_cache.get(key)
-                if response is None:
-                    response = HTTPResponse.error(HTTPStatus(status), reason)
-                    self._error_cache[key] = response
+            response = HTTPResponse.error(HTTPStatus(status), reason)
+            self._error_cache[key] = response
         return response
 
     def stream_timeline(
@@ -377,50 +339,47 @@ class FediverseAPIServer:
         ``ids.index(max_id)`` scan + slice — quadratic in timeline length —
         with a single walk.
         """
-        self._count_requests(1)  # at least one page request is always made
+        self.requests_served += 1  # at least one page request is always made
         try:
             instance = self.registry.get(domain)
         except UnknownInstanceError:
             return TimelineStream(HTTPStatus.NOT_FOUND, "unknown instance", [], 1)
-        with self.instance_lock(instance.domain):
-            availability = instance.availability
-            now = self.registry.clock.now()
-            if not availability.ok_at(now):
-                status = HTTPStatus(availability.status_at(now))
-                return TimelineStream(status, availability.reason_at(now), [], 1)
-            if agent_blocked(instance, user_agent):
-                return TimelineStream(
-                    HTTPStatus.FORBIDDEN, UA_BLOCKED_REASON, [], 1
-                )
-            if not instance.expose_public_timeline:
-                return TimelineStream(
-                    HTTPStatus.FORBIDDEN,
-                    "public timeline requires authentication",
-                    [],
-                    1,
-                )
+        availability = instance.availability
+        now = self.registry.clock.now()
+        if not availability.ok_at(now):
+            status = HTTPStatus(availability.status_at(now))
+            return TimelineStream(status, availability.reason_at(now), [], 1)
+        if agent_blocked(instance, user_agent):
+            return TimelineStream(HTTPStatus.FORBIDDEN, UA_BLOCKED_REASON, [], 1)
+        if not instance.expose_public_timeline:
+            return TimelineStream(
+                HTTPStatus.FORBIDDEN,
+                "public timeline requires authentication",
+                [],
+                1,
+            )
 
-            effective = max(1, min(page_size, MAX_TIMELINE_LIMIT))
-            timeline = (
-                instance.timelines.public
-                if local
-                else instance.timelines.whole_known_network
+        effective = max(1, min(page_size, MAX_TIMELINE_LIMIT))
+        timeline = (
+            instance.timelines.public
+            if local
+            else instance.timelines.whole_known_network
+        )
+        ids = timeline.latest(limit=0)  # the full timeline, newest first
+        collected, pages = count_timeline_pages(
+            len(ids), page_size, effective, max_posts
+        )
+        self.requests_served += pages - 1
+        local_posts = instance.posts
+        remote_posts = instance.remote_posts
+        statuses = [
+            serialise_status(
+                local_posts[post_id]
+                if post_id in local_posts
+                else remote_posts[post_id]
             )
-            ids = timeline.latest(limit=0)  # the full timeline, newest first
-            collected, pages = count_timeline_pages(
-                len(ids), page_size, effective, max_posts
-            )
-            self._count_requests(pages - 1)
-            local_posts = instance.posts
-            remote_posts = instance.remote_posts
-            statuses = [
-                serialise_status(
-                    local_posts[post_id]
-                    if post_id in local_posts
-                    else remote_posts[post_id]
-                )
-                for post_id in ids[:collected]
-            ]
+            for post_id in ids[:collected]
+        ]
         return TimelineStream(HTTPStatus.OK, "", statuses, pages)
 
     # ------------------------------------------------------------------ #
@@ -441,20 +400,16 @@ class FediverseAPIServer:
         }
 
     def _serve_metadata(self, instance: Instance) -> HTTPResponse:
-        # Fingerprint and rebuild under the instance's lock (re-entrant, so
-        # callers already holding it — handle_batch — nest freely), with a
-        # double-check so concurrent first requests build the payload once.
-        # The cached payload is frozen: it is shared by every client of the
+        # The cached payload is frozen: it is shared by every caller of the
         # batch path, and freezing keeps one caller's mutation from
         # corrupting what the others (and later rounds) see.
-        with self.instance_lock(instance.domain):
-            fingerprint = instance.metadata_fingerprint()
-            cached = self._metadata_cache.get(instance.domain)
-            if cached is not None and cached[0] == fingerprint:
-                return cached[1]
-            response = HTTPResponse.json_ok(freeze_json(instance.to_api_dict()))
-            self._metadata_cache[instance.domain] = (fingerprint, response)
-            return response
+        fingerprint = instance.metadata_fingerprint()
+        cached = self._metadata_cache.get(instance.domain)
+        if cached is not None and cached[0] == fingerprint:
+            return cached[1]
+        response = HTTPResponse.json_ok(freeze_json(instance.to_api_dict()))
+        self._metadata_cache[instance.domain] = (fingerprint, response)
+        return response
 
     def _serve_peers(self, instance: Instance) -> HTTPResponse:
         return HTTPResponse.json_ok(sorted(instance.peers))
@@ -540,47 +495,3 @@ class FediverseAPIServer:
             statuses.append(instance.get_post(post_id).to_dict())
         return HTTPResponse.json_ok(statuses)
 
-
-class RequestExecutor:
-    """Run groups of request-serving tasks on a bounded thread pool.
-
-    The concurrent front end of the serving layer: callers hand it a list
-    of zero-argument tasks (each typically a per-worker slice of a crawl
-    phase) and receive the results **in task order**, whatever order the
-    threads finished in.  With one thread the executor runs tasks inline —
-    no pool, no handoff — so a 1-thread concurrent crawl pays nothing over
-    the sequential engine.  The pool is created lazily on the first
-    multi-task run and reused until :meth:`shutdown`.
-    """
-
-    def __init__(self, threads: int = 1) -> None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.threads = threads
-        self._pool: ThreadPoolExecutor | None = None
-
-    def run(self, tasks: Sequence[Callable[[], Any]]) -> list[Any]:
-        """Run every task, returning their results in task order."""
-        tasks = list(tasks)
-        if self.threads == 1 or len(tasks) <= 1:
-            return [task() for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="serving"
-            )
-        # Submit everything before gathering anything: the gather order is
-        # the task order, the execution order is the pool's.
-        futures = [self._pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        """Tear down the pool (idempotent; the executor stays reusable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "RequestExecutor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

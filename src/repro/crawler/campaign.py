@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.api.client import APIClient
-from repro.api.server import FediverseAPIServer, RequestExecutor
+from repro.api.server import FediverseAPIServer
 from repro.crawler.builder import build_dataset
 from repro.crawler.crawler import PEERS_PATH, InstanceCrawler, TimelineCrawler
 from repro.crawler.directory import InstanceDirectory
@@ -264,7 +264,7 @@ class MeasurementCampaign:
         return pleroma_domains, all_domains
 
     def snapshot_round(
-        self, pleroma_domains: set[str], now: float, fetch_peers: bool
+        self, pleroma_domains: Iterable[str], now: float, fetch_peers: bool
     ) -> dict[str, InstanceSnapshot]:
         """Phase 2 (one round): snapshot every Pleroma instance's metadata.
 
@@ -370,27 +370,31 @@ class MeasurementCampaign:
         result.discovered_domains = all_domains
 
         first_seen = result.first_seen
+        latest = result.latest_snapshots
+        counts = result.snapshot_counts
         interval = self.config.snapshot_interval_hours * 3600.0
         keep_all = self.config.keep_all_snapshots
         round_retry = self.resilience is not None and self.resilience.round_retry
+        # Sorted once: re-sorting an already sorted list each round is linear.
+        round_domains = sorted(pleroma_domains)
         for round_index in range(self.config.snapshot_rounds):
             now = clock.now()
             # Peer lists are large and barely change; fetching them on the
             # first round only mirrors how the paper's crawler was run.
             fetch_peers = round_index == 0
             failures_before = len(self.instance_crawler.failures)
-            snapshots = self.snapshot_round(pleroma_domains, now, fetch_peers)
+            snapshots = self.snapshot_round(round_domains, now, fetch_peers)
             if round_retry:
                 self._retry_round(
                     snapshots, pleroma_domains, now, fetch_peers, failures_before
                 )
             for domain, snapshot in snapshots.items():
                 first_seen.setdefault(domain, now)
-                previous = result.latest_snapshots.get(domain)
+                previous = latest.get(domain)
                 if previous is not None and not snapshot.peers:
                     snapshot.peers = previous.peers
-                result.latest_snapshots[domain] = snapshot
-                result.snapshot_counts[domain] = result.snapshot_counts.get(domain, 0) + 1
+                latest[domain] = snapshot
+                counts[domain] = counts.get(domain, 0) + 1
                 if keep_all:
                     result.all_snapshots.append(snapshot)
                 if self.sinks:
@@ -412,263 +416,3 @@ class MeasurementCampaign:
         result.api_requests = self.client.stats.requests
         return result
 
-
-def _partition(items: Sequence, parts: int) -> list[list]:
-    """Split ``items`` into ``parts`` contiguous, near-equal slices.
-
-    Contiguity is the concurrent engine's whole determinism story: each
-    worker crawls one slice of the round's *sorted* domain list, and
-    concatenating the per-slice outputs in slice order reproduces the
-    sequential engine's domain order exactly.  Leading slices get the
-    remainder, so slice sizes differ by at most one.
-    """
-    if parts < 1:
-        raise ValueError("parts must be at least 1")
-    items = list(items)
-    base, extra = divmod(len(items), parts)
-    slices = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        slices.append(items[start : start + size])
-        start += size
-    return slices
-
-
-class ConcurrentMeasurementCampaign:
-    """Run a measurement campaign with N concurrent crawler clients.
-
-    The multi-client twin of :class:`MeasurementCampaign`: every phase's
-    sorted domain list is partitioned into contiguous slices
-    (:func:`_partition`), one per worker, and the workers crawl their
-    slices in parallel through a shared (thread-safe)
-    :class:`~repro.api.server.FediverseAPIServer` on a
-    :class:`~repro.api.server.RequestExecutor` thread pool.  Each worker
-    owns its own :class:`~repro.api.client.APIClient`,
-    :class:`~repro.crawler.crawler.InstanceCrawler` (private template cache
-    and failure log) and :class:`~repro.crawler.crawler.TimelineCrawler`;
-    the main thread alone advances the simulation clock and keeps the
-    campaign bookkeeping (first-seen stamps, peer carry-forward, sink
-    emission), exactly as the sequential engine does.
-
-    Determinism contract (the ``serving`` bench stage's gate): the merged
-    :class:`CrawlResult` is **bit-identical** to the sequential engine's at
-    every thread count.  The only normalisation needed is the slice-order
-    merge itself — concatenating contiguous slices of a sorted list in
-    slice order *is* the sorted list, so snapshots, failures (contents and
-    order), timelines, request accounting and the assembled dataset all
-    come out exactly as the one-client engine produces them.  With
-    ``threads=1`` the executor runs inline and the crawl is the sequential
-    engine plus a single partition call.
-
-    Faults and resilience are deliberately unsupported here: a retrying
-    client advances the shared simulated clock from worker threads, which
-    has no deterministic merged equivalent.  Use the sequential engine for
-    chaos runs.
-    """
-
-    def __init__(
-        self,
-        registry: FediverseRegistry,
-        config: CampaignConfig | None = None,
-        threads: int = 2,
-        server: FediverseAPIServer | None = None,
-        directory: InstanceDirectory | None = None,
-        sinks: Sequence[CrawlSink] | None = None,
-        transport: FediverseAPIServer | None = None,
-    ) -> None:
-        if threads < 1:
-            raise ValueError("threads must be at least 1")
-        self.registry = registry
-        self.config = config or CampaignConfig()
-        self.threads = threads
-        self.server = server or FediverseAPIServer(registry)
-        #: What the per-worker clients actually talk to — the server
-        #: itself, or a wrapper sharing its interface (the load harness
-        #: passes a latency-recording proxy here).
-        self.transport = transport if transport is not None else self.server
-        self.directory = directory or InstanceDirectory(
-            registry, coverage=self.config.directory_coverage
-        )
-        self.sinks: list[CrawlSink] = list(sinks or [])
-        self.executor = RequestExecutor(threads)
-        self.clients = [APIClient(self.transport) for _ in range(threads)]
-        self.instance_crawlers = [InstanceCrawler(client) for client in self.clients]
-        self.timeline_crawlers = [
-            TimelineCrawler(client, page_size=self.config.timeline_page_size)
-            for client in self.clients
-        ]
-
-    def close(self) -> None:
-        """Shut the executor's thread pool down (idempotent)."""
-        self.executor.shutdown()
-
-    def __enter__(self) -> "ConcurrentMeasurementCampaign":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Sink notification (main thread only)
-    # ------------------------------------------------------------------ #
-    def _emit_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
-        for sink in self.sinks:
-            sink.on_snapshot(round_index, snapshot)
-
-    def _emit_failure(self, failure: CrawlFailure) -> None:
-        for sink in self.sinks:
-            sink.on_failure(failure)
-
-    def _emit_timeline(self, collection: TimelineCollection) -> None:
-        for sink in self.sinks:
-            sink.on_timeline(collection)
-
-    def _harvest_failures(
-        self, seen: list[int], result: CrawlResult
-    ) -> None:
-        """Append every worker's new failures to the result, in slice order.
-
-        Each worker records its slice's failures in domain order (the
-        sequential order restricted to the slice); harvesting worker by
-        worker after each phase concatenates them back into the sequential
-        engine's exact failure order.  Emitted to the sinks here — after
-        the phase, before its snapshots — which is the same
-        failures-then-snapshots round order the sequential engine produces.
-        """
-        for index, crawler in enumerate(self.instance_crawlers):
-            new = crawler.failures[seen[index] :]
-            seen[index] = len(crawler.failures)
-            result.failures.extend(new)
-            if self.sinks:
-                for failure in new:
-                    self._emit_failure(failure)
-
-    # ------------------------------------------------------------------ #
-    # Campaign phases
-    # ------------------------------------------------------------------ #
-    def discover(self) -> tuple[set[str], set[str]]:
-        """Phase 1, fanned out: peer expansion across the worker clients."""
-        pleroma_domains = set(self.directory.pleroma_instances())
-        all_domains: set[str] = set(pleroma_domains)
-        slices = _partition(sorted(pleroma_domains), self.threads)
-
-        def fetch(client: APIClient, part: list[str]) -> list:
-            return [client.get_many(domain, (PEERS_PATH,))[0] for domain in part]
-
-        tasks = [
-            (lambda client=client, part=part: fetch(client, part))
-            for client, part in zip(self.clients, slices)
-        ]
-        for responses in self.executor.run(tasks):
-            for response in responses:
-                if response.ok:
-                    all_domains.update(response.body)
-        return pleroma_domains, all_domains
-
-    def _snapshot_round(
-        self, domains: list[str], now: float, fetch_peers: bool
-    ) -> dict[str, InstanceSnapshot]:
-        """One snapshot round, fanned out; merged in slice order."""
-        slices = _partition(domains, self.threads)
-        tasks = [
-            (
-                lambda crawler=crawler, part=part: crawler.snapshot_many(
-                    part, now, fetch_peers=fetch_peers
-                )
-            )
-            for crawler, part in zip(self.instance_crawlers, slices)
-        ]
-        merged: dict[str, InstanceSnapshot] = {}
-        for part_snapshots in self.executor.run(tasks):
-            merged.update(part_snapshots)
-        return merged
-
-    def _collect_timelines(
-        self, domains: list[str], now: float
-    ) -> list[TimelineCollection]:
-        """The timeline phase, fanned out; merged in slice order.
-
-        Unlike the sequential engine's lazy generator, each worker
-        materialises its slice's collections before the merge — counting
-        runs trade the O(1)-memory laziness for parallel collection.
-        """
-        slices = _partition(domains, self.threads)
-        config = self.config
-        tasks = [
-            (
-                lambda crawler=crawler, part=part: list(
-                    crawler.collect_many(
-                        part,
-                        now,
-                        local_only=True,
-                        max_posts=config.max_posts_per_instance,
-                    )
-                )
-            )
-            for crawler, part in zip(self.timeline_crawlers, slices)
-        ]
-        merged: list[TimelineCollection] = []
-        for part_collections in self.executor.run(tasks):
-            merged.extend(part_collections)
-        return merged
-
-    # ------------------------------------------------------------------ #
-    # Entry points (mirroring MeasurementCampaign)
-    # ------------------------------------------------------------------ #
-    def crawl(self) -> CrawlResult:
-        """Run discovery, the snapshot rounds and timeline collection."""
-        return self._crawl_phases(retain_timelines=True)
-
-    def assemble(self, result: CrawlResult) -> CrawlResult:
-        """Build the analysis dataset from a finished crawl."""
-        return assemble_result(result)
-
-    def run(self) -> CrawlResult:
-        """Run the full campaign and build the dataset."""
-        return self.assemble(self.crawl())
-
-    def _crawl_phases(self, retain_timelines: bool) -> CrawlResult:
-        clock = self.registry.clock
-        result = CrawlResult(dataset=Dataset())
-        failures_seen = [0] * self.threads
-
-        pleroma_domains, all_domains = self.discover()
-        result.pleroma_domains = pleroma_domains
-        result.discovered_domains = all_domains
-        sorted_pleroma = sorted(pleroma_domains)
-
-        first_seen = result.first_seen
-        interval = self.config.snapshot_interval_hours * 3600.0
-        keep_all = self.config.keep_all_snapshots
-        for round_index in range(self.config.snapshot_rounds):
-            now = clock.now()
-            fetch_peers = round_index == 0
-            snapshots = self._snapshot_round(sorted_pleroma, now, fetch_peers)
-            self._harvest_failures(failures_seen, result)
-            for domain, snapshot in snapshots.items():
-                first_seen.setdefault(domain, now)
-                previous = result.latest_snapshots.get(domain)
-                if previous is not None and not snapshot.peers:
-                    snapshot.peers = previous.peers
-                result.latest_snapshots[domain] = snapshot
-                result.snapshot_counts[domain] = (
-                    result.snapshot_counts.get(domain, 0) + 1
-                )
-                if keep_all:
-                    result.all_snapshots.append(snapshot)
-                if self.sinks:
-                    self._emit_snapshot(round_index, snapshot)
-            clock.advance(interval)
-
-        collections = self._collect_timelines(
-            sorted(result.latest_snapshots), clock.now()
-        )
-        for collection in collections:
-            if retain_timelines:
-                result.timelines.append(collection)
-            if self.sinks:
-                self._emit_timeline(collection)
-        self._harvest_failures(failures_seen, result)
-        result.api_requests = sum(client.stats.requests for client in self.clients)
-        return result

@@ -19,10 +19,10 @@ changed payload is always re-parsed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.api.client import APIClient, APIError
-from repro.api.http import ATTEMPTS_HEADER, HTTPResponse
+from repro.api.http import HTTPResponse
 from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineCollection
 
 #: The three endpoints the paper's crawler fetches per instance.
@@ -56,28 +56,23 @@ def _parse_pleroma_version(payload: dict[str, Any]) -> str:
     return ""
 
 
-def _error_message(response: HTTPResponse) -> str:
-    """Extract the error message of a failed response (as APIError does)."""
-    if isinstance(response.body, Mapping):
-        return str(response.body.get("error", ""))
-    return ""
-
-
 def _failure_from_response(
     domain: str, now: float, response: HTTPResponse, prefix: str = ""
 ) -> CrawlFailure:
     """Build a :class:`CrawlFailure` from a failed response.
 
-    Reads the retrying client's attribution annotations — attempts spent
-    (``X-Attempts``) and injected-fault kind (``X-Fault``) — so resilience
-    bookkeeping survives into the crawl record.
+    Every field but the domain and timestamp comes from the response's
+    stored classification: its error message, and the retrying client's
+    attribution annotations — attempts spent (``X-Attempts``) and
+    injected-fault kind (``X-Fault``) — so resilience bookkeeping survives
+    into the crawl record.
     """
     return CrawlFailure(
         domain=domain,
         timestamp=now,
         status_code=int(response.status),
-        reason=f"{prefix}{_error_message(response)}",
-        attempts=int(response.header(ATTEMPTS_HEADER, "1") or 1),
+        reason=prefix + response.message,
+        attempts=response.attempts,
         fault_kind=response.fault_kind,
     )
 

@@ -65,6 +65,8 @@ class FaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self._spec = plan.spec
+        #: One frozen response per fault kind, shared by every injection.
+        self._responses: dict[FaultKind, HTTPResponse] = {}
 
     # ------------------------------------------------------------------ #
     # Transport passthroughs the client relies on
@@ -82,19 +84,15 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Fault decisions
     # ------------------------------------------------------------------ #
-    def _fault_response(
-        self, kind: FaultKind, retry_after: float | None = None
-    ) -> HTTPResponse:
-        self.stats.count(kind)
+    def _build_response(self, kind: FaultKind) -> HTTPResponse:
         headers = {FAULT_HEADER: kind.value}
-        if retry_after is not None:
-            headers[RETRY_AFTER_HEADER] = f"{retry_after:g}"
+        if kind is FaultKind.RATE_LIMIT:
+            headers[RETRY_AFTER_HEADER] = f"{self._spec.rate_limit_retry_after:g}"
         if kind is FaultKind.TRANSIENT:
             return HTTPResponse.error(
                 HTTPStatus.INTERNAL_SERVER_ERROR, "transient server error", headers
             )
         if kind is FaultKind.TIMEOUT:
-            self.stats.timeout_seconds += self._spec.timeout_seconds
             return HTTPResponse.error(
                 HTTPStatus.GATEWAY_TIMEOUT, "request timed out", headers
             )
@@ -111,27 +109,40 @@ class FaultInjector:
             status=HTTPStatus.OK, body=MALFORMED_BODY, headers=headers
         )
 
+    def _fault_response(self, kind: FaultKind) -> HTTPResponse:
+        self.stats.count(kind)
+        if kind is FaultKind.TIMEOUT:
+            self.stats.timeout_seconds += self._spec.timeout_seconds
+        response = self._responses.get(kind)
+        if response is None:
+            response = self._responses[kind] = self._build_response(kind)
+        return response
+
     def _decide(
         self, schedule: DomainFaultSchedule, now: float, document: bool
     ) -> HTTPResponse | None:
         """Return the injected response for one request, or ``None``.
 
         Scheduled (window) faults are checked first — they are functions of
-        time only and draw no randomness.  Per-request faults then advance
-        the domain's dedicated stream once per enabled kind, in a fixed
-        order, so the domain's fault sequence is reproducible.
-        ``document`` selects JSON-document endpoints (the only ones that
-        can return a malformed body).
+        time only and draw no randomness, and a schedule with no windows
+        and no flap (one kept for its per-request draws alone) skips them.
+        Per-request faults then advance the domain's dedicated stream once
+        per enabled kind, in a fixed order, so the domain's fault sequence
+        is reproducible.  ``document`` selects JSON-document endpoints (the
+        only ones that can return a malformed body).
         """
         spec = self._spec
-        if schedule.transient_at(now):
-            return self._fault_response(FaultKind.TRANSIENT)
-        if schedule.rate_limited_at(now):
-            return self._fault_response(
-                FaultKind.RATE_LIMIT, retry_after=spec.rate_limit_retry_after
-            )
-        if schedule.flapping_down_at(now):
-            return self._fault_response(FaultKind.FLAP)
+        if (
+            schedule.transient_windows
+            or schedule.rate_limit_windows
+            or schedule.flap is not None
+        ):
+            if schedule.transient_at(now):
+                return self._fault_response(FaultKind.TRANSIENT)
+            if schedule.rate_limited_at(now):
+                return self._fault_response(FaultKind.RATE_LIMIT)
+            if schedule.flapping_down_at(now):
+                return self._fault_response(FaultKind.FLAP)
         if spec.timeout_rate and schedule.rng.random() < spec.timeout_rate:
             return self._fault_response(FaultKind.TIMEOUT)
         if (
@@ -202,16 +213,15 @@ class FaultInjector:
         self, domains: Sequence[str], *, user_agent: str = ""
     ) -> list[HTTPResponse]:
         """Serve a snapshot round's metadata requests, faults spliced in."""
-        plan = self.plan
+        schedules = self.plan.schedules
+        decide = self._decide
         now = self.server.registry.clock.now()
         before = self.stats.timeout_seconds
         injected: dict[int, HTTPResponse] = {}
         clean: list[str] = []
         for index, domain in enumerate(domains):
-            schedule = plan.schedule_for(domain)
-            fault = (
-                self._decide(schedule, now, True) if schedule is not None else None
-            )
+            schedule = schedules.get(domain)
+            fault = decide(schedule, now, True) if schedule is not None else None
             if fault is None:
                 clean.append(domain)
             else:

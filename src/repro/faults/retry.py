@@ -17,10 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.api.http import HTTPResponse
 
-#: Statuses the base simulated server never emits, so retrying them can
-#: never change a zero-fault crawl: 408/429/500/504 are injector-only.
-TRANSIENT_STATUSES = frozenset({408, 429, 500, 504})
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -28,8 +24,8 @@ class RetryPolicy:
 
     A response is *transient* — and therefore retryable — only when it
     carries a signal the base server can never produce: a status in
-    :data:`TRANSIENT_STATUSES`, a ``Retry-After`` header, or a malformed
-    (non-JSON) 200 body.  Permanent failures (404/403/410, a dead
+    :data:`~repro.api.http.TRANSIENT_STATUSES`, a ``Retry-After`` header,
+    or a malformed (non-JSON) 200 body.  Permanent failures (404/403/410, a dead
     instance's 5xx) are never retried, which is what keeps a zero-fault
     resilient crawl bit-identical to the plain engine.
     """
@@ -70,15 +66,15 @@ class RetryPolicy:
             raise ValueError("breaker_cooldown_seconds must be non-negative")
 
     def transient(self, response: HTTPResponse) -> bool:
-        """Return ``True`` when ``response`` is worth retrying."""
-        if int(response.status) in TRANSIENT_STATUSES:
-            return True
-        if response.retry_after is not None:
-            return True
-        # A malformed 200 body is normalised to a 502 before it reaches
-        # this check, tagged with its fault kind; the base server never
-        # sets the fault header, so this too is injector-only.
-        return response.fault_kind == "malformed"
+        """Return ``True`` when ``response`` is worth retrying.
+
+        The classification is stored on the response when it is built
+        (:attr:`HTTPResponse.transient`).  A malformed 200 body is
+        normalised to a 502 before it reaches this check, tagged with its
+        fault kind; the base server never sets the fault header, so this
+        too is injector-only.
+        """
+        return response.transient
 
     def jitter_stream(self, domain: str) -> random.Random:
         """Return a fresh dedicated jitter stream for ``domain``."""

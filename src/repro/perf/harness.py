@@ -376,7 +376,7 @@ _PROTOCOL_ZERO: dict[str, Any] = {
 def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str, float]:
     """Gate the protocol-realism subsystem and time signature amortisation.
 
-    Three gates (each raising on divergence), then one timed comparison:
+    Two gates (each raising on divergence), then one timed comparison:
 
     1. *Create-only bit-identity*: with every protocol knob zeroed the
        batched engine must still match the seed delivery loop exactly —
@@ -386,9 +386,6 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
        the batched engine (type-homogeneous fast paths engaged), the
        seed's general one-at-a-time walk and the sharded engine's merged
        state must be bit-identical — boosts/favourite counters included.
-    3. *Full-mix serving equivalence*: a measurement campaign over the
-       mixed population must produce a bit-identical :class:`CrawlResult`
-       through the sequential and the concurrent (2-thread) crawl engine.
 
     The timed comparison is signature-cache amortisation: every delivery
     is HTTP-signature verified, once with a per-delivery key derivation
@@ -398,7 +395,6 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     gate 2, and the headline ``speedup`` is the amortisation factor the
     CI ``--min-speedup`` floor checks.
     """
-    from repro.crawler.campaign import ConcurrentMeasurementCampaign
     from repro.protocol.httpsig import ActorKeyCache, HttpSignatureVerifier
     from repro.shard.engine import federate_sharded
 
@@ -496,24 +492,6 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
         result.state,
         mix_state,
         "full-mix sharded merge diverged from the single-process engine",
-    )
-
-    # Gate 3: sequential vs concurrent crawl over the mixed population.
-    campaign_config = CampaignConfig(duration_days=2.0)
-    prepared, _, _, _ = federate(config)
-    sequential = MeasurementCampaign(prepared.registry, campaign_config)
-    sequential_result = sequential.crawl()
-    sequential.assemble(sequential_result)
-    prepared, _, _, _ = federate(config)
-    concurrent = ConcurrentMeasurementCampaign(
-        prepared.registry, campaign_config, threads=2
-    )
-    concurrent_result = concurrent.crawl()
-    concurrent.assemble(concurrent_result)
-    _require_equal(
-        _crawl_state(concurrent_result),
-        _crawl_state(sequential_result),
-        "full-mix concurrent crawl diverged from the sequential engine",
     )
 
     # Timed: per-delivery key derivation vs the shared actor-key cache.
@@ -1156,141 +1134,6 @@ def bench_crawl(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str, fl
     }
 
 
-def bench_serving(
-    scenario: str,
-    seed: int = 42,
-    repeats: int = 2,
-    thread_counts: tuple[int, ...] | None = None,
-) -> dict[str, float]:
-    """Measure the concurrent serving layer: latency percentiles under load.
-
-    Drives full campaigns with N concurrent crawler clients
-    (:func:`repro.perf.loadgen.run_load`) against the thread-safe server
-    and reports, per thread count, wall-clock seconds plus p50/p95/p99
-    transport-call latency, tail amplification (p99/p50) and request
-    throughput — the serving-side numbers BENCH files lacked while every
-    stage was single-threaded.
-
-    Equivalence gates (the house rule, raising on divergence): at **every**
-    thread count the merged :class:`CrawlResult` — snapshots, failures
-    (contents and order), timelines, request accounting, the assembled
-    dataset — must be bit-identical to the sequential engine's.  The
-    1-thread run is the inline-executor case; N-thread runs are covered by
-    the contiguous-slice merge documented on
-    :class:`~repro.crawler.campaign.ConcurrentMeasurementCampaign` (the
-    slice-order merge of a sorted domain list *is* the sequential order, so
-    no looser normalisation is needed).
-
-    The headline ``speedup`` is the seed-faithful naive loop against the
-    best concurrent configuration.  On a single-core (GIL-bound) runner the
-    thread counts serialise, so N threads measure locking/handoff overhead
-    plus tail behaviour rather than parallel speedup — the per-thread-count
-    timings say which regime the measuring host is in.
-
-    ``thread_counts`` defaults to ``{1, 2, serving_clients}`` (the
-    scenario's :attr:`~repro.synth.config.SynthConfig.serving_clients`
-    knob), so every BENCH records at least two client fan-outs.
-    """
-    from repro.perf.loadgen import run_load
-
-    config = scenario_config(scenario, seed=seed)
-    campaign_config = CampaignConfig(
-        duration_days=config.campaign_days,
-        snapshot_interval_hours=config.snapshot_interval_hours,
-    )
-    if thread_counts is None:
-        thread_counts = tuple(sorted({1, 2, config.serving_clients}))
-    repeats = max(1, repeats)
-
-    # Sequential reference: the batched engine, the equivalence anchor —
-    # and the naive seed loop, the headline-speedup denominator (its own
-    # equivalence to the engine is gated by the crawl stage).
-    engine_s = float("inf")
-    reference_state = None
-    reference_result = None
-    for _ in range(repeats):
-        registry = FediverseGenerator(config).generate().registry
-        campaign = MeasurementCampaign(registry, campaign_config)
-        start = time.perf_counter()
-        result = campaign.crawl()
-        engine_s = min(engine_s, time.perf_counter() - start)
-        if reference_state is None:
-            campaign.assemble(result)
-            reference_state = _crawl_state(result)
-            reference_result = result
-
-    naive_s = float("inf")
-    for _ in range(repeats):
-        registry = FediverseGenerator(config).generate().registry
-        client = APIClient(FediverseAPIServer(registry))
-        directory = InstanceDirectory(
-            registry, coverage=campaign_config.directory_coverage
-        )
-        start = time.perf_counter()
-        baselines.naive_crawl_phases(
-            registry, campaign_config, directory=directory, client=client
-        )
-        naive_s = min(naive_s, time.perf_counter() - start)
-
-    metrics: dict[str, float] = {
-        "domains": float(len(reference_result.pleroma_domains)),
-        "rounds": float(campaign_config.snapshot_rounds),
-        "api_requests": float(reference_result.api_requests),
-        "engine_seconds": engine_s,
-        "naive_seconds": naive_s,
-        "thread_counts": float(len(thread_counts)),
-    }
-
-    best_concurrent = float("inf")
-    for threads in thread_counts:
-        best_s = float("inf")
-        best_report = None
-        for index in range(repeats):
-            registry = FediverseGenerator(config).generate().registry
-            report, result = run_load(
-                registry, campaign_config, threads=threads
-            )
-            if index == 0:
-                # The equivalence gate: merged concurrent result ==
-                # sequential engine result, bit for bit, dataset included.
-                _require_equal(
-                    _crawl_state(assemble_result(result)),
-                    reference_state,
-                    f"{threads}-thread concurrent crawl diverged from the "
-                    "sequential engine",
-                )
-            if report.wall_seconds < best_s:
-                best_s = report.wall_seconds
-                best_report = report
-        best_concurrent = min(best_concurrent, best_s)
-        metrics[f"concurrent_seconds_threads_{threads}"] = best_s
-        metrics[f"p50_ms_threads_{threads}"] = best_report.p50_ms
-        metrics[f"p95_ms_threads_{threads}"] = best_report.p95_ms
-        metrics[f"p99_ms_threads_{threads}"] = best_report.p99_ms
-        metrics[f"mean_ms_threads_{threads}"] = best_report.mean_ms
-        metrics[f"max_ms_threads_{threads}"] = best_report.max_ms
-        metrics[f"tail_amplification_threads_{threads}"] = (
-            best_report.tail_amplification
-        )
-        metrics[f"transport_calls_threads_{threads}"] = float(
-            best_report.transport_calls
-        )
-        metrics[f"requests_per_second_threads_{threads}"] = (
-            best_report.requests_per_second
-        )
-
-    metrics["concurrent_seconds"] = best_concurrent
-    metrics["speedup"] = (
-        naive_s / best_concurrent if best_concurrent else float("inf")
-    )
-    metrics["requests_per_second"] = (
-        reference_result.api_requests / best_concurrent
-        if best_concurrent
-        else float("inf")
-    )
-    return metrics
-
-
 def _true_reject_edges(registry) -> set[tuple[str, str]]:
     """The planted reject graph: every configured SimplePolicy reject edge.
 
@@ -1484,7 +1327,6 @@ STAGES: tuple[str, ...] = (
     "protocol",
     "crawl",
     "chaos",
-    "serving",
     "sharding",
     "shard_chaos",
 )
@@ -1601,10 +1443,6 @@ def run_scenario(
         )
     if "chaos" in stages:
         report.metrics["chaos"] = bench_chaos(
-            scenario, seed=seed, repeats=min(repeats, 2)
-        )
-    if "serving" in stages:
-        report.metrics["serving"] = bench_serving(
             scenario, seed=seed, repeats=min(repeats, 2)
         )
     if "sharding" in stages:

@@ -366,11 +366,6 @@ class SynthConfig:
     campaign_days: float = 14.0
     #: Interval between instance metadata snapshots, in hours (paper: 4h).
     snapshot_interval_hours: float = float(PAPER_SNAPSHOT_INTERVAL_HOURS)
-    #: Concurrent crawler clients the ``serving`` bench stage drives against
-    #: the API server (the load harness's widest fan-out; 1 and 2 clients
-    #: are always measured alongside).  Read only by the perf harness — it
-    #: never affects generation, so populations stay bit-identical.
-    serving_clients: int = 4
 
     def __post_init__(self) -> None:
         if self.n_pleroma_instances < 10:
@@ -404,8 +399,6 @@ class SynthConfig:
                 f"unknown worker_fault_profile {self.worker_fault_profile!r}; "
                 "available: none, light, mixed, heavy"
             )
-        if self.serving_clients < 1:
-            raise ValueError("serving_clients must be at least 1")
         if not 0 <= self.federation_announce_share <= 1:
             raise ValueError("federation_announce_share must be within [0, 1]")
         if self.federation_announces_per_peer < 1:

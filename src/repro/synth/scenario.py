@@ -30,8 +30,6 @@ SCENARIOS: dict[str, dict] = {
         "n_pleroma_instances": 1600,
         "campaign_days": 30.0,
         "worker_fault_profile": "mixed",
-        # At this scale the serving bench is worth a wider client fan-out.
-        "serving_clients": 8,
     },
     # Skewed federation load: a tenth of the origins go "hot" and fan out an
     # order of magnitude wider, concentrating delivery traffic on the big

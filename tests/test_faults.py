@@ -11,13 +11,15 @@ partial snapshots) only ever acts on fault-attributed failures.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.api.client import APIClient, APIError
+from repro.api.client import BREAKER_OPEN, APIClient, APIError, _BreakerState
 from repro.api.http import (
     ATTEMPTS_HEADER,
     FAULT_HEADER,
+    MALFORMED_FAULT,
     RETRY_AFTER_HEADER,
     HTTPResponse,
     HTTPStatus,
@@ -33,6 +35,7 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.faults.plan import DomainFaultSchedule, compile_for_campaign
+from repro.fediverse.clock import SimulationClock
 from repro.fediverse.registry import FediverseRegistry
 from repro.synth.scenario import scenario_config
 from repro.synth.generator import FediverseGenerator
@@ -191,6 +194,11 @@ class TestInjectedFaults:
         assert int(response.status) == 504
         assert response.fault_kind == "timeout"
         assert registry.clock.now() - start == pytest.approx(30.0)
+
+    def test_malformed_fault_value_matches_the_fault_kind(self):
+        # api.http cannot import repro.faults (the package imports the
+        # injector, which imports api.http), so it spells the value out.
+        assert MALFORMED_FAULT == FaultKind.MALFORMED.value
 
     def test_malformed_body_surfaces_as_502(self):
         registry = build_registry(("alpha.example",))
@@ -450,6 +458,114 @@ class TestRetryAccounting:
         (failure,) = crawler.failures
         assert failure.attempts == 3
         assert failure.fault_kind == "transient"
+
+
+class ScriptedTransport:
+    """A metadata transport answering each domain from a fixed script.
+
+    ``script[domain]`` lists the responses of that domain's successive
+    attempts (the last one repeats); every ``metadata_round`` call is
+    logged with the domains it carried.
+    """
+
+    def __init__(self, script: dict[str, list[HTTPResponse]]) -> None:
+        self.script = script
+        self.registry = SimpleNamespace(clock=SimulationClock(1000.0))
+        self.calls: list[list[str]] = []
+
+    def metadata_round(self, domains, *, user_agent=""):
+        self.calls.append(list(domains))
+        served = []
+        for domain in domains:
+            attempt = sum(call.count(domain) for call in self.calls) - 1
+            answers = self.script[domain]
+            served.append(answers[min(attempt, len(answers) - 1)])
+        return served
+
+
+class TestMetadataRetryRound:
+    """One ``metadata_many`` round, retry bookkeeping pinned exactly."""
+
+    def test_recovery_budget_breaker_and_permanent_failure(self):
+        ok = HTTPResponse.json_ok({"uri": "recover.example"})
+        rate_limited = HTTPResponse.error(
+            HTTPStatus.TOO_MANY_REQUESTS,
+            "rate limited",
+            {FAULT_HEADER: "rate_limit", RETRY_AFTER_HEADER: "30"},
+        )
+        transient = HTTPResponse.error(
+            HTTPStatus.INTERNAL_SERVER_ERROR,
+            "transient server error",
+            {FAULT_HEADER: "transient"},
+        )
+        down = HTTPResponse.error(HTTPStatus.BAD_GATEWAY, "bad gateway")
+        transport = ScriptedTransport(
+            {
+                "budget.example": [transient],
+                "down.example": [down],
+                "recover.example": [rate_limited, ok],
+            }
+        )
+        policy = RetryPolicy(max_attempts=4, retry_budget_per_domain=2)
+        client = APIClient(transport, retry=policy)
+        clock = transport.registry.clock
+        start = clock.now()
+        # An open breaker (opened just now, cooldown 900 s) and a closed
+        # one with earlier transient failures on a domain that recovers.
+        client._breakers["breaker.example"] = _BreakerState(5, start)
+        client._breakers["recover.example"] = _BreakerState(2, None)
+
+        domains = ["breaker.example", "budget.example", "down.example", "recover.example"]
+        responses = client.metadata_many(domains)
+
+        # Per-domain attempts: the breaker domain never reaches the wire;
+        # budget.example spends its 2-retry budget in rounds 1 and 2 and
+        # gives up at 3 attempts although max_attempts is 4.
+        assert transport.calls == [
+            ["budget.example", "down.example", "recover.example"],
+            ["budget.example", "recover.example"],
+            ["budget.example"],
+        ]
+        breaker, budget, permanent, recovered = responses
+        assert breaker is BREAKER_OPEN
+        assert breaker.fault_kind == "circuit_open"
+        assert budget.status is HTTPStatus.INTERNAL_SERVER_ERROR
+        assert budget.header(ATTEMPTS_HEADER) == "3"
+        assert budget.attempts == 3
+        assert permanent is down
+        assert permanent.header(ATTEMPTS_HEADER) is None
+        assert recovered is ok
+
+        assert client._budgets == {"budget.example": 0, "recover.example": 1}
+
+        # breaker.example stays open; recover.example's success drops its
+        # entry; budget.example's final transient outcome counts once.
+        assert client._breakers["breaker.example"].opened_at == start
+        assert "recover.example" not in client._breakers
+        assert client._breakers["budget.example"] == _BreakerState(1, None)
+        assert "down.example" not in client._breakers
+
+        stats = client.stats
+        assert (stats.requests, stats.ok, stats.failed) == (7, 1, 6)
+        assert stats.by_status == {503: 1, 500: 3, 502: 1, 429: 1, 200: 1}
+        assert stats.by_domain == {
+            "breaker.example": 1,
+            "budget.example": 3,
+            "down.example": 1,
+            "recover.example": 2,
+        }
+        assert stats.retries == 3
+        assert stats.short_circuited == 1
+
+        # Round 1 waits for the longest backoff of its two requests (the
+        # 30 s Retry-After, not the jittered 1-1.5 s); round 2 for
+        # budget.example's second exponential step.  Each domain's jitter
+        # stream advances once per wait.
+        budget_jitter = policy.jitter_stream("budget.example")
+        budget_jitter.random()
+        round_two = 2.0 * (1.0 + policy.jitter * budget_jitter.random())
+        assert clock.now() - start == pytest.approx(30.0 + round_two)
+        assert stats.backoff_seconds == pytest.approx(30.0 + round_two)
 
 
 # --------------------------------------------------------------------- #
