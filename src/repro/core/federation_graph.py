@@ -5,15 +5,19 @@ instance-level social graph: if an instance relies on another to reach part
 of the network, being rejected can cut it off from whole regions of the
 fediverse.  This module builds the federation graph from the crawled peer
 lists, overlays the reject edges, and quantifies that loss of reachability.
+
+Graphs are plain adjacency mappings, and connected components are labelled
+in one pass over each graph, so every per-instance figure is a lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.datasets.store import Dataset
+
+#: A graph as an adjacency mapping: each node to the nodes it links to.
+Adjacency = dict[str, set[str]]
 
 
 @dataclass
@@ -44,6 +48,36 @@ class GraphImpact:
         return ranked[:limit]
 
 
+def _components(graph: Adjacency) -> tuple[dict[str, int], list[int]]:
+    """Label the connected components of ``graph`` in one pass.
+
+    Return each node's component index and the size of every component.
+    """
+    label: dict[str, int] = {}
+    sizes: list[int] = []
+    for root in graph:
+        if root in label:
+            continue
+        index = len(sizes)
+        label[root] = index
+        stack = [root]
+        size = 0
+        while stack:
+            node = stack.pop()
+            size += 1
+            for peer in graph[node]:
+                if peer not in label:
+                    label[peer] = index
+                    stack.append(peer)
+        sizes.append(size)
+    return label, sizes
+
+
+def _reachable_pairs(sizes: list[int]) -> int:
+    """Return the number of ordered reachable pairs given component sizes."""
+    return sum(size * (size - 1) for size in sizes)
+
+
 class FederationGraphAnalyzer:
     """Build and analyse the instance-level federation graph."""
 
@@ -53,66 +87,66 @@ class FederationGraphAnalyzer:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
-    def federation_graph(self) -> nx.Graph:
+    def federation_graph(self) -> Adjacency:
         """Return the undirected federation graph from crawled peer lists."""
-        graph = nx.Graph()
-        for record in self.dataset.all_instances():
-            graph.add_node(record.domain, software=record.software)
-        for record in self.dataset.all_instances():
+        records = self.dataset.all_instances()
+        graph: Adjacency = {record.domain: set() for record in records}
+        for record in records:
+            links = graph[record.domain]
             for peer in record.peers:
                 if peer != record.domain:
-                    graph.add_edge(record.domain, peer)
+                    links.add(peer)
+                    graph.setdefault(peer, set()).add(record.domain)
         return graph
 
-    def reject_graph(self) -> nx.DiGraph:
-        """Return the directed reject graph (source rejects target)."""
-        graph = nx.DiGraph()
+    def reject_graph(self) -> Adjacency:
+        """Return the directed reject graph: each source maps to the targets it
+        rejects, and every endpoint is a key, in edge order."""
+        graph: Adjacency = {}
         for edge in self.dataset.edges_by_action("reject"):
-            graph.add_edge(edge.source, edge.target)
+            graph.setdefault(edge.source, set()).add(edge.target)
+            graph.setdefault(edge.target, set())
         return graph
 
-    def graph_without_rejected_links(self) -> nx.Graph:
+    def graph_without_rejected_links(self) -> Adjacency:
         """Return the federation graph with rejected federation links removed.
 
         A reject severs the link between the rejecting and the rejected
         instance: content no longer flows between them.
         """
-        graph = self.federation_graph()
+        return self._sever_rejected_links(self.federation_graph())
+
+    def _sever_rejected_links(self, graph: Adjacency) -> Adjacency:
+        """Return a copy of ``graph`` without the links that rejects sever."""
+        severed = {node: set(peers) for node, peers in graph.items()}
         for edge in self.dataset.edges_by_action("reject"):
-            if graph.has_edge(edge.source, edge.target):
-                graph.remove_edge(edge.source, edge.target)
-        return graph
+            if edge.target in severed.get(edge.source, ()):
+                severed[edge.source].remove(edge.target)
+                severed[edge.target].remove(edge.source)
+        return severed
 
     # ------------------------------------------------------------------ #
     # Impact analysis
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _reachable_pairs(graph: nx.Graph) -> int:
-        """Return the number of ordered reachable pairs in ``graph``."""
-        total = 0
-        for component in nx.connected_components(graph):
-            size = len(component)
-            total += size * (size - 1)
-        return total
-
     def impact(self, per_instance_limit: int | None = 200) -> GraphImpact:
         """Quantify the reachability lost to the observed rejects.
 
-        ``per_instance_limit`` caps how many rejected instances get an
-        individual reachability-loss figure (the per-instance computation is
-        the expensive part on large graphs).
+        ``per_instance_limit`` caps how many rejected instances, in domain
+        order, get an individual reachability-loss figure.
         """
         before = self.federation_graph()
-        after = self.graph_without_rejected_links()
+        after = self._sever_rejected_links(before)
+        label_before, sizes_before = _components(before)
+        label_after, sizes_after = _components(after)
 
         impact = GraphImpact(
-            nodes=before.number_of_nodes(),
-            federation_edges=before.number_of_edges(),
+            nodes=len(before),
+            federation_edges=sum(map(len, before.values())) // 2,
             reject_edges=len(self.dataset.edges_by_action("reject")),
-            baseline_reachable_pairs=self._reachable_pairs(before),
-            post_reject_reachable_pairs=self._reachable_pairs(after),
-            components_before=nx.number_connected_components(before),
-            components_after=nx.number_connected_components(after),
+            baseline_reachable_pairs=_reachable_pairs(sizes_before),
+            post_reject_reachable_pairs=_reachable_pairs(sizes_after),
+            components_before=len(sizes_before),
+            components_after=len(sizes_after),
         )
 
         rejected = self.dataset.rejected_domains()
@@ -121,12 +155,8 @@ class FederationGraphAnalyzer:
         for domain in rejected:
             if domain not in before:
                 continue
-            reachable_before = len(nx.node_connected_component(before, domain)) - 1
-            reachable_after = (
-                len(nx.node_connected_component(after, domain)) - 1
-                if domain in after
-                else 0
-            )
+            reachable_before = sizes_before[label_before[domain]] - 1
+            reachable_after = sizes_after[label_after[domain]] - 1
             if reachable_before <= 0:
                 impact.reachability_loss[domain] = 0.0
             else:
@@ -135,18 +165,10 @@ class FederationGraphAnalyzer:
                 )
         return impact
 
-    # ------------------------------------------------------------------ #
-    # Centrality helpers (used by the graph-impact experiment)
-    # ------------------------------------------------------------------ #
-    def degree_centrality(self, top: int = 10) -> list[tuple[str, float]]:
-        """Return the ``top`` most connected instances."""
-        graph = self.federation_graph()
-        centrality = nx.degree_centrality(graph)
-        ranked = sorted(centrality.items(), key=lambda item: -item[1])
-        return ranked[:top]
-
     def most_rejecting_instances(self, top: int = 10) -> list[tuple[str, int]]:
         """Return the instances applying the most rejects."""
-        graph = self.reject_graph()
-        ranked = sorted(graph.out_degree(), key=lambda item: -item[1])
-        return [(domain, int(degree)) for domain, degree in ranked[:top]]
+        ranked = sorted(
+            ((domain, len(targets)) for domain, targets in self.reject_graph().items()),
+            key=lambda item: -item[1],
+        )
+        return ranked[:top]

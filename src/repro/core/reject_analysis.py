@@ -7,9 +7,10 @@ Figures 4 and 5, Table 1 and the Section 4.2 scalars.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from scipy import stats as scipy_stats
+import numpy as np
 
 from repro.core.harmfulness import HarmfulnessLabeller, InstanceScores
 from repro.datasets.store import Dataset
@@ -194,24 +195,42 @@ class RejectAnalyzer:
     def spearman_posts_vs_rejects(rows: list[RejectedInstance]) -> float:
         """Spearman correlation between post counts and rejects received
         (paper: 0.38, a weak positive correlation)."""
-        if len(rows) < 3:
-            return 0.0
-        posts = [row.post_count for row in rows]
-        rejects = [row.rejects_received for row in rows]
-        if len(set(posts)) < 2 or len(set(rejects)) < 2:
-            return 0.0
-        result = scipy_stats.spearmanr(posts, rejects)
-        return float(result.correlation)
+        return spearman(
+            [row.post_count for row in rows], [row.rejects_received for row in rows]
+        )
 
     @staticmethod
     def spearman_retaliation(rows: list[RejectedInstance]) -> float:
         """Spearman correlation between rejects received and rejects applied
         (paper: -0.033 — rejected instances do not retaliate)."""
-        if len(rows) < 3:
-            return 0.0
-        received = [row.rejects_received for row in rows]
-        applied = [row.rejects_applied for row in rows]
-        if len(set(received)) < 2 or len(set(applied)) < 2:
-            return 0.0
-        result = scipy_stats.spearmanr(received, applied)
-        return float(result.correlation)
+        return spearman(
+            [row.rejects_received for row in rows], [row.rejects_applied for row in rows]
+        )
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Return the 1-based ranks of ``values``, tied values sharing their mean rank."""
+    data = np.asarray(values)
+    order = np.argsort(data, kind="stable")
+    ordered = data[order]
+    first_of_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    group = np.cumsum(first_of_group) - 1
+    starts = np.flatnonzero(first_of_group)
+    ends = np.append(starts[1:], len(data))
+    # A tie group at sorted positions start..end-1 holds ranks start+1..end,
+    # whose mean is (start + end + 1) / 2: exact in floating point.
+    ranks = np.empty(len(data))
+    ranks[order] = (starts[group] + ends[group] + 1) / 2
+    return ranks
+
+
+def spearman(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman's rank correlation of two equal-length columns.
+
+    Pearson's correlation of the two columns' average ranks.  Fewer than
+    three rows, or a constant column, gives 0.0.
+    """
+    if len(x) < 3 or len(set(x)) < 2 or len(set(y)) < 2:
+        return 0.0
+    ranked = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranked, rowvar=False)[1, 0])

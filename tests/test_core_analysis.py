@@ -243,8 +243,9 @@ class TestFederationGraph:
     def test_graph_construction(self, handmade_dataset):
         analyzer = FederationGraphAnalyzer(handmade_dataset)
         graph = analyzer.federation_graph()
-        assert graph.has_edge("mod1.example", "rejected.example")
-        assert analyzer.reject_graph().has_edge("mod1.example", "rejected.example")
+        assert "rejected.example" in graph["mod1.example"]
+        assert "mod1.example" in graph["rejected.example"]
+        assert "rejected.example" in analyzer.reject_graph()["mod1.example"]
 
     def test_impact(self, handmade_dataset):
         impact = FederationGraphAnalyzer(handmade_dataset).impact()
