@@ -91,20 +91,6 @@ class FederationStats:
         if report.policy:
             self.by_policy[report.policy] = self.by_policy.get(report.policy, 0) + 1
 
-    def merge(self, other: "FederationStats") -> None:
-        """Fold another engine's counters into this one.
-
-        The sharded federation engine gives every worker a private stats
-        object and merges them on the coordinator; every counter is a plain
-        sum, so the merge is order-insensitive.
-        """
-        self.delivered += other.delivered
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        self.modified += other.modified
-        for policy, count in other.by_policy.items():
-            self.by_policy[policy] = self.by_policy.get(policy, 0) + count
-
 
 class DeliverySink(ABC):
     """Consumer of delivery outcomes.

@@ -23,12 +23,6 @@ The pieces:
   capped exponential backoff with deterministic jitter, per-domain retry
   budgets, ``Retry-After`` honoured, and a per-domain circuit breaker
   (wired into :class:`~repro.api.client.APIClient`).
-- :class:`~repro.faults.workers.WorkerFaultSpec` /
-  :class:`~repro.faults.workers.WorkerFaultPlan` — the process level:
-  deterministic per-shard schedules of worker deaths (crash before/after
-  delivery, hangs, corrupt result pickles) injected into the sharded
-  federation engine's forked workers and recovered from by
-  :class:`~repro.shard.supervisor.ShardSupervisor`.
 
 Determinism contract
 --------------------
@@ -59,12 +53,6 @@ the crawl is byte-for-byte the engine of PR 4.
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_PROFILES, FaultKind, FaultPlan, FaultSpec
 from repro.faults.retry import ResilienceConfig, RetryPolicy
-from repro.faults.workers import (
-    WORKER_FAULT_PROFILES,
-    WorkerFaultKind,
-    WorkerFaultPlan,
-    WorkerFaultSpec,
-)
 
 __all__ = [
     "FAULT_PROFILES",
@@ -74,8 +62,4 @@ __all__ = [
     "FaultSpec",
     "ResilienceConfig",
     "RetryPolicy",
-    "WORKER_FAULT_PROFILES",
-    "WorkerFaultKind",
-    "WorkerFaultPlan",
-    "WorkerFaultSpec",
 ]

@@ -97,34 +97,6 @@ class FediverseRegistry:
         return [inst for inst in self._instances.values() if not inst.is_pleroma]
 
     # ------------------------------------------------------------------ #
-    # Shard views
-    # ------------------------------------------------------------------ #
-    def shard_domains(self, shard: int, n_shards: int) -> list[str]:
-        """Return the domains owned by ``shard`` of ``n_shards`` shards.
-
-        Ownership follows the deterministic domain-hash partitioner of the
-        sharded federation engine (:func:`repro.shard.partition.shard_of`),
-        in registration order — every domain belongs to exactly one shard.
-        """
-        from repro.shard.partition import shard_of
-
-        return [
-            domain
-            for domain in self._instances
-            if shard_of(domain, n_shards) == shard
-        ]
-
-    def shard_instances(self, shard: int, n_shards: int) -> list[Instance]:
-        """Return the instances owned by ``shard`` of ``n_shards`` shards."""
-        from repro.shard.partition import shard_of
-
-        return [
-            instance
-            for domain, instance in self._instances.items()
-            if shard_of(domain, n_shards) == shard
-        ]
-
-    # ------------------------------------------------------------------ #
     # Federation bookkeeping
     # ------------------------------------------------------------------ #
     def federate(self, domain_a: str, domain_b: str) -> None:

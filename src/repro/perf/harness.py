@@ -31,6 +31,7 @@ from repro.datasets.store import Dataset
 from repro.experiments.pipeline import ReproPipeline
 from repro.faults.plan import FaultSpec
 from repro.faults.retry import ResilienceConfig
+from repro.fediverse.instance import Instance
 from repro.perf import baselines
 from repro.perspective.scorer import LexiconScorer
 from repro.synth.generator import FediverseGenerator, PreparedFediverse
@@ -49,9 +50,6 @@ class BenchReport:
     generated_at: float
     dataset: dict[str, int] = field(default_factory=dict)
     metrics: dict[str, dict[str, float]] = field(default_factory=dict)
-    #: Worker counts the ``sharding`` stage was measured at (empty when the
-    #: stage did not run), stamped into the BENCH json.
-    workers: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         """Serialise the report."""
@@ -59,7 +57,6 @@ class BenchReport:
             "scenario": self.scenario,
             "seed": self.seed,
             "generated_at": self.generated_at,
-            "workers": self.workers,
             "dataset": self.dataset,
             "metrics": self.metrics,
         }
@@ -233,23 +230,99 @@ def bench_sweep(pipeline: ReproPipeline, repeats: int = 5) -> dict[str, float]:
     }
 
 
-def _federation_state(
-    prepared: PreparedFediverse,
-    stats: FederationStats,
+def _capture_events(instance: Instance) -> tuple:
+    """Snapshot one instance's moderation-event stream (order-preserving)."""
+    return tuple(
+        (
+            event.timestamp,
+            event.moderating_domain,
+            event.origin_domain,
+            event.policy,
+            event.action,
+            event.activity_type,
+            event.accepted,
+            event.reason,
+        )
+        for event in instance.mrf.events
+    )
+
+
+def _capture_remote_posts(instance: Instance) -> tuple:
+    """Snapshot one instance's accepted remote-post state (sorted by id).
+
+    Activity ids are process-global-counter-based and differ between runs,
+    so only the value-bearing post fields are captured.
+    """
+    return tuple(
+        (
+            post_id,
+            post.visibility.value,
+            post.sensitive,
+            len(post.attachments),
+            tuple(sorted(post.extra.items())),
+        )
+        for post_id, post in sorted(instance.remote_posts.items())
+    )
+
+
+def _capture_engagement(instance: Instance) -> tuple:
+    """Snapshot one instance's received boost/favourite counters.
+
+    Sorted by object URI; instances that received no engagement capture an
+    empty tuple, so Create-only runs keep the pre-protocol snapshot shape.
+    """
+    boosts = instance.boosts
+    favourites = instance.favourites
+    if not boosts and not favourites:
+        return ()
+    uris = sorted(set(boosts) | set(favourites))
+    return tuple(
+        (uri, boosts.get(uri, 0), favourites.get(uri, 0)) for uri in uris
+    )
+
+
+def federation_state(
+    prepared: PreparedFediverse, stats: FederationStats
 ) -> dict[str, Any]:
     """Snapshot everything federation can influence, for equivalence checks.
 
     Activity ids are global-counter-based and differ between two runs in the
     same process, so they are excluded; everything else (per-instance
-    moderation-event streams, full remote-post state, peer sets, ground
-    truth, generation counters and the aggregate delivery stats) must be
-    identical between the engine and the seed-faithful baseline.  The
-    snapshot shape is owned by :mod:`repro.shard.state` so the sharded
-    engine's merged state is directly comparable.
+    moderation-event streams, full remote-post state, engagement counters,
+    peer sets, ground truth, generation counters and the aggregate delivery
+    stats) must be identical between the engine and the seed-faithful
+    baseline.
     """
-    from repro.shard.state import federation_state
-
-    return federation_state(prepared, stats)
+    events = {}
+    remote_posts = {}
+    engagement = {}
+    peers = {}
+    for instance in prepared.registry.instances():
+        events[instance.domain] = _capture_events(instance)
+        remote_posts[instance.domain] = _capture_remote_posts(instance)
+        engagement[instance.domain] = _capture_engagement(instance)
+        peers[instance.domain] = tuple(sorted(instance.peers))
+    generation = prepared.stats
+    return {
+        "ground_truth": prepared.ground_truth.summary(),
+        "generation_stats": (
+            generation.users,
+            generation.posts,
+            generation.federated_deliveries,
+            generation.rejected_deliveries,
+        ),
+        "delivery_stats": (
+            stats.delivered,
+            stats.accepted,
+            stats.rejected,
+            stats.modified,
+            tuple(sorted(stats.by_policy.items())),
+        ),
+        "events": events,
+        "remote_posts": remote_posts,
+        "engagement": engagement,
+        "peers": peers,
+    }
 
 
 def _level_heap() -> None:
@@ -312,7 +385,7 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
             batches = len(work)
             batch_rejects = delivery.batch_rejects
             batch_rewrites = delivery.batch_rewrites
-            engine_state = _federation_state(prepared, delivery.stats)
+            engine_state = federation_state(prepared, delivery.stats)
 
     naive_s = float("inf")
     naive_state = None
@@ -327,7 +400,7 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
             # The seed updated the generation counters inside its loop.
             prepared.stats.federated_deliveries = stats.delivered
             prepared.stats.rejected_deliveries = stats.rejected
-            naive_state = _federation_state(prepared, stats)
+            naive_state = federation_state(prepared, stats)
 
     # Equivalence: the batched engine and the seed loop must be
     # indistinguishable in every observable outcome.
@@ -383,9 +456,9 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
        the type-aware batch programs and the verifier hook must be
        invisible when the workload is pure Create traffic.
     2. *Full-mix engine equivalence*: on the full Announce/Like/reply mix
-       the batched engine (type-homogeneous fast paths engaged), the
-       seed's general one-at-a-time walk and the sharded engine's merged
-       state must be bit-identical — boosts/favourite counters included.
+       the batched engine (type-homogeneous fast paths engaged) and the
+       seed's general one-at-a-time walk must land bit-identical states —
+       boosts/favourite counters included.
 
     The timed comparison is signature-cache amortisation: every delivery
     is HTTP-signature verified, once with a per-delivery key derivation
@@ -396,7 +469,6 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     CI ``--min-speedup`` floor checks.
     """
     from repro.protocol.httpsig import ActorKeyCache, HttpSignatureVerifier
-    from repro.shard.engine import federate_sharded
 
     repeats = max(1, repeats)
 
@@ -423,7 +495,7 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     # Gate 1: Create-only configurations stay bit-identical to the seed.
     create_config = scenario_config(scenario, seed=seed, **_PROTOCOL_ZERO)
     prepared, _, delivery, _ = federate(create_config)
-    create_state = _federation_state(prepared, delivery.stats)
+    create_state = federation_state(prepared, delivery.stats)
     generator = FediverseGenerator(create_config)
     prepared = generator.prepare()
     work = list(generator.federation_batches(prepared))
@@ -432,7 +504,7 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     prepared.stats.federated_deliveries = stats.delivered
     prepared.stats.rejected_deliveries = stats.rejected
     _require_equal(
-        _federation_state(prepared, stats),
+        federation_state(prepared, stats),
         create_state,
         "Create-only engine state diverged from the seed delivery loop",
     )
@@ -446,9 +518,9 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     ):
         config = scenario_config(scenario, seed=seed, **_PROTOCOL_MIX)
 
-    # Gate 2: batched engine vs general walk vs sharded merge, full mix.
+    # Gate 2: batched engine vs the seed's general walk, full mix.
     prepared, work, delivery, _ = federate(config)
-    mix_state = _federation_state(prepared, delivery.stats)
+    mix_state = federation_state(prepared, delivery.stats)
     deliveries = delivery.stats.delivered
     batches = len(work)
     activities = sum(len(batch.activities) for batch in work)
@@ -479,19 +551,9 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     prepared.stats.federated_deliveries = stats.delivered
     prepared.stats.rejected_deliveries = stats.rejected
     _require_equal(
-        _federation_state(prepared, stats),
+        federation_state(prepared, stats),
         mix_state,
         "full-mix engine state diverged from the seed's general walk",
-    )
-    generator = FediverseGenerator(config)
-    prepared = generator.prepare()
-    work = list(generator.federation_batches(prepared))
-    _level_heap()
-    result = federate_sharded(prepared, work, 2)
-    _require_equal(
-        result.state,
-        mix_state,
-        "full-mix sharded merge diverged from the single-process engine",
     )
 
     # Timed: per-delivery key derivation vs the shared actor-key cache.
@@ -505,7 +567,7 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
         if uncached_stats is None:
             uncached_stats = delivery.verifier.stats()
             _require_equal(
-                _federation_state(prepared, delivery.stats),
+                federation_state(prepared, delivery.stats),
                 mix_state,
                 "uncached signature verification changed delivery outcomes",
             )
@@ -519,7 +581,7 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
         if cached_stats is None:
             cached_stats = verifier.stats()
             _require_equal(
-                _federation_state(prepared, delivery.stats),
+                federation_state(prepared, delivery.stats),
                 mix_state,
                 "cached signature verification changed delivery outcomes",
             )
@@ -548,445 +610,6 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
         "naive_seconds": uncached_s,
         "speedup": uncached_s / cached_s if cached_s else float("inf"),
     }
-
-
-def bench_sharding(
-    scenario: str,
-    seed: int = 42,
-    repeats: int = 2,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    processes: bool | None = None,
-    fork_gate: bool = True,
-) -> dict[str, float]:
-    """Time the sharded multi-process federation engine vs worker count.
-
-    Three-way comparison on identical batch streams: the seed's
-    one-``deliver``-per-activity loop (``naive_seconds``), the PR 5
-    single-process batched engine (``engine_seconds``) and the sharded
-    engine at every requested worker count
-    (``sharded_seconds_workers_N``).  The determinism gate runs the house
-    rule at its hardest setting: the sharded engine's *merged* state —
-    ground truth, generation counters, per-activity moderation-event
-    streams, remote posts, peers, aggregate delivery stats — must be
-    bit-identical to the single-process engine's at **every** worker
-    count, including N=1.
-
-    Timed regions include everything sharding adds (partitioning, worker
-    forks, batch serialisation over the pipes, result pickling and the
-    deterministic merge) but exclude prepare() and stream materialisation,
-    which every path pays identically.  Reported per worker count: speedup
-    over the seed loop (``speedup_workers_N``), the ratio to the
-    single-process engine (``engine_ratio_workers_N``) and scaling
-    efficiency ``T(base)/(N*T(N))`` (``scaling_efficiency_workers_N``,
-    base = 1 worker when measured, else the single-process engine).  The
-    headline ``speedup`` is the seed loop against the best sharded
-    configuration.  The engine's auto mode forks only on multi-CPU hosts
-    (on one CPU the workers would serialise and only pay fork/IPC
-    overhead), so the per-worker-count timings reflect how the engine
-    actually runs on the measuring host — the recorded
-    ``forked_workers_N`` flags say which mode each number measured.  The
-    forked path stays gated everywhere regardless: unless ``fork_gate``
-    is disabled (the ``xxlarge`` stream is too large to pickle twice for
-    a redundant check), one forced 2-worker forked run must merge to the
-    same bits as the single-process engine — see PERFORMANCE.md.
-    """
-    from repro.shard.engine import federate_sharded, fork_available
-
-    config = scenario_config(scenario, seed=seed)
-    generator = FediverseGenerator(config)
-    repeats = max(1, repeats)
-    worker_counts = tuple(worker_counts)
-    if not worker_counts:
-        raise ValueError("worker_counts must not be empty")
-
-    # Single-process reference: the batched engine, the equivalence anchor.
-    engine_s = float("inf")
-    reference_state = None
-    deliveries = 0
-    batches = 0
-    population: dict[str, int] = {}
-    for _ in range(repeats):
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        delivery = FederationDelivery(prepared.registry, sinks=[])
-        stats = prepared.stats
-        _level_heap()
-        start = time.perf_counter()
-        for batch in work:
-            delivered, rejected = delivery.deliver_batch_counted(
-                batch.activities, batch.target_domain
-            )
-            stats.federated_deliveries += delivered
-            stats.rejected_deliveries += rejected
-        engine_s = min(engine_s, time.perf_counter() - start)
-        if reference_state is None:
-            deliveries = delivery.stats.delivered
-            batches = len(work)
-            reference_state = _federation_state(prepared, delivery.stats)
-            registry_stats = prepared.registry.stats()
-            population = {
-                "instances": registry_stats["instances"],
-                "users": registry_stats["users"],
-                "posts": registry_stats["local_posts"],
-            }
-
-    # Seed-faithful baseline (house rule): the one-at-a-time loop.
-    naive_s = float("inf")
-    for index in range(repeats):
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        _level_heap()
-        start = time.perf_counter()
-        stats, _ = baselines.naive_federate(prepared.registry, work)
-        naive_s = min(naive_s, time.perf_counter() - start)
-        if index == 0:
-            prepared.stats.federated_deliveries = stats.delivered
-            prepared.stats.rejected_deliveries = stats.rejected
-            _require_equal(
-                _federation_state(prepared, stats),
-                reference_state,
-                "single-process engine diverged from the seed delivery loop",
-            )
-
-    # Sharded runs: every worker count is gated, then timed.
-    sharded_seconds: dict[int, float] = {}
-    forked: dict[int, bool] = {}
-    for n_workers in worker_counts:
-        best = float("inf")
-        for index in range(repeats):
-            prepared = generator.prepare()
-            work = list(generator.federation_batches(prepared))
-            _level_heap()
-            start = time.perf_counter()
-            result = federate_sharded(
-                prepared, work, n_workers, processes=processes
-            )
-            best = min(best, time.perf_counter() - start)
-            if index == 0:
-                forked[n_workers] = result.mode == "fork"
-                _require_equal(
-                    result.state,
-                    reference_state,
-                    f"sharded engine ({n_workers} workers, {result.mode} mode) "
-                    "merged state diverged from the single-process engine",
-                )
-        sharded_seconds[n_workers] = best
-
-    # Fork-mode determinism gate: auto mode only forks on multi-CPU
-    # hosts, but the bit-identity contract covers both execution modes on
-    # every host — force one forked run and hold it to the same bar.
-    fork_gate_s = 0.0
-    if fork_gate and fork_available():
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        _level_heap()
-        start = time.perf_counter()
-        result = federate_sharded(prepared, work, 2, processes=True)
-        fork_gate_s = time.perf_counter() - start
-        _require_equal(
-            result.state,
-            reference_state,
-            "sharded engine (2 workers, forced fork mode) merged state "
-            "diverged from the single-process engine",
-        )
-
-    best_sharded = min(sharded_seconds.values())
-    base_n = 1 if 1 in sharded_seconds else None
-    base_s = sharded_seconds[1] if base_n else engine_s
-    metrics = {
-        "deliveries": float(deliveries),
-        "batches": float(batches),
-        "instances": float(population["instances"]),
-        "users": float(population["users"]),
-        "posts": float(population["posts"]),
-        "fork_available": 1.0 if fork_available() else 0.0,
-        "fork_gate_seconds": fork_gate_s,
-        "engine_seconds": engine_s,
-        "naive_seconds": naive_s,
-        "sharded_seconds": best_sharded,
-        "speedup": naive_s / best_sharded if best_sharded else float("inf"),
-        "deliveries_per_second": (
-            deliveries / best_sharded if best_sharded else float("inf")
-        ),
-    }
-    for n_workers, seconds in sorted(sharded_seconds.items()):
-        metrics[f"sharded_seconds_workers_{n_workers}"] = seconds
-        metrics[f"forked_workers_{n_workers}"] = 1.0 if forked[n_workers] else 0.0
-        metrics[f"speedup_workers_{n_workers}"] = (
-            naive_s / seconds if seconds else float("inf")
-        )
-        metrics[f"engine_ratio_workers_{n_workers}"] = (
-            engine_s / seconds if seconds else float("inf")
-        )
-        metrics[f"scaling_efficiency_workers_{n_workers}"] = (
-            base_s / (n_workers * seconds) if seconds else float("inf")
-        )
-    return metrics
-
-
-#: Which supervisor classification each injected worker-death kind must
-#: surface as (the shard_chaos stage's classification gate).
-_EXPECTED_CLASSIFICATION = {
-    "crash_early": "eof",
-    "crash_late": "eof",
-    "hang": "deadline",
-    "corrupt": "corrupt",
-    "error": "error",
-}
-
-
-def bench_shard_chaos(
-    scenario: str,
-    seed: int = 42,
-    repeats: int = 2,
-    worker_counts: tuple[int, ...] = (2, 4),
-    fault_seed: int = 4242,
-    deadline_seconds: float = 3.0,
-    max_zero_fault_overhead: float = 2.0,
-) -> dict[str, float]:
-    """Measure the supervised sharded engine under dying workers.
-
-    The process-level twin of the ``chaos`` stage, and the house rule at
-    its hardest setting.  Gates (all raising on divergence):
-
-    - *recovery bit-identity*: for **every** injected worker-death kind
-      (crash-before-recv, crash-after-delivery, hang past the deadline,
-      corrupt result pickle, clean error report) at every requested worker
-      count, the supervised engine's merged federation state must be
-      bit-identical to the fault-free single-process engine — and the
-      supervisor must have classified the failure as the kind predicts;
-    - *retry exhaustion*: a shard whose worker dies on every forked
-      attempt must be recovered by the inline fallback, still bit-identical;
-    - *zero-fault inertness*: a supervised run with no fault plan must be
-      bit-identical to the unsupervised forked engine, report zero
-      retries, and stay within ``max_zero_fault_overhead`` of its
-      wall-clock (supervision adds only polling and heartbeats);
-    - *profile run*: the scenario's ``worker_fault_profile`` knob
-      (``mixed`` when the scenario names none) compiled into a
-      :class:`~repro.faults.workers.WorkerFaultPlan` must also merge
-      bit-identically.
-
-    Reported alongside: recovery overhead (retry wall-clock), failures by
-    kind, inline fallbacks, and ``recovery_rate`` (recovered / failed
-    shards — wired into the CI smoke's ``--min-recovery`` floor).  Every
-    fault run injects real deaths: workers ``os._exit`` mid-protocol,
-    sleep past the deadline, or write garbage down the result pipe.
-    """
-    from repro.faults.workers import WorkerFaultKind, WorkerFaultPlan, WorkerFaultSpec
-    from repro.shard.engine import federate_sharded, fork_available
-    from repro.shard.supervisor import SupervisorConfig
-
-    worker_counts = tuple(worker_counts)
-    if not worker_counts:
-        raise ValueError("worker_counts must not be empty")
-    if not fork_available():  # pragma: no cover - non-fork platforms
-        return {"fork_available": 0.0, "recovery_rate": 1.0}
-
-    config = scenario_config(scenario, seed=seed)
-    generator = FediverseGenerator(config)
-    repeats = max(1, repeats)
-    supervisor = SupervisorConfig(
-        deadline_seconds=deadline_seconds,
-        poll_seconds=0.02,
-        heartbeat_seconds=0.2,
-        max_worker_attempts=2,
-    )
-
-    # Fault-free reference: the single-process batched engine.
-    prepared = generator.prepare()
-    work = list(generator.federation_batches(prepared))
-    delivery = FederationDelivery(prepared.registry, sinks=[])
-    stats = prepared.stats
-    for batch in work:
-        delivered, rejected = delivery.deliver_batch_counted(
-            batch.activities, batch.target_domain
-        )
-        stats.federated_deliveries += delivered
-        stats.rejected_deliveries += rejected
-    reference_state = _federation_state(prepared, delivery.stats)
-    deliveries = delivery.stats.delivered
-    batches = len(work)
-
-    # One prepared twin shared by every fork-mode run: forked workers
-    # mutate copy-on-write copies, so the coordinator's registry stays
-    # pristine between runs.  The supervisor's inline fallback is the one
-    # exception — it delivers in the coordinator — so any run that used
-    # it poisons the twin and forces a re-prepare.
-    prepared = generator.prepare()
-    work = list(generator.federation_batches(prepared))
-
-    def reprepare() -> None:
-        nonlocal prepared, work
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-
-    base_workers = worker_counts[0]
-
-    # Unsupervised forked baseline (the PR 7 engine), then the zero-fault
-    # supervised run: bit-identical, zero retries, bounded overhead.
-    unsupervised_s = float("inf")
-    for _ in range(repeats):
-        _level_heap()
-        start = time.perf_counter()
-        result = federate_sharded(prepared, work, base_workers, processes=True)
-        unsupervised_s = min(unsupervised_s, time.perf_counter() - start)
-    _require_equal(
-        result.state,
-        reference_state,
-        "unsupervised forked engine diverged from the single-process engine",
-    )
-
-    supervised_s = float("inf")
-    for _ in range(repeats):
-        _level_heap()
-        start = time.perf_counter()
-        result = federate_sharded(
-            prepared,
-            work,
-            base_workers,
-            processes=True,
-            supervised=True,
-            supervisor=supervisor,
-        )
-        supervised_s = min(supervised_s, time.perf_counter() - start)
-    _require_equal(
-        result.state,
-        reference_state,
-        "zero-fault supervised engine diverged from the single-process engine",
-    )
-    _require_equal(
-        result.recovery.retries,
-        0,
-        "zero-fault supervised run reported retries",
-    )
-    overhead = supervised_s / unsupervised_s if unsupervised_s else float("inf")
-    if overhead > max_zero_fault_overhead:
-        raise RuntimeError(
-            f"zero-fault supervision overhead {overhead:.2f}x exceeds the "
-            f"{max_zero_fault_overhead:.2f}x ceiling"
-        )
-
-    # Recovery gate: every death kind x every worker count, shard 0's
-    # first attempt killed, merged state still bit-identical.
-    failed_shards = 0
-    recovered_shards = 0
-    retry_seconds = 0.0
-    inline_fallbacks = 0
-    recovered_by_kind: dict[str, int] = {}
-    for kind in WorkerFaultKind:
-        for n_workers in worker_counts:
-            plan = WorkerFaultPlan.scripted(n_workers, {0: kind})
-            result = federate_sharded(
-                prepared,
-                work,
-                n_workers,
-                processes=True,
-                worker_faults=plan,
-                supervisor=supervisor,
-            )
-            recovery = result.recovery
-            _require_equal(
-                result.state,
-                reference_state,
-                f"supervised engine ({kind.value}, {n_workers} workers) "
-                "merged state diverged from the single-process engine",
-            )
-            _require_equal(
-                recovery.shard_attempts(0)[0].outcome,
-                _EXPECTED_CLASSIFICATION[kind.value],
-                f"supervisor misclassified an injected {kind.value} fault",
-            )
-            failed_shards += len(recovery.failed_shards)
-            recovered_shards += len(recovery.recovered_shards)
-            retry_seconds += recovery.retry_seconds
-            inline_fallbacks += recovery.inline_fallbacks
-            recovered_by_kind[kind.value] = recovered_by_kind.get(
-                kind.value, 0
-            ) + len(recovery.recovered_shards)
-            if recovery.inline_fallbacks:
-                reprepare()
-
-    # Profile run: the scenario's worker-fault knob, compiled.
-    spec = WorkerFaultSpec.for_config(config)
-    if spec.inert:
-        spec = WorkerFaultSpec.profile("mixed", seed=fault_seed)
-    profile_workers = max(worker_counts)
-    profile_plan = WorkerFaultPlan.compile(spec, profile_workers)
-    result = federate_sharded(
-        prepared,
-        work,
-        profile_workers,
-        processes=True,
-        worker_faults=profile_plan,
-        supervisor=supervisor,
-    )
-    _require_equal(
-        result.state,
-        reference_state,
-        f"supervised engine under the {config.worker_fault_profile!r} "
-        "worker-fault profile diverged from the single-process engine",
-    )
-    recovery = result.recovery
-    profile_failed = len(recovery.failed_shards)
-    profile_recovered = len(recovery.recovered_shards)
-    failed_shards += profile_failed
-    recovered_shards += profile_recovered
-    retry_seconds += recovery.retry_seconds
-    inline_fallbacks += recovery.inline_fallbacks
-    if recovery.inline_fallbacks:
-        reprepare()
-
-    # Retry exhaustion: every forked attempt of shard 0 dies; only the
-    # inline fallback can recover it.  Runs last — the fallback delivers
-    # in the coordinator, so the shared twin is spent afterwards.
-    exhaust_plan = WorkerFaultPlan.scripted(
-        base_workers,
-        {0: (WorkerFaultKind.CRASH_EARLY,) * supervisor.max_worker_attempts},
-    )
-    result = federate_sharded(
-        prepared,
-        work,
-        base_workers,
-        processes=True,
-        worker_faults=exhaust_plan,
-        supervisor=supervisor,
-    )
-    _require_equal(
-        result.state,
-        reference_state,
-        "inline-fallback recovery diverged from the single-process engine",
-    )
-    recovery = result.recovery
-    _require_equal(
-        recovery.inline_fallbacks,
-        1,
-        "retry exhaustion did not reach the inline fallback",
-    )
-    failed_shards += len(recovery.failed_shards)
-    recovered_shards += len(recovery.recovered_shards)
-    retry_seconds += recovery.retry_seconds
-    inline_fallbacks += recovery.inline_fallbacks
-
-    metrics = {
-        "deliveries": float(deliveries),
-        "batches": float(batches),
-        "fork_available": 1.0,
-        "deadline_seconds": deadline_seconds,
-        "unsupervised_seconds": unsupervised_s,
-        "supervised_seconds": supervised_s,
-        "zero_fault_overhead": overhead,
-        "failed_shards": float(failed_shards),
-        "recovered_shards": float(recovered_shards),
-        "recovery_rate": (
-            recovered_shards / failed_shards if failed_shards else 1.0
-        ),
-        "recovery_retry_seconds": retry_seconds,
-        "inline_fallbacks": float(inline_fallbacks),
-        "profile_failed_shards": float(profile_failed),
-    }
-    for kind, count in sorted(recovered_by_kind.items()):
-        metrics[f"recovered_{kind}"] = float(count)
-    return metrics
 
 
 def _crawl_state(result: CrawlResult) -> dict[str, Any]:
@@ -1327,8 +950,6 @@ STAGES: tuple[str, ...] = (
     "protocol",
     "crawl",
     "chaos",
-    "sharding",
-    "shard_chaos",
 )
 
 #: Stages that need the analysis pipeline's assembled dataset.
@@ -1338,25 +959,19 @@ _PIPELINE_STAGES = frozenset({"ingestion", "scoring", "corpus", "threshold_sweep
 def default_stages(scenario: str) -> tuple[str, ...]:
     """Return the stages a scenario runs when none are requested.
 
-    ``xxlarge`` exists for the sharded engine alone — a 100k-instance
+    ``xxlarge`` exists to stress federation delivery — a 100k-instance
     crawl/analysis pass is exactly what the scenario is *not* for — so it
-    defaults to the ``sharding`` stage only.  ``viral`` and ``hellthread``
+    defaults to the ``delivery`` stage only: the plain engine against the
+    seed loop, bit-identity gate included.  ``viral`` and ``hellthread``
     exist for the protocol-realism gates: their inflated Announce/Like/
     reply volume makes a full analysis pass pointless, so they default to
     the ``protocol`` stage.
     """
     if scenario == "xxlarge":
-        return ("sharding",)
+        return ("delivery",)
     if scenario in ("viral", "hellthread"):
         return ("protocol",)
     return STAGES
-
-
-def default_workers(scenario: str) -> tuple[int, ...]:
-    """Return the worker counts the ``sharding`` stage measures by default."""
-    if scenario == "xxlarge":
-        return (4,)
-    return (1, 2, 4)
 
 
 def run_scenario(
@@ -1365,13 +980,10 @@ def run_scenario(
     campaign_days: float = 2.0,
     repeats: int = 3,
     stages: tuple[str, ...] | None = None,
-    workers: tuple[int, ...] | None = None,
 ) -> BenchReport:
     """Run the requested benchmark stages on one scenario.
 
-    ``stages=None`` runs every stage (``sharding`` only for ``xxlarge``);
-    ``workers`` sets the sharding stage's worker counts and is stamped
-    into the report.
+    ``stages=None`` runs the scenario's :func:`default_stages`.
     """
     if stages is None:
         stages = default_stages(scenario)
@@ -1380,8 +992,6 @@ def run_scenario(
         raise ValueError(
             f"unknown stage(s) {sorted(unknown)}; available: {', '.join(STAGES)}"
         )
-    if workers is None:
-        workers = default_workers(scenario)
 
     report = BenchReport(scenario=scenario, seed=seed, generated_at=time.time())
     pipeline = None
@@ -1444,39 +1054,6 @@ def run_scenario(
     if "chaos" in stages:
         report.metrics["chaos"] = bench_chaos(
             scenario, seed=seed, repeats=min(repeats, 2)
-        )
-    if "sharding" in stages:
-        report.workers = list(workers)
-        report.metrics["sharding"] = bench_sharding(
-            scenario,
-            seed=seed,
-            repeats=1 if scenario == "xxlarge" else min(repeats, 2),
-            worker_counts=workers,
-            # The xxlarge stream is too large to pickle once more for a
-            # redundant forced-fork check; smaller scenarios gate it.
-            fork_gate=scenario != "xxlarge",
-        )
-        if not report.dataset:
-            # Sharding-only runs (xxlarge) never assemble a crawl dataset;
-            # report the generated population instead.
-            sharding = report.metrics["sharding"]
-            report.dataset = {
-                "instances": int(sharding["instances"]),
-                "users": int(sharding["users"]),
-                "posts": int(sharding["posts"]),
-            }
-    if "shard_chaos" in stages:
-        if not report.workers:
-            report.workers = list(workers)
-        # Worker counts of 1 tell the supervised/unsupervised overhead
-        # comparison nothing new and double the fault matrix; the chaos
-        # stage measures multi-worker counts only (minimum 2).
-        chaos_workers = tuple(n for n in workers if n > 1) or (2,)
-        report.metrics["shard_chaos"] = bench_shard_chaos(
-            scenario,
-            seed=seed,
-            repeats=min(repeats, 2),
-            worker_counts=chaos_workers,
         )
     return report
 

@@ -23,23 +23,18 @@ identical to the seed summation.
 
 For corpus-sized batches the engine additionally offers a **batched blob
 scan** (:meth:`CompiledLexiconMatcher.scan`): texts are joined into one
-separator-delimited blob and matched in a single pass.  When NumPy is
-importable the blob is tokenised vectorised on its UTF-8 bytes (the token
-alphabet is pure ASCII, so byte-level runs equal str-level tokens) and
-terms are matched by length-grouped byte comparison; otherwise the same
-trie regex scans the blob.  Either way the per-text accumulation loop
-walks matches in position order, preserving the bit-exact contract.
+separator-delimited blob, tokenised vectorised with NumPy on its UTF-8
+bytes (the token alphabet is pure ASCII, so byte-level runs equal
+str-level tokens), and terms are matched by length-grouped byte
+comparison.  The per-text accumulation loop walks matches in position
+order, preserving the bit-exact contract.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 
-try:  # pragma: no cover - exercised indirectly by the equivalence tests
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is baked into the image
-    _np = None
+import numpy as np
 
 #: The tokeniser used across the Perspective substitute (kept in sync with
 #: :data:`repro.perspective.lexicon._WORD_RE`).
@@ -50,6 +45,10 @@ _WORD_RE = re.compile(r"[a-z0-9']+")
 #: compiled pattern (the merged dict still holds it, matching the seed's
 #: ``table.get(token)`` semantics, which could never return it either).
 _TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789'")
+
+#: The 256-entry is-token-byte lookup table of the vectorised scan.
+_TOKEN_BYTES = np.zeros(256, dtype=bool)
+_TOKEN_BYTES[[ord(char) for char in _TOKEN_CHARS]] = True
 
 _LOOKBEHIND = r"(?<![a-z0-9'])"
 _LOOKAHEAD = r"(?![a-z0-9'])"
@@ -177,47 +176,14 @@ class CompiledLexiconMatcher:
 
         Columns carry everything a score derivation needs: zero-hit texts
         get ``(0, None)``; hit texts get their exact token count and the
-        token-order-accumulated weight vector.  The batched paths and the
+        token-order-accumulated weight vector.  The batched path and the
         per-text path produce identical columns.
         """
         if not texts:
             return []
         if len(texts) < 32:
             return [self.scan_text(text) for text in texts]
-        if _np is not None:
-            return self._scan_numpy(texts)
-        return self._scan_blob(texts)
-
-    def _scan_blob(self, texts: list[str]) -> list[tuple[int, tuple[float, ...] | None]]:
-        """Regex fallback of :meth:`scan`: one trie-pattern pass over a
-        separator-joined blob instead of one scan call per text."""
-        lowered = [text.lower() for text in texts]
-        columns: list[tuple[int, tuple[float, ...] | None]] = [(0, None)] * len(texts)
-        pattern = self.pattern
-        if pattern is None:
-            return columns
-        # "\n" is outside the token alphabet, so terms cannot span texts
-        # and every boundary lookaround behaves as it would per-text.
-        blob = "\n".join(lowered)
-        offsets = []
-        position = 0
-        for text in lowered:
-            offsets.append(position)
-            position += len(text) + 1
-        weights = self.weights
-        totals: dict[int, list[float]] = {}
-        for match in pattern.finditer(blob):
-            row = bisect_right(offsets, match.start()) - 1
-            vector = weights[match.group()]
-            running = totals.get(row)
-            if running is None:
-                totals[row] = list(vector)
-            else:
-                for index, weight in enumerate(vector):
-                    running[index] += weight
-        for row, running in totals.items():
-            columns[row] = (self.count_tokens(lowered[row]), tuple(running))
-        return columns
+        return self._scan_numpy(texts)
 
     def _scan_numpy(self, texts: list[str]) -> list[tuple[int, tuple[float, ...] | None]]:
         """Vectorised :meth:`scan`: tokenise the whole corpus on its UTF-8
@@ -229,7 +195,6 @@ class CompiledLexiconMatcher:
         accumulation (sparse: one iteration per lexicon hit) runs in
         Python, in match-position order — i.e. token order per text.
         """
-        np = _np
         joined = "\n".join(texts)
         if joined.isascii():
             # ASCII corpus (the common case): lowercasing is 1:1, so one
@@ -246,7 +211,7 @@ class CompiledLexiconMatcher:
         bounds = np.zeros(len(texts) + 1, dtype=np.int64)
         np.cumsum(sizes + 1, out=bounds[1:])
 
-        is_token = _token_byte_table(np)[data]
+        is_token = _TOKEN_BYTES[data]
         after, before = is_token[1:], is_token[:-1]
         token_starts = np.flatnonzero(after & ~before) + 1
         if is_token[0]:
@@ -328,16 +293,3 @@ def _pack_key(first: int, last: int, length: int) -> int:
     """Pack (first byte, last byte, length clamped to 255) into one int."""
     return (first << 16) | (last << 8) | min(length, 255)
 
-
-_TOKEN_BYTE_TABLE = None
-
-
-def _token_byte_table(np):
-    """Return (building once) the 256-entry is-token-byte lookup table."""
-    global _TOKEN_BYTE_TABLE
-    if _TOKEN_BYTE_TABLE is None:
-        table = np.zeros(256, dtype=bool)
-        for char in _TOKEN_CHARS:
-            table[ord(char)] = True
-        _TOKEN_BYTE_TABLE = table
-    return _TOKEN_BYTE_TABLE

@@ -22,9 +22,10 @@ This module models that cost structure deterministically:
   counters, shared across deliveries by the batched engine.
 * :class:`HttpSignatureVerifier` — charges each derivation and each
   verification to a **dedicated** :class:`SimulationClock`.  The cost
-  clock is private to the verifier on purpose: charging the registry
-  clock would shift the MRF's ``now`` per batch and diverge across
-  sharded workers, breaking engine equivalence.
+  clock is private to the verifier on purpose: it keeps the MRF's
+  ``now`` steady across batches, where charging the registry clock would
+  shift it per batch and make verified runs moderate differently from
+  unverified ones.
 
 Everything is inert unless a verifier is attached to the delivery engine,
 so Create-only configurations remain bit-identical to the pre-protocol

@@ -352,14 +352,6 @@ class SynthConfig:
     #: Seed of the fault plan's dedicated RNG stream (never shared with the
     #: generator's own stream).
     fault_seed: int = 1337
-    #: Named worker-fault profile the scenario's *sharded* runs are
-    #: supervised under (``none``/``light``/``mixed``/``heavy`` — see
-    #: :data:`repro.faults.workers.WORKER_FAULT_PROFILES`).  Only read by
-    #: the supervised engine / the ``shard_chaos`` bench stage; it never
-    #: affects generation, so populations stay bit-identical.
-    worker_fault_profile: str = "none"
-    #: Seed of the worker-fault plan's dedicated RNG stream.
-    worker_fault_seed: int = 4242
 
     # -- campaign --------------------------------------------------------- #
     #: Length of the simulated measurement campaign, in days.
@@ -392,11 +384,6 @@ class SynthConfig:
         if self.fault_profile not in ("none", "light", "mixed", "heavy"):
             raise ValueError(
                 f"unknown fault_profile {self.fault_profile!r}; "
-                "available: none, light, mixed, heavy"
-            )
-        if self.worker_fault_profile not in ("none", "light", "mixed", "heavy"):
-            raise ValueError(
-                f"unknown worker_fault_profile {self.worker_fault_profile!r}; "
                 "available: none, light, mixed, heavy"
             )
         if not 0 <= self.federation_announce_share <= 1:

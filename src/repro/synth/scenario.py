@@ -23,14 +23,8 @@ SCENARIOS: dict[str, dict] = {
     # that quadratic or per-record-scan hot paths dominate the wall clock.
     "large": {"n_pleroma_instances": 800, "campaign_days": 30.0},
     # Beyond-paper scale: twice the large population, for engine stress
-    # runs.  Sharded runs at this scale are long enough for workers to die
-    # mid-run, so the scenario names the worker-fault weather its
-    # supervised engine is measured under (shard_chaos bench stage).
-    "xlarge": {
-        "n_pleroma_instances": 1600,
-        "campaign_days": 30.0,
-        "worker_fault_profile": "mixed",
-    },
+    # runs.
+    "xlarge": {"n_pleroma_instances": 1600, "campaign_days": 30.0},
     # Skewed federation load: a tenth of the origins go "hot" and fan out an
     # order of magnitude wider, concentrating delivery traffic on the big
     # receivers — the worst case for the delivery engine's batching.
@@ -60,20 +54,17 @@ SCENARIOS: dict[str, dict] = {
         "churn_window_days": 2.0,
         "fault_profile": "mixed",
     },
-    # Beyond-everything scale, reachable only by the sharded federation
-    # engine (repro.shard): ≥100k instances (~15.5k Pleroma + ~85k other)
-    # holding about a million users.  Per-user post volume and per-peer
-    # federation samples are trimmed so the coordinator's prepare() stays
-    # tractable; the perf harness runs only the `sharding` stage here.
+    # Beyond-everything scale: ≥100k instances (~15.5k Pleroma + ~85k
+    # other) holding about a million users.  Per-user post volume and
+    # per-peer federation samples are trimmed so prepare() stays
+    # tractable; the perf harness runs only the `delivery` stage here
+    # (the plain engine against the seed loop).
     "xxlarge": {
         "n_pleroma_instances": 15_500,
         "campaign_days": 30.0,
         "mainstream_mean_users": 62.0,
         "mean_posts_per_user": 1.5,
         "federation_posts_per_peer": 5,
-        # Million-user runs must survive worker deaths: the supervised
-        # sharded engine is measured under the mixed worker-fault mix.
-        "worker_fault_profile": "mixed",
     },
     # Protocol-realism load: boosts and favourites of a small hot-post pool
     # re-fanned across origins (Announce traffic routinely dwarfs Create

@@ -2,8 +2,8 @@
 
 The engine's contract is *bitwise* equality with both the seed's
 per-attribute token walk and PR 1's per-token single-pass path, across
-every scan implementation (per-text regex, batched blob regex, batched
-NumPy byte scan) and across lexicon mutations mid-run.
+both scan implementations (per-text regex, batched NumPy byte scan) and
+across lexicon mutations mid-run.
 """
 
 from __future__ import annotations
@@ -11,12 +11,9 @@ from __future__ import annotations
 import random
 import struct
 
-import pytest
-
 from repro.perf.baselines import naive_score_many, single_pass_score_many
 from repro.perspective.attributes import ATTRIBUTES
 from repro.perspective.lexicon import Lexicon, default_lexicon, tokenize
-from repro.perspective.matcher import CompiledLexiconMatcher, _np
 from repro.perspective.scorer import LexiconScorer
 
 BENIGN = (
@@ -98,11 +95,9 @@ class TestCompiledEngineEquivalence:
         assert_scores_bitwise_equal(
             scorer.score_many(texts), naive_score_many(scorer, texts)
         )
-        # Every scan implementation produces identical columns.
+        # Both scan implementations produce identical columns.
         per_text = [matcher.scan_text(text) for text in texts]
-        assert matcher._scan_blob(texts) == per_text
-        if _np is not None:
-            assert matcher._scan_numpy(texts) == per_text
+        assert matcher._scan_numpy(texts) == per_text
 
     def test_score_attribute_bitwise_equal_to_seed_walk(self):
         rng = random.Random(7)
@@ -185,13 +180,10 @@ class TestCompiledMatcher:
 
     def test_blob_and_numpy_paths_agree_on_unicode_and_empties(self):
         matcher = default_lexicon().compiled()
-        texts = list(SPECIALS) * 4  # > 32 texts to engage the batched paths
+        texts = list(SPECIALS) * 4  # > 32 texts to engage the batched path
         per_text = [matcher.scan_text(text) for text in texts]
-        assert matcher._scan_blob(texts) == per_text
-        if _np is not None:
-            assert matcher._scan_numpy(texts) == per_text
+        assert matcher._scan_numpy(texts) == per_text
 
-    @pytest.mark.skipif(_np is None, reason="numpy not available")
     def test_scan_dispatches_to_batched_path(self):
         matcher = default_lexicon().compiled()
         texts = ["idiot moron", "coffee"] * 20

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.activitypub.activities import create_activity
@@ -17,6 +19,7 @@ from repro.datasets.store import Dataset
 from repro.fediverse.registry import FediverseRegistry
 from repro.mrf.simple import SimplePolicy
 from repro.perf import baselines
+from repro.perf.harness import federation_state
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import scenario_config
 
@@ -177,6 +180,48 @@ class TestSinks:
         assert len(extra.reports) == len(delivery.reports) == 1
 
 
+def fuzz_configs():
+    """Randomized-but-reproducible scenario parameter sets, churn included."""
+    rng = random.Random(20260807)
+    cases = [
+        ("tiny", {}),
+        # A churn population: instances disappear mid-campaign, which is the
+        # hardest case for delivery bookkeeping.
+        ("tiny", {"instance_churn_rate": 0.25}),
+    ]
+    for _ in range(2):
+        cases.append(
+            (
+                "tiny",
+                {
+                    "campaign_days": rng.choice([1.0, 2.0]),
+                    "federation_fanout": rng.choice([2, 4]),
+                    "instance_churn_rate": rng.choice([0.0, 0.2]),
+                },
+            )
+        )
+    # Activity-mix populations: boosts, favourites and reply threads flow
+    # through the same batched delivery path.  New draws come after the
+    # original ones so the original cases' seeds stay stable.
+    for _ in range(2):
+        cases.append(
+            (
+                "tiny",
+                {
+                    "federation_announce_share": rng.choice([0.3, 0.6]),
+                    "federation_like_share": rng.choice([0.2, 0.5]),
+                    "reply_thread_share": rng.choice([0.0, 0.15]),
+                    "reply_thread_max_depth": rng.choice([6, 12]),
+                    "instance_churn_rate": rng.choice([0.0, 0.2]),
+                },
+            )
+        )
+    return [
+        pytest.param(name, dict(overrides, seed=rng.randrange(1, 10_000)), id=f"case{i}")
+        for i, (name, overrides) in enumerate(cases)
+    ]
+
+
 class TestEngineEquivalence:
     """The batched engine and the seed-faithful loop agree on a real workload."""
 
@@ -254,3 +299,27 @@ class TestEngineEquivalence:
         )
         assert generated.stats.federated_deliveries == naive_stats.delivered
         assert generated.stats.rejected_deliveries == naive_stats.rejected
+
+    @pytest.mark.parametrize(("scenario", "overrides"), fuzz_configs())
+    def test_fuzz_engine_state_matches_seed_walk(self, scenario, overrides):
+        """Twin-run fuzz: the batched engine's federation state equals the seed
+        walk's, bit for bit, across randomized populations."""
+        generator = FediverseGenerator(scenario_config(scenario, **overrides))
+
+        prepared = generator.prepare()
+        work = list(generator.federation_batches(prepared))
+        delivery = FederationDelivery(prepared.registry, sinks=[])
+        for batch in work:
+            delivered, rejected = delivery.deliver_batch_counted(
+                batch.activities, batch.target_domain
+            )
+            prepared.stats.federated_deliveries += delivered
+            prepared.stats.rejected_deliveries += rejected
+        engine_state = federation_state(prepared, delivery.stats)
+
+        prepared = generator.prepare()
+        work = list(generator.federation_batches(prepared))
+        stats, _ = baselines.naive_federate(prepared.registry, work)
+        prepared.stats.federated_deliveries = stats.delivered
+        prepared.stats.rejected_deliveries = stats.rejected
+        assert engine_state == federation_state(prepared, stats)

@@ -5,9 +5,9 @@ actor-key cache, the private cost clock, forged-signature rejection at the
 delivery engine), hot-post selection, conversation helpers, the
 generator's Announce/Like/reply emission (inert by default,
 type-homogeneous batches, engagement landing on target instances), the
-viral/hellthread scenarios end-to-end under the sharded engine, and the
-Epicyon-style user-agent blocking surface down to the recorded
-:class:`CrawlFailure` reason.
+batched engine against the seed walk on the full activity mix and on
+scaled-down viral/hellthread scenarios, and the Epicyon-style user-agent
+blocking surface down to the recorded :class:`CrawlFailure` reason.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.crawler.crawler import INSTANCE_PATH
 from repro.fediverse.post import Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.perf import baselines
+from repro.perf.harness import federation_state
 from repro.protocol.announce import select_hot_posts
 from repro.protocol.conversation import (
     CONVERSATION_FIELD,
@@ -46,8 +47,6 @@ from repro.protocol.httpsig import (
     derive_actor_key,
     sign_activity,
 )
-from repro.shard.engine import federate_sharded
-from repro.shard.state import federation_state
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import SCENARIOS, scenario_config
@@ -323,29 +322,19 @@ class TestMixEquivalence:
         config = scenario_config("tiny", seed=23)
         assert _engine_state(config) == _naive_state(config)
 
-    def test_full_mix_matches_seed_walk_and_sharded_merge(self):
+    def test_full_mix_matches_seed_walk(self):
         config = scenario_config("tiny", seed=23, **MIX)
-        reference = _engine_state(config)
-        assert _naive_state(config) == reference
-        generator = FediverseGenerator(config)
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        result = federate_sharded(prepared, work, 2)
-        assert result.state == reference
+        assert _naive_state(config) == _engine_state(config)
 
     @pytest.mark.parametrize("scenario", ["viral", "hellthread"])
-    def test_scenarios_complete_under_the_sharded_engine(self, scenario):
+    def test_scenarios_match_the_seed_walk(self, scenario):
         # Scaled-down twins of the shipped scenarios (the bench runs them
         # at full scale); the mix knobs themselves come from the scenario.
         overrides = {"n_pleroma_instances": 20, "campaign_days": 2.0}
         config = scenario_config(scenario, seed=7, **overrides)
-        generator = FediverseGenerator(config)
         reference = _engine_state(config)
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        result = federate_sharded(prepared, work, 2)
-        assert result.state == reference
-        assert result.delivered > 0
+        assert _naive_state(config) == reference
+        assert reference["delivery_stats"][0] > 0
 
     def test_shipped_scenarios_declare_the_mix(self):
         assert SCENARIOS["viral"]["federation_announce_share"] > 0
