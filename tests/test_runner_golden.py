@@ -1,16 +1,21 @@
-"""Golden runner output for the ``small`` scenario.
+"""Golden runner output for the ``tiny``, ``small``, ``chaos`` and ``hellthread`` scenarios.
 
 The runner's ``--json`` output is deterministic for a given scenario, seed
 and campaign window.  This test regenerates it in-process for
-``--scenario small --seed 42 --experiment all`` (default 2-day window) and
-compares it with the committed reference, so any analysis change that moves
-a reported figure fails here with the experiment, row or comparison, and
-key that differs.
+``--scenario S --seed 42 --experiment all`` (default window) and compares it
+with the committed reference, so any change that moves a reported figure
+fails here with the scenario, experiment, row or comparison, and key that
+differs.  ``chaos`` is the one golden whose analysis runs on a faulted,
+churning crawl; ``hellthread`` is the one that sends Announce/Like traffic
+through the MRF policy walk, and its file is the output perfbench pins for
+``hellthread-crawl-129d`` (runner output does not depend on the crawl
+window).
 
-To refresh the reference after an intended output change::
+To refresh a reference after an intended output change, for S in
+``tiny``, ``small``, ``chaos`` or ``hellthread``::
 
-    PYTHONPATH=src python -m repro.experiments.runner --scenario small \\
-        --seed 42 --experiment all --json tests/golden/runner_small_seed42.json
+    PYTHONPATH=src python -m repro.experiments.runner --scenario S \\
+        --seed 42 --experiment all --json tests/golden/runner_S_seed42.json
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ import json
 from pathlib import Path
 from typing import Any
 
+import pytest
+
 from repro.experiments.runner import main
 
-GOLDEN = Path(__file__).parent / "golden" / "runner_small_seed42.json"
-ARGS = ["--scenario", "small", "--seed", "42", "--experiment", "all"]
+GOLDEN_DIR = Path(__file__).parent / "golden"
+SCENARIOS = ("tiny", "small", "chaos", "hellthread")
 
 
 def _label(item: Any, index: int) -> str:
@@ -62,15 +69,18 @@ def first_difference(want: Any, got: Any, path: str = "output") -> str | None:
     return None
 
 
-def test_small_runner_output_matches_golden(tmp_path, capsys):
-    output = tmp_path / "small.json"
-    assert main([*ARGS, "--json", str(output)]) == 0
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runner_output_matches_golden(scenario, tmp_path, capsys):
+    golden = GOLDEN_DIR / f"runner_{scenario}_seed42.json"
+    output = tmp_path / f"{scenario}.json"
+    args = ["--scenario", scenario, "--seed", "42", "--experiment", "all"]
+    assert main([*args, "--json", str(output)]) == 0
     capsys.readouterr()
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    want = json.loads(golden.read_text(encoding="utf-8"))
     got = json.loads(output.read_text(encoding="utf-8"))
     difference = first_difference(want, got)
     assert difference is None, difference
-    assert output.read_bytes() == GOLDEN.read_bytes()
+    assert output.read_bytes() == golden.read_bytes()
 
 
 class TestFirstDifference:
