@@ -1,17 +1,12 @@
-"""A small laboratory for Pleroma's MRF policies and their decision plans.
+"""A small laboratory for Pleroma's MRF policies.
 
 Builds one receiving instance, configures a realistic policy pipeline
 (SimplePolicy, ObjectAgePolicy, HellthreadPolicy, KeywordPolicy, TagPolicy)
 and replays a set of crafted activities through it, printing what each
-policy does to each activity.  Every policy declares a
-:class:`~repro.mrf.base.DecisionPlan` — the declarative description of its
-gates, triggers and shareable decisions the compiled pipeline fast-paths —
-so the lab also prints each plan and finishes by *authoring* two policies
-with custom plans, the way new policies should be written: a content-
-triggered one and an announce-aware one gated on ``activity_types``.  The
-replayed activities cover the full mix — Creates, a boost (``Announce``)
-and a favourite (``Like``) — and the lab ends by comparing the compiled
-per-``(origin, type)`` batch programs Create and Announce traffic select.
+policy does to each activity.  The lab also *authors* two policies, the way
+new policies are written (subclass ``MRFPolicy``, implement ``filter``): a
+content-based one and an announce-aware one.  The replayed activities cover
+the full mix — Creates, a boost (``Announce``) and a favourite (``Like``).
 
 Run with::
 
@@ -21,7 +16,6 @@ Run with::
 from __future__ import annotations
 
 from repro.activitypub.activities import (
-    ActivityType,
     announce_activity,
     create_activity,
     like_activity,
@@ -29,18 +23,10 @@ from repro.activitypub.activities import (
 from repro.activitypub.actors import Actor
 from repro.fediverse.clock import SECONDS_PER_DAY
 from repro.fediverse.post import MediaAttachment, Post
-from repro.mrf.base import (
-    ContentTrigger,
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 from repro.mrf.object_age import ObjectAgePolicy
 from repro.mrf.keywords import KeywordPolicy
 from repro.mrf.pipeline import MRFPipeline
-from repro.mrf.shared import shared_trigger_columns
 from repro.mrf.simple import SimplePolicy
 from repro.mrf.tag import TagAction, TagPolicy
 from repro.mrf.threads import HellthreadPolicy
@@ -65,42 +51,6 @@ def build_pipeline() -> MRFPipeline:
     tag_policy.tag_user("annoying@elsewhere.example", TagAction.FORCE_UNLISTED)
     pipeline.add_policy(tag_policy)
     return pipeline
-
-
-def describe_plan(policy: MRFPolicy) -> str:
-    """Render the declarative plan of one policy in a line."""
-    plan = policy.plan()
-    if plan is None:
-        return "opaque (no plan: always runs, shares nothing)"
-    triggers = plan.triggers
-    parts = []
-    if triggers.match_all:
-        parts.append("match_all")
-    if triggers.domains:
-        parts.append(f"domains={sorted(triggers.domains)}")
-    if triggers.suffixes:
-        parts.append(f"suffixes={sorted(triggers.suffixes)}")
-    if triggers.handles:
-        parts.append(f"handles={sorted(triggers.handles)}")
-    if triggers.max_post_age is not None:
-        parts.append(f"post_age>{triggers.max_post_age:.0f}s")
-    if triggers.min_mentions is not None:
-        parts.append(f"mentions>={triggers.min_mentions}")
-    if triggers.content is not None:
-        parts.append(f"content~{sorted(triggers.content.columns.terms)}")
-    if triggers.activity_types is not None:
-        parts.append(f"types={sorted(t.value for t in triggers.activity_types)}")
-    if not parts:
-        parts.append("never acts")
-    extras = []
-    if plan.origin_pure is not None:
-        extras.append("origin-pure reject (whole batches share one decision)")
-    if plan.shared_rewrite is not None:
-        extras.append("content-independent rewrite (slices share one rewrite)")
-    rendered = ", ".join(parts)
-    if extras:
-        rendered += "  [" + "; ".join(extras) + "]"
-    return rendered
 
 
 def sample_activities() -> list:
@@ -151,24 +101,13 @@ def sample_activities() -> list:
 
 
 class LinkShortenerPolicy(MRFPolicy):
-    """An example of *authoring* a policy with a declarative plan.
-
-    Rejects posts that carry a link-shortener URL.  The plan declares a
-    content trigger over the shortener hostnames through the shared
-    interned columns: posts without any of those literals provably pass
-    untouched, so the compiled pipeline never runs the policy on them.
-    """
+    """An example of *authoring* a policy: reject posts that carry a
+    link-shortener URL."""
 
     name = "LinkShortenerPolicy"
 
     #: The shortener hostnames the policy refuses to federate.
     SHORTENERS = ("sketchy.ly", "shady.to")
-
-    def plan(self) -> DecisionPlan:
-        columns = shared_trigger_columns(self.SHORTENERS, anchored=False)
-        return DecisionPlan(
-            triggers=PolicyTriggers(content=ContentTrigger(columns=columns))
-        )
 
     def filter(self, activity, ctx: MRFContext) -> MRFDecision:
         post = activity.post
@@ -186,28 +125,14 @@ class LinkShortenerPolicy(MRFPolicy):
 
 
 class BoostSpamPolicy(MRFPolicy):
-    """An example of authoring an *announce-aware* policy plan.
-
-    Drops boosts (``Announce``) coming from boost-spam origins while
-    leaving their ordinary posts alone.  The plan gates on
-    ``activity_types={ANNOUNCE}`` — outside the gate the policy provably
-    never acts, so Create batches never pay for it — and triggers on the
-    origin domains, so the per-``(origin, type)`` batch program only
-    routes Announce traffic from the listed origins into the walk.
-    """
+    """An example of authoring an *announce-aware* policy: drop boosts
+    (``Announce``) coming from boost-spam origins while leaving their
+    ordinary posts alone."""
 
     name = "BoostSpamPolicy"
 
     #: Origins whose boosts are refused wholesale.
     BOOST_SPAMMERS = frozenset({"noisy.example"})
-
-    def plan(self) -> DecisionPlan:
-        return DecisionPlan(
-            triggers=PolicyTriggers(
-                domains=self.BOOST_SPAMMERS,
-                activity_types=frozenset({ActivityType.ANNOUNCE}),
-            )
-        )
 
     def filter(self, activity, ctx: MRFContext) -> MRFDecision:
         if (
@@ -226,15 +151,9 @@ def main() -> None:
     pipeline = build_pipeline()
     pipeline.add_policy(LinkShortenerPolicy())
     pipeline.add_policy(BoostSpamPolicy())
-    print("enabled policies and their decision plans:")
+    print("enabled policies, in evaluation order:")
     for policy in pipeline.policies:
-        print(f"  {policy.name:22s} {describe_plan(policy)}")
-    compiled = pipeline.compiled()
-    print(
-        f"\ncompiled pipeline: fully_planned={compiled.fully_planned}, "
-        f"{len(compiled.entries)} live entries "
-        f"({len(pipeline.policies) - len(compiled.entries)} provably inert, dropped)"
-    )
+        print(f"  {policy.name:22s} {policy.config()}")
     print()
     header = (
         f"{'origin':22s} {'author':10s} {'verdict':8s} {'policy':20s} "
@@ -255,8 +174,7 @@ def main() -> None:
         )
     )
     # The activity mix: deliveries are not all post-shaped.  Boosts and
-    # favourites carry an object URI, so only origin/handle triggers and
-    # type gates can fire for them.
+    # favourites carry an object URI, so post-based policies pass them.
     booster = Actor(username="fan", domain="noisy.example")
     activities.append(
         announce_activity("https://home.example/posts/1", booster, published=NOW - 60)
@@ -281,44 +199,6 @@ def main() -> None:
     print(f"moderation events recorded: {len(pipeline.events)}")
     for event in pipeline.events:
         print(f"  [{event.policy}] {event.action} <- {event.origin_domain} ({event.reason})")
-
-    # The batch programs behind delivery: whole batches from blocked.example
-    # share one origin-pure reject decision.
-    shared, _, _ = pipeline.apply_batch(
-        [create_activity(Post(
-            post_id=f"blocked.example-{i}",
-            author="troll@blocked.example",
-            domain="blocked.example",
-            content="spam wave",
-            created_at=NOW - 60,
-        )) for i in range(3)],
-        "blocked.example",
-        now=NOW,
-    )
-    print(f"\nbatch program for blocked.example shares one decision: {shared}")
-
-    # Per-(origin, type) programs: an Announce batch has no post, so every
-    # post-shaped policy (ObjectAge, Hellthread, Keyword, LinkShortener)
-    # provably drops out of its walk — only the type-gated BoostSpamPolicy
-    # and the origin-pure SimplePolicy survive for the origins they name.
-    def render(program) -> str:
-        if program.general:
-            return "general walk (an origin-fired policy may act per activity)"
-        if program.shared is not None:
-            return f"shared reject by {program.shared[0]}"
-        if program.residual:
-            return f"{len(program.residual)} residual polic(ies)"
-        return "skip (no policy can act)"
-
-    local = pipeline.local_domain
-    for origin in ("friendly.example", "noisy.example"):
-        create_prog = compiled.program_for(origin, local)
-        boost_prog = compiled.program_for_type(
-            origin, local, ActivityType.ANNOUNCE
-        )
-        print(f"programs for {origin}:")
-        print(f"  Create   -> {render(create_prog)}")
-        print(f"  Announce -> {render(boost_prog)}")
 
 
 if __name__ == "__main__":

@@ -7,13 +7,6 @@ all three (plus the blanket reject baseline) against the same federated
 instance — one troll among many ordinary users — and reports what reaches
 the local timelines in each case.
 
-Every policy — the proposed ones included — declares a
-:class:`~repro.mrf.base.DecisionPlan`; the demo prints each plan's shape
-and shows the effect on the batched delivery engine: the curated
-block-list's origin-pure plan lets whole batches share a single reject
-decision (``batch_rejects``), while content-independent rewrites are shared
-per batch slice (``batch_rewrites``).
-
 Run with::
 
     python examples/proposed_policies_demo.py
@@ -48,32 +41,8 @@ def build_remote_instance(registry: FediverseRegistry) -> None:
         )
 
 
-def describe_plan(policy: MRFPolicy | None) -> str:
-    """Summarise how the compiled pipeline can treat this policy."""
-    if policy is None:
-        return "no policy: every batch skips the pipeline entirely"
-    plan = policy.plan()
-    if plan is None:
-        return "opaque: runs on every activity"
-    pieces = []
-    if plan.triggers.match_all:
-        pieces.append("runs on every activity (stateful)")
-    elif plan.triggers.domains or plan.triggers.suffixes:
-        pieces.append("origin-triggered")
-    if plan.origin_pure is not None:
-        pieces.append("origin-pure: batches share one reject decision")
-    if plan.shared_rewrite is not None:
-        pieces.append("content-independent rewrite: slices share one rewrite")
-    return "; ".join(pieces) or "narrow triggers"
-
-
 def evaluate(policy: MRFPolicy | None, label: str) -> None:
-    """Deliver every remote post to a fresh local instance running ``policy``.
-
-    Posts federate through the *batched* delivery engine, one batch per
-    simulated push wave, so the policy's decision plan determines how much
-    of each batch shares a decision.
-    """
+    """Deliver every remote post to a fresh local instance running ``policy``."""
     registry = FediverseRegistry()
     build_remote_instance(registry)
     local = registry.create_instance("home.example", install_default_policies=False)
@@ -102,44 +71,6 @@ def evaluate(policy: MRFPolicy | None, label: str) -> None:
         f"harmful untouched: {harmful_delivered:2d}   "
         f"rewritten: {modified:2d}   rejected: {rejected:2d}"
     )
-    print(f"{'':32s} plan: {describe_plan(policy)}")
-
-
-def show_shared_batch_decisions() -> None:
-    """One batched delivery showing both shared-decision counters."""
-    registry = FediverseRegistry()
-    build_remote_instance(registry)
-    local = registry.create_instance("home.example", install_default_policies=False)
-    blocklist = CuratedBlocklistPolicy(
-        lists={"NoTrolls": ["mixed.example"]}, subscribed=["NoTrolls"]
-    )
-    local.mrf.add_policy(blocklist)
-    registry.clock.advance(3600)
-    delivery = FederationDelivery(registry, sinks=[])
-    remote = registry.get("mixed.example")
-    from repro.activitypub.activities import create_activity
-
-    activities = [create_activity(post) for post in remote.local_posts()]
-    delivered, rejected = delivery.deliver_batch_counted(activities, "home.example")
-    print(
-        f"curated block-list batch:        {delivered} activities, {rejected} rejected "
-        f"through batch_rejects={delivery.batch_rejects} shared decision(s)"
-    )
-
-    # The same batch against a default ObjectAge pipeline: old posts get a
-    # content-independent delist shared per batch slice.
-    registry2 = FediverseRegistry()
-    build_remote_instance(registry2)
-    registry2.create_instance("home.example")  # default policies incl. ObjectAge
-    registry2.clock.advance(30 * 24 * 3600.0)
-    delivery2 = FederationDelivery(registry2, sinks=[])
-    remote2 = registry2.get("mixed.example")
-    activities2 = [create_activity(post) for post in remote2.local_posts()]
-    delivered2, rejected2 = delivery2.deliver_batch_counted(activities2, "home.example")
-    print(
-        f"stale-post batch (ObjectAge):    {delivered2} activities, {rejected2} rejected, "
-        f"batch_rewrites={delivery2.batch_rewrites} batch(es) shared their rewrites"
-    )
 
 
 def main() -> None:
@@ -155,9 +86,8 @@ def main() -> None:
     print(
         "\nThe blanket reject drops every benign post (the paper's collateral damage);"
         "\nthe proposed per-user mechanisms suppress the troll while the other users"
-        "\nkeep federating.\n"
+        "\nkeep federating."
     )
-    show_shared_batch_decisions()
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ without ever holding the full report list attach a :class:`StreamingEdgeSink`
 that feeds :meth:`repro.datasets.store.Dataset.add_reject_edge` directly.
 
 Deliveries are batched per target instance: :meth:`FederationDelivery.deliver_batch`
-normalises the target domain once, resolves the instance once, and filters
-the whole batch through the target's (precompiled) MRF pipeline with a single
-shared context.
+normalises the target domain once, resolves the instance once, validates the
+batch once per origin, and then filters each activity through the target's
+MRF pipeline.
 """
 
 from __future__ import annotations
@@ -30,25 +30,6 @@ from repro.fediverse.identifiers import normalise_domain, parse_handle
 from repro.fediverse.instance import Instance
 from repro.fediverse.post import Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
-
-#: Mirror of :data:`repro.mrf.base.PASS_ACTION` — kept literal so this module
-#: does not import the MRF layer (which itself imports activitypub).
-PASS_ACTION = "pass"
-
-#: Lazily resolved :class:`repro.mrf.pipeline.StageDecision` (same layering
-#: concern as PASS_ACTION: the MRF layer imports activitypub, so the type is
-#: looked up on first use instead of at import time).
-_STAGE_DECISION: type | None = None
-
-
-def _stage_decision_type() -> type:
-    global _STAGE_DECISION
-    if _STAGE_DECISION is None:
-        from repro.mrf.pipeline import StageDecision
-
-        _STAGE_DECISION = StageDecision
-    return _STAGE_DECISION
-
 
 @dataclass(slots=True)
 class DeliveryReport:
@@ -160,28 +141,6 @@ class StreamingEdgeSink(DeliverySink):
         self.streamed += 1
 
 
-#: Activity types whose payload is a :class:`Post` — their batches go
-#: through the per-origin (post-shaped) batch program, never a per-type one.
-_POST_CARRYING = frozenset({ActivityType.CREATE, ActivityType.UPDATE})
-
-
-def _batch_type(activities: list[Activity]) -> ActivityType | None:
-    """Return the batch's shared post-less activity type, if it has one.
-
-    Generated batches are type-homogeneous, which is what lets the pipeline
-    specialise a per-``(origin, type)`` program; hand-built batches may mix
-    types, in which case (``None``) the type-agnostic per-origin program —
-    whose predicates all guard on the payload being a post — stays correct.
-    """
-    first = activities[0].activity_type
-    if first in _POST_CARRYING:
-        return None
-    for activity in activities:
-        if activity.activity_type is not first:
-            return None
-    return first
-
-
 def apply_accepted(registry: FediverseRegistry, activity: Activity, target: Instance) -> None:
     """Apply an MRF-accepted ``activity`` to the ``target`` instance."""
     if activity.is_create and activity.post is not None:
@@ -250,12 +209,8 @@ class FederationDelivery:
         self.verifier = verifier
         self.stats = FederationStats()
         self.reports: list[DeliveryReport] = []
-        #: How many single-origin batches were rejected wholesale by the
-        #: shared-decision fast path (see :meth:`deliver_batch`).
+        # Always 0: no batch shares a decision; perfbench/layers.py reads both.
         self.batch_rejects = 0
-        #: How many single-origin batches had rewrites applied through a
-        #: shared content-independent stage (one decision per batch slice)
-        #: instead of per-activity policy runs.
         self.batch_rewrites = 0
         if sinks is None:
             self.sinks: list[DeliverySink] = [ListSink(self.reports)]
@@ -280,8 +235,8 @@ class FederationDelivery:
         """Deliver several activities to one target and return the outcomes.
 
         The target domain is normalised and resolved once for the whole
-        batch, peer bookkeeping runs once per distinct origin, and the MRF
-        pipeline filters the batch with a single shared context.
+        batch and peer bookkeeping runs once per distinct origin; the MRF
+        pipeline then filters each activity.
         """
         target_domain = normalise_domain(target_domain)
         return self._deliver_to(self.registry.get(target_domain), activities)
@@ -293,14 +248,8 @@ class FederationDelivery:
             return activities
         return verifier.verified_only(activities)
 
-    def _validate_batch(
-        self, target: Instance, activities: list[Activity]
-    ) -> set[str]:
-        """Reject origin self-delivery and record peer relations (once per origin).
-
-        Returns the distinct origins of the batch, so callers can take the
-        shared-decision fast path for origin-pure batches.
-        """
+    def _validate_batch(self, target: Instance, activities: list[Activity]) -> None:
+        """Reject origin self-delivery and record peer relations (once per origin)."""
         target_domain = target.domain
         registry = self.registry
         origins_seen: set[str] = set()
@@ -321,41 +270,6 @@ class FederationDelivery:
                 # construction, so the fast path is safe here.
                 registry.federate_normalised(origin, target_domain)
             last = origin
-        return origins_seen
-
-    def _apply_batch(
-        self,
-        target: Instance,
-        activities: list[Activity],
-        origins: set[str],
-        now: float,
-        lean: bool = False,
-    ) -> tuple[tuple[str, str, str] | None, list | None]:
-        """Run the batch through the target pipeline's shared-decision engine.
-
-        Single-origin batches go through the pipeline's per-origin batch
-        program (:meth:`repro.mrf.pipeline.MRFPipeline.apply_batch`), which
-        shares origin-pure rejects and content-independent rewrites across
-        the batch; mixed-origin batches fall back to the lazy per-activity
-        filter.  Returns ``(shared, decisions)`` with the per-activity
-        moderation events already logged by the pipeline; ``shared`` set
-        means every activity was rejected with that ``(policy, action,
-        reason)`` and ``decisions`` is ``None``.
-        """
-        if len(origins) == 1 and activities:
-            shared, decisions, rewrites = target.mrf.apply_batch(
-                activities,
-                next(iter(origins)),
-                now,
-                lean=lean,
-                activity_type=_batch_type(activities),
-            )
-            if shared is not None:
-                self.batch_rejects += 1
-            if rewrites:
-                self.batch_rewrites += 1
-            return shared, decisions
-        return None, target.mrf.filter_batch_lazy(activities, now=now)
 
     def _deliver_to(
         self, target: Instance, activities: Iterable[Activity]
@@ -364,59 +278,28 @@ class FederationDelivery:
         activities = self._verified(list(activities))
         if not activities:
             return []
-        origins = self._validate_batch(target, activities)
+        self._validate_batch(target, activities)
         registry = self.registry
         target_domain = target.domain
         now = registry.clock.now()
-
-        shared, decisions = self._apply_batch(target, activities, origins, now)
-        if shared is not None:
-            policy, action, reason = shared
-            reports = []
-            for activity in activities:
-                report = DeliveryReport(
-                    activity_id=activity.activity_id,
-                    origin_domain=activity.origin_domain,
-                    target_domain=target_domain,
-                    accepted=False,
-                    policy=policy,
-                    action=action,
-                    reason=reason,
-                    modified=False,
-                )
-                self._record(report)
-                reports.append(report)
-            return reports
+        mrf_filter = target.mrf.filter
 
         reports = []
-        for activity, decision in zip(activities, decisions):
-            if decision is None:
-                report = DeliveryReport(
-                    activity_id=activity.activity_id,
-                    origin_domain=activity.origin_domain,
-                    target_domain=target_domain,
-                    accepted=True,
-                    policy="",
-                    action=PASS_ACTION,
-                    reason="",
-                    modified=False,
-                )
-                self._record(report)
-                apply_accepted(registry, activity, target)
-            else:
-                report = DeliveryReport(
-                    activity_id=activity.activity_id,
-                    origin_domain=activity.origin_domain,
-                    target_domain=target_domain,
-                    accepted=decision.accepted,
-                    policy=decision.policy,
-                    action=decision.action,
-                    reason=decision.reason,
-                    modified=decision.modified,
-                )
-                self._record(report)
-                if decision.accepted:
-                    apply_accepted(registry, decision.activity, target)
+        for activity in activities:
+            decision = mrf_filter(activity, now)
+            report = DeliveryReport(
+                activity_id=activity.activity_id,
+                origin_domain=activity.origin_domain,
+                target_domain=target_domain,
+                accepted=decision.accepted,
+                policy=decision.policy,
+                action=decision.action,
+                reason=decision.reason,
+                modified=decision.modified,
+            )
+            self._record(report)
+            if decision.accepted:
+                apply_accepted(registry, decision.activity, target)
             reports.append(report)
         return reports
 
@@ -426,9 +309,9 @@ class FederationDelivery:
         """Deliver a batch recording aggregates only; return ``(delivered, rejected)``.
 
         The streaming fast path of the engine: when no sinks are attached,
-        no :class:`DeliveryReport` objects are materialised at all —
-        untouched activities go straight from the pipeline's lazy filter to
-        application, and only the counters in :attr:`stats` are updated.
+        no :class:`DeliveryReport` objects are materialised at all — each
+        decision goes straight from the pipeline to application, and only
+        the counters in :attr:`stats` are updated.
         With sinks attached it falls back to :meth:`deliver_batch` so every
         sink still observes the full report stream.
         """
@@ -447,20 +330,9 @@ class FederationDelivery:
         activities = self._verified(list(activities))
         if not activities:
             return 0, 0
-        origins = self._validate_batch(target, activities)
+        self._validate_batch(target, activities)
         now = registry.clock.now()
-
-        shared, decisions = self._apply_batch(
-            target, activities, origins, now, lean=True
-        )
-        if shared is not None:
-            policy = shared[0]
-            stats = self.stats
-            count = len(activities)
-            stats.delivered += count
-            stats.rejected += count
-            stats.by_policy[policy] = stats.by_policy.get(policy, 0) + count
-            return count, count
+        mrf_filter = target.mrf.filter
 
         stats = self.stats
         by_policy = stats.by_policy
@@ -472,36 +344,22 @@ class FederationDelivery:
         remote_posts = target.remote_posts
         wkn_add = target.timelines.whole_known_network.add
         public = Visibility.PUBLIC
-        stage_decision = _STAGE_DECISION or _stage_decision_type()
         delivered = len(activities)
         accepted = 0
         rejected = 0
         modified = 0
-        for activity, decision in zip(activities, decisions):
-            if decision is None:
-                accepted += 1
-                obj = activity.obj
-            elif decision.__class__ is stage_decision:
-                # A lean shared-stage outcome: the decision metadata is
-                # batch-shared and only the rewritten post is materialised.
+        for activity in activities:
+            decision = mrf_filter(activity, now)
+            if decision.policy:
                 by_policy[decision.policy] = by_policy.get(decision.policy, 0) + 1
-                if not decision.accepted:
-                    rejected += 1
-                    continue
-                accepted += 1
+            if not decision.accepted:
+                rejected += 1
+                continue
+            accepted += 1
+            if decision.modified:
                 modified += 1
-                obj = decision.post
-            else:
-                if decision.policy:
-                    by_policy[decision.policy] = by_policy.get(decision.policy, 0) + 1
-                if not decision.accepted:
-                    rejected += 1
-                    continue
-                accepted += 1
-                if decision.modified:
-                    modified += 1
-                activity = decision.activity
-                obj = activity.obj
+            activity = decision.activity
+            obj = activity.obj
             if type(obj) is Post and activity.activity_type is create:
                 remote_posts[obj.post_id] = obj
                 if obj.visibility is public:

@@ -15,93 +15,22 @@ those in the wild).
 How to author a policy
 ======================
 
-Subclass :class:`~repro.mrf.base.MRFPolicy`, set ``name``, implement
-``filter(activity, ctx) -> MRFDecision`` — and declare a decision plan by
-implementing ``plan() -> DecisionPlan``.  The plan is what lets
-:class:`~repro.mrf.pipeline.CompiledPipeline` keep your policy off the hot
-path; a policy without one (``plan()`` returning ``None``) forces every
-activity through the Python walk.
-
-**Gates vs triggers.**  A plan's :class:`~repro.mrf.base.PolicyTriggers`
-holds *gates* — ``activity_types``, ``local_origin_only`` — that are ANDed
-(outside the gate the policy never acts), and *triggers* — origin domains
-and suffixes, actor handles, a post-age cutoff, post visibilities, a
-mention-count floor, media/bot/reply flags, interned content columns,
-``match_all`` — that are ORed (inside the gate, the policy can only act
-when at least one trigger fires).  Triggers must be *conservative*: they
-may fire for an activity the policy would pass through, never stay silent
-for one it would touch.  A trigger-less plan means "never acts" and the
-pipeline drops the policy at compile time.
-
-**The side-effect rule.**  Skipping a policy is only sound when its
-pass-through is a strict no-op.  If your ``filter`` mutates state (counters,
-caches, history) on a branch, every such branch must be covered by a
-trigger — ``match_all`` in the worst case (see ``AutoTagPolicy``).  A
-narrower trigger is fine when the side effect sits *behind* it: the
-StealEmojiPolicy only mutates once a host matched, so its host triggers are
-sound despite the policy being stateful.  State mutated on skipped
-activities that no trigger covers is a correctness bug, not a slow path.
-
-**When sharing is sound.**  Beyond triggers, a plan may declare two
-stronger, *exact* properties:
-
-* ``origin_pure`` — a hook returning the ``(action, reason)`` your filter
-  applies to *every* activity from an origin before anything else (e.g. the
-  SimplePolicy reject action).  Batched delivery then rejects whole
-  single-origin batches with one shared decision.  Only sound when the
-  check really depends on the origin alone and short-circuits ahead of all
-  per-activity behaviour.
-* ``shared_rewrite`` — a :class:`~repro.mrf.base.SharedRewrite` declaring
-  that the rewrite is *content-independent* per batch slice: which posts
-  are touched follows from the age selector alone, and what happens to
-  them from a small slice key (e.g. the ObjectAge delist applying
-  identically to every stale public post).  Unlike triggers these must be
-  exact — the pipeline applies the declared outcome *without running your
-  filter* — so never declare them for decisions that read anything the
-  declaration doesn't.
-
-**Non-Create traffic.**  Deliveries are not all post-shaped: boosts
-(``Announce``), favourites (``Like``), Deletes, Follows and Flags carry an
-object URI or a free-form payload, never a :class:`~repro.fediverse.post.Post`.
-The pipeline compiles a dedicated batch program per ``(origin, type)`` for
-type-homogeneous post-less batches (see
-:meth:`~repro.mrf.pipeline.CompiledPipeline.program_for_type`), built from
-:meth:`~repro.mrf.base.PolicyTriggers.may_touch_postless`: only the origin
-and handle triggers (and the ``activity_types``/``local_origin_only``
-gates) can fire for a post-less activity — every post-shaped trigger
-(age, visibility, mentions, content, media/bot/reply flags) is provably a
-no-op, so a plan whose triggers are all post-shaped drops out of the
-Announce/Like walk entirely.  When authoring a policy that acts on
-non-Create types, declare ``activity_types`` with the full set of types
-any side-effectful branch handles (see ``AntiFollowbotPolicy`` for the
-single-type shape); when your policy only ever reads ``activity.post``,
-declare *no* ``activity_types`` gate — the post-less program builder
-already proves you away, and an explicit ``{CREATE}`` gate would push the
-common Create batches off the tighter ungated fast path for no gain
-(which is why the shipped post-shaped policies stay ungated).
-``origin_pure`` hooks remain exact for every type: an origin-level reject
-fires before any payload is read, so single-origin Announce floods are
-rejected with one shared decision.
-
-Bump ``config_version`` (via ``self._bump_config_version()``) in every
-mutating configuration method so compiled pipelines rebuild your plan; the
-interned content columns behind ``PolicyTriggers.content`` are re-keyed by
-the rebuilt plan, which is what keeps stale hit vectors out of decisions.
+1. Subclass :class:`~repro.mrf.base.MRFPolicy` and set ``name``.
+2. Implement ``filter(activity, ctx) -> MRFDecision``; the pipeline runs
+   it on every activity the instance receives, in pipeline order.
+3. Call ``self._bump_config_version()`` in every method that mutates the
+   policy's configuration: the pipeline's ``config_fingerprint()`` keys the
+   API server's cached metadata payload, which exposes that configuration.
 """
 
 from repro.mrf.allowlist import BlockPolicy, UserAllowListPolicy
 from repro.mrf.base import (
     PASS_ACTION,
-    ContentTrigger,
-    DecisionPlan,
     MRFContext,
     MRFDecision,
     MRFPolicy,
     ModerationEvent,
     PolicyStats,
-    PolicyTriggers,
-    SharedRewrite,
-    SliceOutcome,
     Verdict,
 )
 from repro.mrf.bots import (
@@ -121,7 +50,7 @@ from repro.mrf.keywords import (
 from repro.mrf.media import HashtagPolicy, MediaProxyWarmingPolicy, StealEmojiPolicy
 from repro.mrf.noop import DropPolicy, NoOpPolicy
 from repro.mrf.object_age import ObjectAgePolicy
-from repro.mrf.pipeline import BatchProgram, CompiledPipeline, MRFPipeline
+from repro.mrf.pipeline import MRFPipeline
 from repro.mrf.proposed import (
     PROPOSED_POLICY_NAMES,
     AutoTagPolicy,
@@ -155,13 +84,6 @@ __all__ = [
     "PolicyStats",
     "Verdict",
     "MRFPipeline",
-    "CompiledPipeline",
-    "BatchProgram",
-    "ContentTrigger",
-    "DecisionPlan",
-    "PolicyTriggers",
-    "SharedRewrite",
-    "SliceOutcome",
     # Registry helpers
     "BUILTIN_POLICY_DESCRIPTIONS",
     "DEFAULT_POLICY_NAMES",

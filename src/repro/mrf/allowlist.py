@@ -12,13 +12,7 @@ from typing import Any, Iterable
 
 from repro.activitypub.activities import Activity
 from repro.fediverse.identifiers import normalise_domain
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 
 class UserAllowListPolicy(MRFPolicy):
@@ -42,12 +36,6 @@ class UserAllowListPolicy(MRFPolicy):
     def config(self) -> dict[str, Any]:
         """Return the per-domain allow-lists."""
         return {domain: sorted(handles) for domain, handles in sorted(self._allowed.items())}
-
-    def plan(self) -> DecisionPlan:
-        """Only origins that have an allow-list can see rejections."""
-        return DecisionPlan(
-            triggers=PolicyTriggers(domains=frozenset(self._allowed))
-        )
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject activities from unlisted actors of allow-listed domains."""
@@ -91,10 +79,6 @@ class BlockPolicy(MRFPolicy):
     def config(self) -> dict[str, Any]:
         """Return the blocked handles."""
         return {"blocked": sorted(self._blocked)}
-
-    def plan(self) -> DecisionPlan:
-        """Only activities from blocked handles are touched."""
-        return DecisionPlan(triggers=PolicyTriggers(handles=frozenset(self._blocked)))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject activities whose actor is blocked."""

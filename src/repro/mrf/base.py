@@ -1,16 +1,13 @@
-"""Base classes shared by all MRF policies: decisions, events and the
-declarative :class:`DecisionPlan` protocol every policy speaks."""
+"""Base classes shared by all MRF policies: decisions and events."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping
+from typing import Any
 
-from repro.activitypub.activities import Activity, ActivityType
-from repro.fediverse.post import Post
-from repro.mrf.shared import mention_count_of
+from repro.activitypub.activities import Activity
 
 #: Action name used when a policy lets an activity through untouched.
 PASS_ACTION = "pass"
@@ -55,296 +52,6 @@ class MRFDecision:
 
 
 @dataclass(frozen=True)
-class ContentTrigger:
-    """A content-shaped trigger backed by interned hit columns.
-
-    ``columns`` is a shared :class:`repro.mrf.shared.TriggerColumns` store:
-    each distinct post is scanned once (token-anchored corpus columns or an
-    unanchored literal scan) and every later evaluation is a cache hit.
-    ``tag_terms`` covers explicit ``post.tags`` entries the content scan
-    cannot see (the HashtagPolicy's out-of-band tags).
-    """
-
-    columns: Any
-    tag_terms: frozenset[str] | None = None
-
-    def fires(self, post: Post) -> bool:
-        """Return ``True`` when the trigger could fire for ``post``."""
-        if self.columns.hit(post):
-            return True
-        tags = post.tags
-        if tags and self.tag_terms:
-            terms = self.tag_terms
-            for tag in tags:
-                if tag.lower() in terms:
-                    return True
-        return False
-
-
-@dataclass(frozen=True)
-class PolicyTriggers:
-    """A conservative, cheap description of when a policy *could* act —
-    the gates-and-triggers half of a :class:`DecisionPlan`.
-
-    The pipeline merges these into a fast-path table (see
-    :meth:`repro.mrf.pipeline.MRFPipeline.filter`): an activity that no
-    enabled policy could possibly touch skips the policy loop entirely, and
-    a policy whose triggers rule an activity out is skipped within the
-    loop.  Skipping is only sound when it is a strict no-op, so triggers
-    must be *conservative*: they may claim a policy could act when it would
-    not, never the reverse.  A policy whose pass-through branch has side
-    effects (counters, caches, logging) must declare triggers that cover
-    every side-effectful branch (``match_all`` in the worst case).
-
-    Semantics of :meth:`may_touch`: the gate fields (``activity_types``,
-    ``local_origin_only``) are ANDed first; the trigger fields (all the
-    rest) are then ORed.  An all-default value means the policy never acts
-    and the pipeline drops it from the walk entirely.
-    """
-
-    #: Exact (already normalised) origin domains the policy might act on.
-    domains: frozenset[str] = frozenset()
-    #: Wildcard suffixes (a ``*.example`` pattern is stored as ``example``).
-    suffixes: tuple[str, ...] = ()
-    #: Lower-cased actor handles the policy might act on.
-    handles: frozenset[str] = frozenset()
-    #: Activity types the policy can act on (``None`` = any type).
-    activity_types: frozenset[ActivityType] | None = None
-    #: The policy acts only on activities carrying a post older than this.
-    max_post_age: float | None = None
-    #: The policy acts only on activities carrying a post of one of these
-    #: visibilities (content-shaped trigger, e.g. RejectNonPublic).
-    post_visibilities: frozenset = frozenset()
-    #: The policy acts only on posts mentioning at least this many users
-    #: (content-shaped trigger, e.g. HellthreadPolicy).
-    min_mentions: int | None = None
-    #: The policy acts only on posts whose text hits an interned column set
-    #: (content-shaped trigger, e.g. Keyword/Hashtag policies).
-    content: ContentTrigger | None = None
-    #: The policy acts only on posts carrying media attachments.
-    media_posts: bool = False
-    #: The policy acts only on posts authored by bot accounts.
-    bot_posts: bool = False
-    #: The policy acts only on replies that carry a subject line.
-    reply_with_subject: bool = False
-    #: The policy acts only on activities originating locally.
-    local_origin_only: bool = False
-    #: The policy might act on anything that passes the gates above.
-    match_all: bool = False
-
-    def may_touch(self, activity: Activity, now: float, local_domain: str) -> bool:
-        """Return ``True`` when the policy could act on ``activity``."""
-        if self.local_origin_only and activity.origin_domain != local_domain:
-            return False
-        if (
-            self.activity_types is not None
-            and activity.activity_type not in self.activity_types
-        ):
-            return False
-        if self.match_all:
-            return True
-        origin = activity.origin_domain
-        if origin in self.domains:
-            return True
-        for suffix in self.suffixes:
-            if origin == suffix or origin.endswith("." + suffix):
-                return True
-        if self.handles and activity.actor.handle.lower() in self.handles:
-            return True
-        obj = activity.obj
-        if obj.__class__ is Post:
-            if (
-                self.max_post_age is not None
-                and now - obj.created_at > self.max_post_age
-            ):
-                return True
-            if self.post_visibilities and obj.visibility in self.post_visibilities:
-                return True
-            if (
-                self.min_mentions is not None
-                and mention_count_of(obj) >= self.min_mentions
-            ):
-                return True
-            if self.media_posts and obj.attachments:
-                return True
-            if self.bot_posts and (obj.is_bot or activity.actor.bot):
-                return True
-            if (
-                self.reply_with_subject
-                and obj.in_reply_to is not None
-                and obj.subject
-            ):
-                return True
-            if self.content is not None and self.content.fires(obj):
-                return True
-        return False
-
-    def origin_fires(self, origin: str) -> bool:
-        """The origin-dependent half of the trigger OR."""
-        if self.match_all:
-            return True
-        if origin in self.domains:
-            return True
-        for suffix in self.suffixes:
-            if origin == suffix or origin.endswith("." + suffix):
-                return True
-        return False
-
-    def may_touch_postless(
-        self, origin: str, activity_type: "ActivityType", local_domain: str
-    ) -> bool:
-        """Could the policy touch a post-less ``activity_type`` from ``origin``?
-
-        The per-type batch-program builder calls this for batches whose
-        payloads are not posts (Announce, Like, Delete, Follow, Flag…).
-        ``False`` is a proof: every post-shaped trigger needs a
-        :class:`~repro.fediverse.post.Post` payload, so only the gates, the
-        origin triggers and the actor-handle triggers can fire — if none
-        can, the policy is provably silent on the whole batch.
-
-        ``origin != local_domain`` is assumed (deliveries never originate
-        at their target), so ``local_origin_only`` policies are dead here.
-        """
-        if self.local_origin_only and origin != local_domain:
-            return False
-        if self.activity_types is not None and activity_type not in self.activity_types:
-            return False
-        if self.origin_fires(origin):
-            return True
-        return bool(self.handles)
-
-    def could_act_for(self, origin: str) -> bool:
-        """Return ``True`` when some activity from ``origin`` could be touched.
-
-        ``False`` is a proof: no activity whose (immutable) origin domain is
-        ``origin`` can ever satisfy the trigger OR, so the policy is dead
-        for a whole single-origin batch.  Gates are ignored — they can only
-        narrow further.
-        """
-        if self.origin_fires(origin):
-            return True
-        return bool(
-            self.handles
-            or self.max_post_age is not None
-            or self.post_visibilities
-            or self.min_mentions is not None
-            or self.content is not None
-            or self.media_posts
-            or self.bot_posts
-            or self.reply_with_subject
-        )
-
-    @property
-    def never_fires(self) -> bool:
-        """``True`` when no activity can ever satisfy the trigger OR."""
-        return not (
-            self.match_all
-            or self.domains
-            or self.suffixes
-            or self.handles
-            or self.max_post_age is not None
-            or self.post_visibilities
-            or self.min_mentions is not None
-            or self.content is not None
-            or self.media_posts
-            or self.bot_posts
-            or self.reply_with_subject
-        )
-
-
-@dataclass(frozen=True)
-class SliceOutcome:
-    """What a content-independent rewrite does to one slice of a batch.
-
-    Every triggered activity whose post falls into the slice receives the
-    *same* decision metadata — one ``(action, reason)`` shared by the whole
-    slice — and, for rewrite outcomes, the same transformation applied
-    through the shared rewrite ledger (so one rewritten post serves every
-    receiver it federates to).
-    """
-
-    action: str
-    reason: str
-    #: ``True`` → the slice is rejected outright (metadata above shared).
-    reject: bool = False
-    #: Rewrite ``(activity, post) -> rewritten activity`` for accept slices.
-    rewrite: Callable[[Activity, Post], Activity] | None = None
-    #: The post-level half of ``rewrite`` (``post -> rewritten post``),
-    #: used by report-free delivery where the activity wrapper is
-    #: unobservable and only the stored post matters.
-    rewrite_post: Callable[[Post], Post] | None = None
-    #: The visibility the rewrite can move a post *to*, when it changes
-    #: visibility at all (``None`` otherwise).  The pipeline uses this to
-    #: detect residual triggers that could fire on the rewritten post
-    #: though they did not on the original, and falls back to the general
-    #: walk for such batches.  Every rewrite that changes visibility MUST
-    #: declare it here.
-    produces_visibility: Any = None
-    #: Scratch cache for the pipeline's lean batch decisions (one shared
-    #: decision object per distinct post, across every receiving pipeline).
-    lean_cache: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SharedRewrite:
-    """Declaration that a policy's rewrite is content-independent per slice.
-
-    The contract (the strongest a plan can make): for *any* activity
-    carrying a :class:`~repro.fediverse.post.Post` older than
-    ``age_threshold``, the policy's :meth:`~MRFPolicy.filter` result equals
-    ``outcomes[slice_of(post)]`` applied to the activity — and for every
-    other activity the policy provably passes it through untouched.  A
-    missing slice key means that slice is untouched too.  This must be
-    *exact*, not conservative: the pipeline applies the outcome without
-    running the policy at all, sharing one decision across the batch.
-    """
-
-    #: The (exact) age selector: acts iff ``now - post.created_at > this``.
-    age_threshold: float
-    #: Discrete slice classifier for triggered posts.
-    slice_of: Callable[[Post], Any]
-    #: Slice key -> outcome; a missing key means the slice is untouched.
-    outcomes: Mapping[Any, SliceOutcome]
-
-
-@dataclass(frozen=True)
-class DecisionPlan:
-    """The declarative decision plan every MRF policy exposes.
-
-    A plan tells the compiled pipeline three things:
-
-    * ``triggers`` — the conservative gates and triggers selecting the
-      activities the policy could act on (anything else is skipped);
-    * ``origin_pure`` — when not ``None``, a hook ``(origin, local_domain)
-      -> (action, reason) | None`` returning the reject the policy applies
-      to *every* activity from that origin before any other behaviour (the
-      shareable whole-batch reject), or ``None`` when no such reject
-      applies;
-    * ``shared_rewrite`` — when not ``None``, the declaration that the
-      policy's rewrite is content-independent per batch slice, letting the
-      pipeline apply it without running the policy (see
-      :class:`SharedRewrite`);
-    * ``origin_stages`` — the origin-conditional variant of
-      ``shared_rewrite``: a hook ``(origin, local_domain) ->
-      SharedRewrite | None`` describing what the policy does to activities
-      from that origin *once the origin-pure hook stayed silent*.  A
-      returned rewrite with the same exactness contract as
-      :class:`SharedRewrite` lets the batch stay on the staged fast path
-      (empty ``outcomes`` = the policy provably never acts on the origin);
-      ``None`` means the policy acts in ways no stage can express and the
-      batch takes the general walk.
-
-    See the :mod:`repro.mrf` package docstring for the authoring guide
-    (gates vs triggers, when sharing is sound, the side-effect rule).
-    """
-
-    triggers: PolicyTriggers
-    origin_pure: Callable[[str, str], tuple[str, str] | None] | None = None
-    shared_rewrite: SharedRewrite | None = None
-    origin_stages: Callable[[str, str], SharedRewrite | None] | None = None
-
-
-@dataclass(frozen=True)
 class ModerationEvent:
     """A record of a policy acting on an activity (reject or rewrite)."""
 
@@ -368,30 +75,17 @@ class MRFPolicy(ABC):
 
     name: str = "MRFPolicy"
 
-    #: Bumped by mutating configuration methods so pipelines know when to
-    #: recompile their fast-path tables (see :meth:`plan`).
+    #: Bumped by mutating configuration methods so the owning pipeline's
+    #: :meth:`~repro.mrf.pipeline.MRFPipeline.config_fingerprint` changes
+    #: (the API server keys cached metadata payloads by it).
     config_version: int = 0
 
     @abstractmethod
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Filter one activity, returning an :class:`MRFDecision`."""
 
-    def plan(self) -> DecisionPlan | None:
-        """Return the policy's decision plan, or ``None`` when it is opaque.
-
-        ``None`` (the default, for third-party subclasses that predate the
-        plan API) means the pipeline must always run the policy and can
-        never share its decisions.  Every shipped policy returns a
-        :class:`DecisionPlan` snapshot of its configuration and bumps
-        :attr:`config_version` whenever that configuration mutates, so
-        compiled pipelines invalidate.  A policy that must run on every
-        activity (stateful counters, caches) still declares a plan — one
-        whose triggers ``match_all`` — rather than staying opaque.
-        """
-        return None
-
     def _bump_config_version(self) -> None:
-        """Invalidate compiled plans after a configuration change."""
+        """Record a configuration change (see :attr:`config_version`)."""
         self.config_version = self.config_version + 1
 
     # ------------------------------------------------------------------ #

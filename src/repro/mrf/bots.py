@@ -14,17 +14,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.activitypub.activities import Activity, ActivityType
+from repro.activitypub.activities import Activity
 from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    ContentTrigger,
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
-from repro.mrf.shared import shared_trigger_columns
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 #: Substrings in a username/display name that identify a follow bot.
 _FOLLOWBOT_MARKERS = ("followbot", "follow_bot", "follow-bot")
@@ -52,14 +44,6 @@ class AntiFollowbotPolicy(MRFPolicy):
 
     name = "AntiFollowbotPolicy"
 
-    def plan(self) -> DecisionPlan:
-        """The policy only ever acts on Follow requests."""
-        return DecisionPlan(
-            triggers=PolicyTriggers(
-                activity_types=frozenset({ActivityType.FOLLOW}), match_all=True
-            )
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject follow requests from accounts that look like follow bots."""
         if not activity.is_follow:
@@ -77,10 +61,6 @@ class ForceBotUnlistedPolicy(MRFPolicy):
     """Make all bot posts disappear from public timelines."""
 
     name = "ForceBotUnlistedPolicy"
-
-    def plan(self) -> DecisionPlan:
-        """Only bot-authored posts can be forced unlisted."""
-        return DecisionPlan(triggers=PolicyTriggers(bot_posts=True))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Force posts authored by bots to the unlisted visibility."""
@@ -120,18 +100,6 @@ class AntiLinkSpamPolicy(MRFPolicy):
         """Return the account-age threshold."""
         return {"new_account_age": self.new_account_age}
 
-    def plan(self) -> DecisionPlan:
-        """Only link-bearing posts can be spam, and links require ``http``.
-
-        The URL regex anchors on ``https?://``, so a post without the
-        literal ``http`` in its content provably carries no links — a
-        substring trigger served from the interned columns.
-        """
-        columns = shared_trigger_columns(("http",), anchored=False)
-        return DecisionPlan(
-            triggers=PolicyTriggers(content=ContentTrigger(columns=columns))
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject link-bearing posts from new, follower-less accounts."""
         post = activity.post
@@ -169,10 +137,6 @@ class FollowBotPolicy(MRFPolicy):
     def config(self) -> dict[str, Any]:
         """Return the configured bot account."""
         return {"follower_nickname": self.follower_nickname}
-
-    def plan(self) -> DecisionPlan:
-        """Stateful on every post-carrying activity: must always run."""
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Record newly discovered remote authors as follow targets."""

@@ -15,13 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.activitypub.activities import Activity
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 #: Names of admin-created policies observed in the wild (Figure 7 of the
 #: paper).  The crawler sees only these names; their code never leaves the
@@ -66,34 +60,13 @@ class CustomPolicy(MRFPolicy):
         if not name:
             raise ValueError("custom policies need a name")
         self.name = name
-        self._behaviour = behaviour
+        #: The custom behaviour callable (``None`` = pass-through).
+        self.behaviour = behaviour
         self.description = description
-
-    @property
-    def behaviour(self) -> CustomBehaviour | None:
-        """Return the custom behaviour callable (``None`` = pass-through)."""
-        return self._behaviour
-
-    @behaviour.setter
-    def behaviour(self, value: CustomBehaviour | None) -> None:
-        # Assigning a behaviour invalidates the never-acts plan that
-        # compiled pipelines may have baked in for the pass-through case.
-        self._behaviour = value
-        self._bump_config_version()
 
     def config(self) -> dict[str, Any]:
         """Return whatever is externally observable about the policy."""
         return {"description": self.description, "custom": True}
-
-    def plan(self) -> DecisionPlan:
-        """Behaviour-less placeholders never act; real behaviours run always.
-
-        An arbitrary behaviour callable could touch anything, so the only
-        sound triggers for it are ``match_all``.
-        """
-        if self.behaviour is None:
-            return DecisionPlan(triggers=PolicyTriggers())
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Run the supplied behaviour, defaulting to pass-through."""

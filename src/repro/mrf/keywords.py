@@ -15,25 +15,11 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable
 
-from repro.activitypub.activities import Activity, ActivityType
-from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    ContentTrigger,
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
-from repro.mrf.shared import shared_trigger_columns
+from repro.activitypub.activities import Activity
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 _TAG_RE = re.compile(r"<[^>]+>")
 _PLACEHOLDER_BODIES = {".", "-", "_", "placeholder", "​"}
-
-#: Characters that make a configured pattern a real regex rather than a
-#: literal phrase.  Literal phrases back the plan's substring trigger; a
-#: single regex pattern in the configuration makes the policy run always.
-_REGEX_SPECIALS = frozenset(".^$*+?{}[]()|\\")
 
 
 class KeywordPolicy(MRFPolicy):
@@ -42,8 +28,7 @@ class KeywordPolicy(MRFPolicy):
 
     Pattern lists are managed through :meth:`add_pattern` /
     :meth:`remove_pattern` / :meth:`set_replacement`, which bump the
-    configuration version so compiled pipelines rebuild the plan (and its
-    interned content columns) on mutation.
+    configuration version.
     """
 
     name = "KeywordPolicy"
@@ -128,37 +113,6 @@ class KeywordPolicy(MRFPolicy):
             "replace": dict(self._replacements),
         }
 
-    # ------------------------------------------------------------------ #
-    # The decision plan
-    # ------------------------------------------------------------------ #
-    def plan(self) -> DecisionPlan:
-        """A substring trigger over the configured literal phrases.
-
-        Every configured pattern is a case-insensitive ``re.search``, so a
-        *literal* pattern can only match a text that contains it as a
-        substring — the trigger scans for all literals at once through the
-        shared interned columns and the policy is skipped when none occurs.
-        A single non-literal (real regex) pattern falls back to running the
-        policy on every post-carrying activity; with nothing configured at
-        all the policy never acts.
-        """
-        raw = [p.pattern for p in self._reject_patterns]
-        raw += [p.pattern for p in self._ftl_removal_patterns]
-        raw += list(self._replacements)
-        if not raw:
-            return DecisionPlan(triggers=PolicyTriggers())
-        literals = set()
-        for pattern in raw:
-            if not pattern.isascii() or _REGEX_SPECIALS & set(pattern):
-                return DecisionPlan(triggers=PolicyTriggers(match_all=True))
-            literals.add(pattern.lower())
-        columns = shared_trigger_columns(
-            literals, anchored=False, with_subject=True, ignorecase=True
-        )
-        return DecisionPlan(
-            triggers=PolicyTriggers(content=ContentTrigger(columns=columns))
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Check the post content against the configured patterns."""
         post = activity.post
@@ -206,8 +160,7 @@ class VocabularyPolicy(MRFPolicy):
     """Restrict activities to a configured set of activity types.
 
     The vocabulary is managed through :meth:`add_type`/:meth:`remove_type`,
-    which bump the configuration version so compiled pipelines rebuild the
-    plan's type gate on mutation.
+    which bump the configuration version.
     """
 
     name = "VocabularyPolicy"
@@ -259,28 +212,6 @@ class VocabularyPolicy(MRFPolicy):
             "reject": sorted(self._reject_types),
         }
 
-    def plan(self) -> DecisionPlan:
-        """A pure type gate: only activities of a rejected (or non-accepted)
-        type can ever be touched.  The acting set is computed over the
-        finite :class:`~repro.activitypub.activities.ActivityType` alphabet,
-        so an empty vocabulary compiles to a never-acting plan."""
-        acting = {
-            activity_type
-            for activity_type in ActivityType
-            if activity_type.value in self._reject_types
-            or (
-                self._accept_types
-                and activity_type.value not in self._accept_types
-            )
-        }
-        if not acting:
-            return DecisionPlan(triggers=PolicyTriggers())
-        return DecisionPlan(
-            triggers=PolicyTriggers(
-                activity_types=frozenset(acting), match_all=True
-            )
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject activity types outside the configured vocabulary."""
         type_name = activity.activity_type.value
@@ -309,13 +240,6 @@ class NormalizeMarkup(MRFPolicy):
 
     name = "NormalizeMarkup"
 
-    def plan(self) -> DecisionPlan:
-        """Only posts containing a ``<`` can carry markup to strip."""
-        columns = shared_trigger_columns(("<",), anchored=False)
-        return DecisionPlan(
-            triggers=PolicyTriggers(content=ContentTrigger(columns=columns))
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Strip markup tags from the post content."""
         post = activity.post
@@ -338,10 +262,6 @@ class NoEmptyPolicy(MRFPolicy):
 
     name = "NoEmptyPolicy"
 
-    def plan(self) -> DecisionPlan:
-        """Emptiness is not a trigger the fast path can see: always run."""
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Drop posts with an empty body and no attachments."""
         post = activity.post
@@ -356,10 +276,6 @@ class NoPlaceholderTextPolicy(MRFPolicy):
     """Strip placeholder bodies from media-only posts."""
 
     name = "NoPlaceholderTextPolicy"
-
-    def plan(self) -> DecisionPlan:
-        """Only media-carrying posts can have a placeholder body stripped."""
-        return DecisionPlan(triggers=PolicyTriggers(media_posts=True))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Clear placeholder bodies such as ``.`` on posts that carry media."""

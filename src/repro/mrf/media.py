@@ -16,15 +16,7 @@ from typing import Any, Iterable
 
 from repro.activitypub.activities import Activity
 from repro.fediverse.identifiers import domain_matches
-from repro.mrf.base import (
-    ContentTrigger,
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
-from repro.mrf.shared import shared_trigger_columns, token_terms
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 _EMOJI_SHORTCODE_RE = re.compile(r":([a-z0-9_]+):")
 
@@ -47,7 +39,7 @@ class StealEmojiPolicy(MRFPolicy):
         self.stolen: dict[str, str] = {}
 
     def add_host(self, host: str) -> None:
-        """Whitelist another host (bumps the plan's configuration version)."""
+        """Whitelist another host (bumps the configuration version)."""
         self.hosts.add(host.strip().lower())
         self._bump_config_version()
 
@@ -67,36 +59,6 @@ class StealEmojiPolicy(MRFPolicy):
             "rejected_shortcodes": sorted(self.rejected_shortcodes),
             "size_limit": self.size_limit,
         }
-
-    def plan(self) -> DecisionPlan:
-        """Only activities from whitelisted hosts are (statefully) scanned.
-
-        The pass-through branch for non-matching origins is a strict no-op
-        — the shortcode scan and the ``stolen`` bookkeeping only run once a
-        host matched — so origin triggers are sound despite the policy
-        being stateful.  Mutate the whitelist through
-        :meth:`add_host`/:meth:`remove_host` (version-bumping); a direct
-        ``hosts.add(...)`` needs the owning pipeline's
-        ``invalidate_compiled`` afterwards.
-        """
-        if not self.hosts:
-            return DecisionPlan(triggers=PolicyTriggers())
-        from repro.fediverse.identifiers import normalise_domain
-
-        exact = set()
-        suffixes = []
-        for host in self.hosts:
-            if host.startswith("*."):
-                suffixes.append(host[2:])
-                continue
-            try:
-                exact.add(normalise_domain(host))
-            except ValueError:
-                # An unparsable host can never be skipped soundly; run always.
-                return DecisionPlan(triggers=PolicyTriggers(match_all=True))
-        return DecisionPlan(
-            triggers=PolicyTriggers(domains=frozenset(exact), suffixes=tuple(suffixes))
-        )
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Record emoji shortcodes seen in posts from whitelisted hosts."""
@@ -134,14 +96,6 @@ class MediaProxyWarmingPolicy(MRFPolicy):
         self.prefetched: list[str] = []
         self._seen: set[str] = set()
 
-    def plan(self) -> DecisionPlan:
-        """Only media-carrying posts are prefetched (and counted).
-
-        The policy is stateful, but its pass-through for media-less
-        activities is a strict no-op, so the media trigger is sound.
-        """
-        return DecisionPlan(triggers=PolicyTriggers(media_posts=True))
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Record attachment URLs for prefetching."""
         post = activity.post
@@ -166,8 +120,7 @@ class HashtagPolicy(MRFPolicy):
     """List of hashtags to mark activities as sensitive, de-list or reject.
 
     Tag sets are managed through :meth:`add_tag` / :meth:`remove_tag`,
-    which bump the configuration version so compiled pipelines rebuild the
-    plan (and its interned content columns) on mutation.
+    which bump the configuration version.
     """
 
     name = "HashtagPolicy"
@@ -234,34 +187,6 @@ class HashtagPolicy(MRFPolicy):
             "federated_timeline_removal": sorted(self._ftl_removal),
             "reject": sorted(self._reject),
         }
-
-    # ------------------------------------------------------------------ #
-    # The decision plan
-    # ------------------------------------------------------------------ #
-    def plan(self) -> DecisionPlan:
-        """A hashtag trigger over the interned corpus columns.
-
-        A post is touched only when one of the configured tags occurs in
-        its content (scanned once per distinct post through the shared
-        ``(token_count, hit_vector)`` column store) or in its explicit
-        ``tags`` field (the per-activity residual the scan cannot see).
-        Tag sets made of plain tokens ride the token-anchored corpus
-        matcher; anything else falls back to a substring scan, which is
-        strictly conservative for ``#tag`` occurrences.
-        """
-        terms = self._sensitive | self._ftl_removal | self._reject
-        if not terms:
-            return DecisionPlan(triggers=PolicyTriggers())
-        anchored_terms = token_terms(terms)
-        if anchored_terms is not None:
-            columns = shared_trigger_columns(anchored_terms, anchored=True)
-        else:
-            columns = shared_trigger_columns(terms, anchored=False)
-        return DecisionPlan(
-            triggers=PolicyTriggers(
-                content=ContentTrigger(columns=columns, tag_terms=frozenset(terms))
-            )
-        )
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Apply the configured hashtag actions to the carried post."""

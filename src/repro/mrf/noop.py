@@ -9,13 +9,7 @@ the paper observes it enabled on exactly one instance.
 from __future__ import annotations
 
 from repro.activitypub.activities import Activity
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 
 class NoOpPolicy(MRFPolicy):
@@ -26,10 +20,6 @@ class NoOpPolicy(MRFPolicy):
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Accept the activity untouched."""
         return self.accept(activity)
-
-    def plan(self) -> DecisionPlan:
-        """A no-op never acts: the pipeline may always skip it."""
-        return DecisionPlan(triggers=PolicyTriggers())
 
 
 class DropPolicy(MRFPolicy):
@@ -44,14 +34,3 @@ class DropPolicy(MRFPolicy):
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject the activity unconditionally."""
         return self.reject(activity, action="drop", reason="DropPolicy rejects everything")
-
-    def plan(self) -> DecisionPlan:
-        """The ultimate origin-pure decision: everything is rejected."""
-        return DecisionPlan(
-            triggers=PolicyTriggers(match_all=True),
-            origin_pure=self._origin_reject,
-        )
-
-    @staticmethod
-    def _origin_reject(origin: str, local_domain: str) -> tuple[str, str]:
-        return ("drop", "DropPolicy rejects everything")

@@ -6,15 +6,11 @@ against instances replaying very old posts: when a post arrives whose age
 exceeds the configured threshold, the policy can de-list it, strip its
 follower recipients, or reject it entirely.
 
-The policy is the canonical *content-independent rewrite*: whether it acts
-depends only on the post's age, and what it does depends only on the post's
-visibility — so its decision plan declares a
-:class:`~repro.mrf.base.SharedRewrite` whose per-slice outcomes the compiled
-pipeline can apply to a whole batch without running the policy at all.  The
-rewritten post itself goes through the shared rewrite ledger
-(:func:`repro.mrf.shared.rewrite_ledger`): the same stale post
-federates to many receivers and the delisted/stripped copy is value-
-identical each time, so one copy serves them all.
+Whether the policy acts depends only on the post's age, and what it does
+depends only on whether the post is public.  The same stale post federates
+to many receivers and the delisted/stripped copy is value-identical each
+time, so the rewrite ledger below keeps one rewritten copy per
+(configured actions, post) and every receiver shares it.
 """
 
 from __future__ import annotations
@@ -24,17 +20,7 @@ from typing import Any, Iterable
 from repro.activitypub.activities import Activity
 from repro.fediverse.clock import SECONDS_PER_DAY
 from repro.fediverse.post import Post, Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-    SharedRewrite,
-    SliceOutcome,
-    Verdict,
-)
-from repro.mrf.shared import ledger_room, on_clear, rewrite_ledger
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy, Verdict
 
 #: The default age threshold (7 days), as shipped by Pleroma.
 DEFAULT_THRESHOLD_SECONDS = 7 * SECONDS_PER_DAY
@@ -42,9 +28,28 @@ DEFAULT_THRESHOLD_SECONDS = 7 * SECONDS_PER_DAY
 #: Actions supported by the policy, in the order they are applied.
 VALID_ACTIONS = ("delist", "strip_followers", "reject")
 
+#: Entries kept per rewrite ledger before amortised FIFO eviction.
+_LEDGER_LIMIT = 200_000
+
+#: The rewrite ledger: configured actions -> {id(post): (post, rewritten
+#: post)}.  The original post stays referenced, so its id cannot be
+#: recycled while the entry lives.
+_LEDGERS: dict[tuple[str, ...], dict[int, tuple[Post, Post]]] = {}
+
+
+def clear_rewrite_ledger() -> None:
+    """Drop every shared rewritten copy.
+
+    The ledger only pays off within one federation run; clearing it keeps
+    finished runs' posts from being retained (benchmarks also call this to
+    level the heap before a timed region).
+    """
+    for ledger in _LEDGERS.values():
+        ledger.clear()
+
 
 def _build_rewriter(actions: tuple[str, ...], delist: bool, strip: bool):
-    """Build the slice rewrites ``(activity-level, post-level)``.
+    """Build the rewrite ``(activity, post) -> rewritten activity``.
 
     The rewrite is fused: instead of chaining
     ``with_changes``/``with_post``/``with_flag`` (each a full dataclass
@@ -55,26 +60,23 @@ def _build_rewriter(actions: tuple[str, ...], delist: bool, strip: bool):
     keyed by the action tuple: every policy applying the same actions to
     the same post gets one rewritten copy between them.
     """
-
-    ledger = rewrite_ledger(actions)
-
-    def rewrite_post(post: Post) -> Post:
-        entry = ledger.get(id(post))
-        if entry is not None and entry[0] is post:
-            return entry[1]
-        ledger_room(ledger)
-        new_post = object.__new__(type(post))
-        new_post.__dict__.update(post.__dict__)
-        new_post.extra = dict(post.extra)
-        if delist:
-            new_post.visibility = Visibility.UNLISTED
-        if strip:
-            new_post.extra["followers_stripped"] = True
-        ledger[id(post)] = (post, new_post)
-        return new_post
+    ledger = _LEDGERS.setdefault(actions, {})
 
     def rewrite(activity: Activity, post: Post) -> Activity:
-        new_post = rewrite_post(post)
+        entry = ledger.get(id(post))
+        if entry is not None and entry[0] is post:
+            new_post = entry[1]
+        else:
+            if len(ledger) >= _LEDGER_LIMIT:
+                ledger.pop(next(iter(ledger)))
+            new_post = object.__new__(type(post))
+            new_post.__dict__.update(post.__dict__)
+            new_post.extra = dict(post.extra)
+            if delist:
+                new_post.visibility = Visibility.UNLISTED
+            if strip:
+                new_post.extra["followers_stripped"] = True
+            ledger[id(post)] = (post, new_post)
         current = object.__new__(type(activity))
         current.__dict__.update(activity.__dict__)
         current.extra = dict(activity.extra)
@@ -83,7 +85,7 @@ def _build_rewriter(actions: tuple[str, ...], delist: bool, strip: bool):
             current.extra["followers_stripped"] = True
         return current
 
-    return rewrite, rewrite_post
+    return rewrite
 
 
 class ObjectAgePolicy(MRFPolicy):
@@ -132,95 +134,44 @@ class ObjectAgePolicy(MRFPolicy):
         self._bump_config_version()
 
     def _compile_outcomes(self) -> None:
-        """Precompute the per-slice outcomes of the shared rewrite.
+        """Precompute the outcome for each visibility slice of stale posts.
 
-        Slices are keyed by ``post.visibility is PUBLIC`` — the only
-        content the decision depends on once the age trigger fired.  A
-        missing slice means stale posts of that visibility pass untouched
-        (delist-only configurations on non-public posts).  Outcome tables
-        are interned by ``(name, threshold, actions)``: every policy with
-        the same configuration (the default-install case: one per
-        instance) shares one table, its rewrite ledgers and its lean
-        decision caches.
+        Slices are keyed by ``post.visibility is PUBLIC``, the only content
+        the decision depends on once a post is too old.  An outcome is
+        ``(action, reason, rewrite)``, with ``rewrite`` ``None`` for a
+        reject.  A missing slice means stale posts of that visibility pass
+        untouched (delist-only configurations on non-public posts).
         """
+        self._outcomes: dict[bool, tuple] = {}
         if not self._actions:
-            self._outcomes: dict[bool, SliceOutcome] = {}
             return
-        key = (self.name, self._threshold, self._actions)
-        cached = _OUTCOME_TABLES.get(key)
-        if cached is not None:
-            self._outcomes = cached
-            return
-        self._build_outcomes()
-        if len(_OUTCOME_TABLES) >= 1000:
-            _OUTCOME_TABLES.pop(next(iter(_OUTCOME_TABLES)))
-        _OUTCOME_TABLES[key] = self._outcomes
-
-    def _build_outcomes(self) -> None:
         if self._reject_on_age:
-            reject = SliceOutcome(
-                action="reject",
-                reason=f"post older than {self._threshold:.0f}s",
-                reject=True,
-            )
+            reject = ("reject", f"post older than {self._threshold:.0f}s", None)
             self._outcomes = {True: reject, False: reject}
             return
-        outcomes: dict[bool, SliceOutcome] = {}
         delist, strip = self._delist, self._strip
         if delist:
-            rewrite, rewrite_post = _build_rewriter(
-                self._actions, delist=True, strip=strip
-            )
-            outcomes[True] = SliceOutcome(
-                action="strip_followers" if strip else "delist",
-                reason="delist+strip_followers" if strip else "delist",
-                rewrite=rewrite,
-                rewrite_post=rewrite_post,
-                produces_visibility=Visibility.UNLISTED,
+            self._outcomes[True] = (
+                "strip_followers" if strip else "delist",
+                "delist+strip_followers" if strip else "delist",
+                _build_rewriter(self._actions, delist=True, strip=strip),
             )
         if strip:
-            rewrite, rewrite_post = _build_rewriter(
-                self._actions, delist=False, strip=True
+            strip_only = (
+                "strip_followers",
+                "strip_followers",
+                _build_rewriter(self._actions, delist=False, strip=True),
             )
-            strip_only = SliceOutcome(
-                action="strip_followers",
-                reason="strip_followers",
-                rewrite=rewrite,
-                rewrite_post=rewrite_post,
-            )
-            outcomes[False] = strip_only
+            self._outcomes[False] = strip_only
             if not delist:
-                outcomes[True] = strip_only
-        self._outcomes = outcomes
+                self._outcomes[True] = strip_only
 
     def config(self) -> dict[str, Any]:
         """Return the ``mrf_object_age`` configuration block."""
         return {"threshold": self.threshold, "actions": list(self.actions)}
 
-    def plan(self) -> DecisionPlan:
-        """Expose the age cutoff and the content-independent rewrite.
-
-        Only posts older than the threshold are touched, and what happens
-        to them depends on nothing but their visibility slice — the
-        textbook shareable rewrite.
-        """
-        if not self._outcomes:
-            return DecisionPlan(triggers=PolicyTriggers())
-        return DecisionPlan(
-            triggers=PolicyTriggers(max_post_age=self._threshold),
-            shared_rewrite=SharedRewrite(
-                age_threshold=self._threshold,
-                slice_of=_slice_of,
-                outcomes=self._outcomes,
-            ),
-        )
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
-        """Apply the configured actions when the carried post is too old.
-
-        The body is the plan's own outcome table applied to one activity,
-        so the walked path and the batch-shared path can never drift apart.
-        """
+        """Apply the configured actions when the carried post is too old."""
         post = activity.post
         if post is None:
             return self.accept(activity)
@@ -230,31 +181,14 @@ class ObjectAgePolicy(MRFPolicy):
         outcome = self._outcomes.get(post.visibility is Visibility.PUBLIC)
         if outcome is None:
             return self.accept(activity)
-        if outcome.reject:
-            return self.reject(activity, action=outcome.action, reason=outcome.reason)
+        action, reason, rewrite = outcome
+        if rewrite is None:
+            return self.reject(activity, action=action, reason=reason)
         return MRFDecision(
             verdict=Verdict.ACCEPT,
-            activity=outcome.rewrite(activity, post),
+            activity=rewrite(activity, post),
             policy=self.name,
-            action=outcome.action,
-            reason=outcome.reason,
+            action=action,
+            reason=reason,
             modified=True,
         )
-
-
-def _slice_of(post: Post) -> bool:
-    """The ObjectAge slice key: is the stale post publicly visible?"""
-    return post.visibility is Visibility.PUBLIC
-
-
-#: (policy name, threshold, actions) -> interned slice-outcome table.
-_OUTCOME_TABLES: dict[tuple, dict[bool, SliceOutcome]] = {}
-
-
-def _clear_lean_caches() -> None:
-    for table in _OUTCOME_TABLES.values():
-        for outcome in table.values():
-            outcome.lean_cache.clear()
-
-
-on_clear(_clear_lean_caches)

@@ -1,627 +1,28 @@
 """The ordered MRF policy pipeline run by each instance.
 
-Every policy exposes a declarative :class:`~repro.mrf.base.DecisionPlan`;
-the pipeline compiles the enabled policies' plans into a
-:class:`CompiledPipeline` — a merged trigger table plus, per origin, a
-*batch program* that classifies how much of a single-origin batch's
-decision can be shared:
-
-* ``skip``     — no enabled policy can touch anything from the origin; the
-  whole batch passes untouched without a per-activity loop.
-* ``reject``   — an origin-pure policy rejects everything from the origin;
-  one decision (and one report shape) serves the whole batch.
-* ``stages``   — the only live policies declare content-independent
-  rewrites; the pipeline applies their per-slice outcomes directly,
-  sharing rewritten posts through the rewrite ledger, without running any
-  policy.  A terminal origin-pure reject may follow the stages.
-* ``general``  — anything else runs the classic walk, with per-policy
-  triggers still skipping policies inside the loop.
-
-The uncompiled walk is kept as :meth:`MRFPipeline.filter_uncompiled`, the
-seed-faithful equivalence baseline every fast path is tested against.
+Every activity an instance receives passes through each enabled policy's
+:meth:`~repro.mrf.base.MRFPolicy.filter`, in order.  The walk stops at the
+first rejection; rewrites compose, each policy seeing the activity as
+rewritten by the policies before it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from repro.activitypub.activities import Activity, ActivityType
-from repro.fediverse.post import Post
-from repro.mrf.shared import _CACHE_LIMIT, mention_count_of
 from repro.mrf.base import (
     PASS_ACTION,
-    DecisionPlan,
     MRFContext,
     MRFDecision,
     MRFPolicy,
     ModerationEvent,
-    PolicyTriggers,
     Verdict,
 )
-
-
-class BatchProgram:
-    """How one pipeline handles a single-origin batch (see module docstring)."""
-
-    __slots__ = ("general", "shared", "stages", "residual", "uniform")
-
-    def __init__(
-        self,
-        general: bool = False,
-        shared: tuple[str, str, str] | None = None,
-        stages: tuple[tuple[str, Any], ...] = (),
-        residual: tuple = (),
-        uniform: bool = False,
-    ) -> None:
-        #: Fall back to the general per-activity walk.
-        self.general = general
-        #: Terminal shared ``(policy, action, reason)`` rejecting everything.
-        self.shared = shared
-        #: ``(policy_name, SharedRewrite)`` stages applied before ``shared``
-        #: (or standing alone when ``shared`` is ``None``).
-        self.stages = stages
-        #: Compiled ``(activity, now) -> bool`` predicates for the live
-        #: entries that could only act per activity (mention floors, content
-        #: columns, type gates …): an activity one fires for takes the full
-        #: policy walk; every other activity is decided by
-        #: ``stages``/``shared`` alone.
-        self.residual = residual
-        #: ``True`` when every activity of the batch provably ends in the
-        #: terminal ``shared`` reject (no stage or residual policy can act
-        #: first), so one report shape serves the whole batch.
-        self.uniform = uniform
-
-
-#: The one immutable "nothing can happen" program, shared across origins.
-_SKIP_PROGRAM = BatchProgram()
-_GENERAL_PROGRAM = BatchProgram(general=True)
 
 #: ActivityType -> value string (a dict probe beats the enum's
 #: DynamicClassAttribute descriptor on the event hot path).
 _TYPE_VALUE: dict[ActivityType, str] = {t: t.value for t in ActivityType}
-
-#: Entries kept per lean-decision cache before FIFO eviction (the shared
-#: rewrite ledger's bound).
-_LEAN_CACHE_LIMIT = _CACHE_LIMIT
-
-
-def _residual_predicate(triggers: PolicyTriggers, local_domain: str):
-    """Compile one residual entry's triggers into a fast ``(activity, now)``
-    predicate.
-
-    Batch programs evaluate residual triggers once per activity; the common
-    shapes (a lone content column set, a mention floor, a media/bot/reply
-    flag, a gated match-all) compile to closures touching only the fields
-    that exist, with the generic :meth:`PolicyTriggers.may_touch` kept as
-    the catch-all.
-    """
-    shapes = (
-        bool(triggers.handles),
-        triggers.max_post_age is not None,
-        bool(triggers.post_visibilities),
-        triggers.min_mentions is not None,
-        triggers.content is not None,
-        triggers.media_posts,
-        triggers.bot_posts,
-        triggers.reply_with_subject,
-    )
-    gated = triggers.activity_types is not None or triggers.local_origin_only
-    origin_sets = bool(triggers.domains or triggers.suffixes or triggers.match_all)
-    single = sum(shapes) == 1 and not gated and not origin_sets
-    if single:
-        if triggers.content is not None:
-            fires = triggers.content.fires
-
-            def content_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return obj.__class__ is Post and fires(obj)
-
-            return content_pred
-        if triggers.min_mentions is not None:
-            floor = triggers.min_mentions
-
-            def mention_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return obj.__class__ is Post and mention_count_of(obj) >= floor
-
-            return mention_pred
-        if triggers.media_posts:
-
-            def media_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return obj.__class__ is Post and bool(obj.attachments)
-
-            return media_pred
-        if triggers.bot_posts:
-
-            def bot_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return obj.__class__ is Post and (
-                    obj.is_bot or activity.actor.bot
-                )
-
-            return bot_pred
-        if triggers.reply_with_subject:
-
-            def reply_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return (
-                    obj.__class__ is Post
-                    and obj.in_reply_to is not None
-                    and bool(obj.subject)
-                )
-
-            return reply_pred
-        if triggers.max_post_age is not None:
-            cutoff = triggers.max_post_age
-
-            def age_pred(activity: Activity, now: float) -> bool:
-                obj = activity.obj
-                return obj.__class__ is Post and now - obj.created_at > cutoff
-
-            return age_pred
-    if (
-        gated
-        and triggers.match_all
-        and triggers.activity_types is not None
-        and not triggers.local_origin_only
-    ):
-        acting_types = triggers.activity_types
-
-        def type_pred(activity: Activity, now: float) -> bool:
-            return activity.activity_type in acting_types
-
-        return type_pred
-    may_touch = triggers.may_touch
-
-    def generic_pred(activity: Activity, now: float) -> bool:
-        return may_touch(activity, now, local_domain)
-
-    return generic_pred
-
-
-class StageDecision:
-    """A lean stage outcome for report-free delivery.
-
-    Carries everything the counted delivery path reads — the shared
-    decision metadata and the (ledger-shared) rewritten post — without
-    materialising the rewritten activity wrapper a full
-    :class:`~repro.mrf.base.MRFDecision` would require.  Only produced
-    when the caller asks :meth:`MRFPipeline.apply_batch` for lean
-    decisions.
-    """
-
-    __slots__ = ("policy", "action", "reason", "accepted", "modified", "post")
-
-    def __init__(
-        self,
-        policy: str,
-        action: str,
-        reason: str,
-        accepted: bool,
-        modified: bool,
-        post: Post | None,
-    ) -> None:
-        self.policy = policy
-        self.action = action
-        self.reason = reason
-        self.accepted = accepted
-        self.modified = modified
-        self.post = post
-
-
-class CompiledPipeline:
-    """The precompiled fast-path table of one pipeline configuration.
-
-    Per-policy plans (see :class:`~repro.mrf.base.DecisionPlan`) are merged
-    into a single trigger table: the exact-domain sets, wildcard suffixes,
-    post-age cutoffs, mention floors and content columns of all *plain*
-    plans collapse into one membership test, while gated plans (type- or
-    origin-restricted) are kept as a short list evaluated individually.
-    When every enabled policy exposes a plan and no trigger fires, the
-    activity provably passes untouched and the policy loop (and its context
-    construction) is skipped entirely.  Per-origin :class:`BatchProgram`\\ s
-    are derived (and cached) on top for the batched delivery engine.
-    """
-
-    __slots__ = (
-        "entries",
-        "plans",
-        "versions",
-        "fully_planned",
-        "never_acts",
-        "domains",
-        "suffixes",
-        "handles",
-        "match_all",
-        "min_post_age",
-        "visibilities",
-        "min_mentions",
-        "content_triggers",
-        "media_posts",
-        "bot_posts",
-        "reply_with_subject",
-        "special",
-        "_programs",
-        "_type_programs",
-        "_default_program",
-        "_default_ok",
-    )
-
-    def __init__(self, policies: Sequence[MRFPolicy]) -> None:
-        entries: list[tuple[MRFPolicy, PolicyTriggers | None]] = []
-        plans: list[tuple[MRFPolicy, DecisionPlan | None]] = []
-        domains: set[str] = set()
-        suffixes: set[str] = set()
-        handles: set[str] = set()
-        visibilities: set = set()
-        content_triggers: list = []
-        special: list[PolicyTriggers] = []
-        match_all = False
-        min_post_age: float | None = None
-        min_mentions: int | None = None
-        media_posts = False
-        bot_posts = False
-        reply_with_subject = False
-        fully_planned = True
-        default_ok = True
-        for policy in policies:
-            plan = policy.plan()
-            if plan is None:
-                entries.append((policy, None))
-                plans.append((policy, None))
-                fully_planned = False
-                continue
-            triggers = plan.triggers
-            per_activity = bool(
-                triggers.handles
-                or triggers.max_post_age is not None
-                or triggers.post_visibilities
-                or triggers.min_mentions is not None
-                or triggers.content is not None
-                or triggers.media_posts
-                or triggers.bot_posts
-                or triggers.reply_with_subject
-            )
-            gated = (
-                triggers.activity_types is not None or triggers.local_origin_only
-            )
-            # The default batch program (see program_for) is only sound when
-            # liveness and origin-pure outcomes are origin-independent for
-            # every origin the merged table misses: a gated entry's origin
-            # sets are not merged, and an origin-pure hook reachable through
-            # per-activity triggers could fire for unmerged origins.
-            if gated and (triggers.domains or triggers.suffixes):
-                default_ok = False
-            if (
-                plan.origin_pure is not None or plan.origin_stages is not None
-            ) and per_activity:
-                default_ok = False
-            if triggers.never_fires:
-                # The policy provably never acts (NoOpPolicy, an empty
-                # TagPolicy, a behaviour-less CustomPolicy): drop it from
-                # the walk entirely instead of re-skipping it per activity.
-                continue
-            entries.append((policy, triggers))
-            plans.append((policy, plan))
-            if triggers.activity_types is not None or triggers.local_origin_only:
-                special.append(triggers)
-                continue
-            if triggers.match_all:
-                match_all = True
-            domains.update(triggers.domains)
-            suffixes.update(triggers.suffixes)
-            handles.update(triggers.handles)
-            visibilities.update(triggers.post_visibilities)
-            if triggers.max_post_age is not None:
-                if min_post_age is None or triggers.max_post_age < min_post_age:
-                    min_post_age = triggers.max_post_age
-            if triggers.min_mentions is not None:
-                if min_mentions is None or triggers.min_mentions < min_mentions:
-                    min_mentions = triggers.min_mentions
-            if triggers.content is not None:
-                content_triggers.append(triggers.content)
-            media_posts = media_posts or triggers.media_posts
-            bot_posts = bot_posts or triggers.bot_posts
-            reply_with_subject = reply_with_subject or triggers.reply_with_subject
-        self.entries = tuple(entries)
-        self.plans = tuple(plans)
-        self.versions = tuple(policy.config_version for policy in policies)
-        self.fully_planned = fully_planned
-        self.domains = frozenset(domains)
-        self.suffixes = tuple(suffixes)
-        self.handles = frozenset(handles)
-        self.match_all = match_all
-        self.min_post_age = min_post_age
-        self.visibilities = frozenset(visibilities)
-        self.min_mentions = min_mentions
-        self.content_triggers = tuple(content_triggers)
-        self.media_posts = media_posts
-        self.bot_posts = bot_posts
-        self.reply_with_subject = reply_with_subject
-        self.special = tuple(special)
-        # With every (non-trivial) entry gone, no enabled policy can ever
-        # act: the whole pipeline is a provable no-op and batches skip even
-        # the per-activity membership checks.
-        self.never_acts = fully_planned and not self.entries
-        #: origin -> BatchProgram, filled lazily (compiles are per-config,
-        #: so the cache can never go stale).
-        self._programs: dict[str, BatchProgram] = {}
-        #: (origin, activity_type) -> BatchProgram for type-homogeneous
-        #: batches carrying no posts (Announce, Like, …), filled lazily.
-        self._type_programs: dict[tuple[str, ActivityType], BatchProgram] = {}
-        #: The program shared by every origin missing the merged origin
-        #: sets, built on first use (see :meth:`program_for`).
-        self._default_program: BatchProgram | None = None
-        self._default_ok = default_ok
-
-    def origin_may_trigger(self, origin: str) -> bool:
-        """The origin-dependent half of :meth:`may_any_touch`.
-
-        Batches share their origin, so callers evaluate this once per batch
-        and only run the per-activity residual (handles/content/gated
-        triggers) in the loop.
-        """
-        if self.match_all:
-            return True
-        if origin in self.domains:
-            return True
-        for suffix in self.suffixes:
-            if origin == suffix or origin.endswith("." + suffix):
-                return True
-        return False
-
-    def residual_may_touch(
-        self, activity: Activity, now: float, local_domain: str
-    ) -> bool:
-        """The per-activity half of :meth:`may_any_touch`."""
-        if self.handles and activity.actor.handle.lower() in self.handles:
-            return True
-        obj = activity.obj
-        if obj.__class__ is Post:
-            if (
-                self.min_post_age is not None
-                and now - obj.created_at > self.min_post_age
-            ):
-                return True
-            if self.visibilities and obj.visibility in self.visibilities:
-                return True
-            if (
-                self.min_mentions is not None
-                and mention_count_of(obj) >= self.min_mentions
-            ):
-                return True
-            if self.media_posts and obj.attachments:
-                return True
-            if self.bot_posts and (obj.is_bot or activity.actor.bot):
-                return True
-            if (
-                self.reply_with_subject
-                and obj.in_reply_to is not None
-                and obj.subject
-            ):
-                return True
-            for trigger in self.content_triggers:
-                if trigger.fires(obj):
-                    return True
-        for triggers in self.special:
-            if triggers.may_touch(activity, now, local_domain):
-                return True
-        return False
-
-    def may_any_touch(self, activity: Activity, now: float, local_domain: str) -> bool:
-        """Return ``True`` when any enabled policy could act on ``activity``."""
-        return self.origin_may_trigger(
-            activity.origin_domain
-        ) or self.residual_may_touch(activity, now, local_domain)
-
-    # ------------------------------------------------------------------ #
-    # Per-origin batch programs
-    # ------------------------------------------------------------------ #
-    def program_for(self, origin: str, local_domain: str) -> BatchProgram:
-        """Return (building and caching once) the origin's batch program.
-
-        Programs depend on the origin only through the origin-dependent
-        trigger sets and the origin-pure hooks, both of which can only fire
-        when the merged origin table fires — so every origin missing that
-        table shares one *default* program and skips the per-origin build
-        entirely (the overwhelmingly common case: most origins are
-        unmoderated by most pipelines).
-        """
-        if self._default_ok and not self.origin_may_trigger(origin):
-            program = self._default_program
-            if program is None:
-                program = self._build_program(origin, local_domain)
-                self._default_program = program
-            return program
-        program = self._programs.get(origin)
-        if program is None:
-            program = self._build_program(origin, local_domain)
-            self._programs[origin] = program
-        return program
-
-    def program_for_type(
-        self, origin: str, local_domain: str, activity_type: ActivityType
-    ) -> BatchProgram:
-        """Return the program for a post-less, type-homogeneous batch.
-
-        Callers must guarantee every activity of the batch has exactly
-        ``activity_type`` and that the type's payload is not a
-        :class:`~repro.fediverse.post.Post` (Announce, Like, Delete, Follow,
-        Flag…) — :func:`repro.activitypub.delivery._batch_type` establishes
-        both.  Post-carrying batches use :meth:`program_for`.
-        """
-        key = (origin, activity_type)
-        program = self._type_programs.get(key)
-        if program is None:
-            program = self._build_type_program(origin, local_domain, activity_type)
-            self._type_programs[key] = program
-        return program
-
-    def _build_type_program(
-        self, origin: str, local_domain: str, activity_type: ActivityType
-    ) -> BatchProgram:
-        """Classify a single-origin batch of post-less ``activity_type``.
-
-        Far more collapses here than in :meth:`_build_program`, because no
-        activity of the batch carries a post: every post-shaped trigger is
-        provably silent (they all require a Post payload), and a live
-        policy whose behaviour is stage-describable — a
-        :class:`~repro.mrf.base.SharedRewrite` or a non-``None``
-        ``origin_stages`` result — is a provable no-op, since the
-        SharedRewrite contract guarantees the policy passes every activity
-        not carrying an old-enough post through untouched.  An Announce is
-        therefore origin-pure for most shipped policies: the program is
-        either a skip, a terminal shared reject, or (for actor-handle
-        triggers) a residual sending selected activities through the walk.
-        """
-        residual: list[PolicyTriggers] = []
-        shared: tuple[str, str, str] | None = None
-        for policy, plan in self.plans:
-            if plan is None:
-                return _GENERAL_PROGRAM
-            triggers = plan.triggers
-            if not triggers.may_touch_postless(origin, activity_type, local_domain):
-                continue
-            if plan.origin_pure is not None:
-                hit = plan.origin_pure(origin, local_domain)
-                if hit is not None:
-                    # Origin-pure rejects are type-independent by contract:
-                    # everything after this entry is unreachable.
-                    shared = (policy.name, hit[0], hit[1])
-                    break
-            if triggers.origin_fires(origin):
-                rewrite = plan.shared_rewrite
-                if rewrite is None and plan.origin_stages is not None:
-                    rewrite = plan.origin_stages(origin, local_domain)
-                if rewrite is None:
-                    # Live for the whole batch with no stageable (post-only)
-                    # description: the policy may act on post-less
-                    # activities in ways no program can express (actor
-                    # rewrites, type-dependent rejects, stateful passes).
-                    return _GENERAL_PROGRAM
-                # Stage-describable behaviour only touches posts — a
-                # provable no-op on this batch; drop the entry entirely.
-                continue
-            # Reachable only through actor-handle triggers: evaluate per
-            # activity, sending fired activities through the full walk.
-            residual.append(triggers)
-        if shared is None and not residual:
-            return _SKIP_PROGRAM
-        return BatchProgram(
-            shared=shared,
-            residual=tuple(
-                _residual_predicate(triggers, local_domain) for triggers in residual
-            ),
-            uniform=shared is not None and not residual,
-        )
-
-    def _build_program(self, origin: str, local_domain: str) -> BatchProgram:
-        """Classify how a single-origin batch can be decided.
-
-        Walks the enabled entries in order.  Entries that provably cannot
-        act on anything from ``origin`` are stepped over.  A live entry
-        whose plan is origin-pure and whose hook fires ends the walk with a
-        terminal shared reject (everything after it is unreachable); one
-        whose hook stays silent may still rewrite per activity, so the
-        batch is general.  A live entry declaring a content-independent
-        rewrite becomes a stage.  Every other live entry either affects the
-        whole batch (its origin-level trigger fires ungated — general) or
-        only activities its per-activity triggers select — those triggers
-        become the program's *residual*: an activity none of them fires for
-        is provably decided by the stages/terminal alone, everything else
-        takes the full walk.
-        """
-        stages: list[tuple[str, Any]] = []
-        residual: list[PolicyTriggers] = []
-        shared: tuple[str, str, str] | None = None
-        local = local_domain
-        for policy, plan in self.plans:
-            if plan is None:
-                return _GENERAL_PROGRAM
-            triggers = plan.triggers
-            if not triggers.could_act_for(origin):
-                continue
-            ungated = (
-                triggers.activity_types is None and not triggers.local_origin_only
-            )
-            if plan.origin_pure is not None:
-                hit = plan.origin_pure(origin, local_domain)
-                if hit is not None:
-                    shared = (policy.name, hit[0], hit[1])
-                    break
-            rewrite = plan.shared_rewrite
-            if rewrite is None and plan.origin_stages is not None:
-                # The origin-pure hook (if any) stayed silent: ask the
-                # origin-conditional stage hook what the policy does to
-                # this origin's activities.
-                rewrite = plan.origin_stages(origin, local_domain)
-                if rewrite is not None and not rewrite.outcomes:
-                    # A provable per-origin no-op (e.g. SimplePolicy with
-                    # only an accept list): drop the entry from the batch.
-                    continue
-            if rewrite is not None and ungated:
-                stages.append((policy.name, rewrite))
-                continue
-            if plan.origin_pure is not None:
-                # Live without an unconditional reject and without a
-                # stageable description: the policy may still act per
-                # activity in ways no stage can express (e.g. SimplePolicy
-                # avatar/banner removal or type-dependent rejects).
-                return _GENERAL_PROGRAM
-            if ungated and triggers.origin_fires(origin):
-                # Every activity of the batch could be touched (match_all
-                # stateful policies, matched origin triggers): nothing to
-                # share.
-                return _GENERAL_PROGRAM
-            residual.append(triggers)
-        if shared is None and not stages and not residual:
-            return _SKIP_PROGRAM
-        if stages and residual:
-            # A stage rewrite may change a post's visibility (ObjectAge
-            # delists, SimplePolicy forces followers-only); a residual
-            # trigger reading a produced visibility could then fire on the
-            # rewritten activity though it did not on the original — e.g.
-            # RejectNonPublic behind a followers_only stage.  Such batches
-            # must take the walk, where rewrites and triggers compose in
-            # order.  Rewrites declare what they produce (see
-            # :attr:`~repro.mrf.base.SliceOutcome.produces_visibility`).
-            produced = {
-                outcome.produces_visibility
-                for _, rewrite in stages
-                for outcome in rewrite.outcomes.values()
-                if outcome.produces_visibility is not None
-            }
-            if produced and any(
-                produced & triggers.post_visibilities for triggers in residual
-            ):
-                return _GENERAL_PROGRAM
-        # A reject-capable stage (e.g. ObjectAge's "reject" action) or a
-        # residual policy can end an activity before the terminal shared
-        # reject does, so the batch's reports are only uniform when stages
-        # are pure rewrites and no residual policies exist.  Uniform mode
-        # also skips materialising the rewritten activities (only their
-        # events matter), which is sound only while no *later* stage could
-        # classify the rewritten post differently — so it is limited to a
-        # single stage.
-        stage_can_reject = any(
-            outcome.reject
-            for _, rewrite in stages
-            for outcome in rewrite.outcomes.values()
-        )
-        return BatchProgram(
-            shared=shared,
-            stages=tuple(stages),
-            residual=tuple(
-                _residual_predicate(triggers, local) for triggers in residual
-            ),
-            uniform=(
-                shared is not None
-                and not stage_can_reject
-                and not residual
-                and len(stages) <= 1
-            ),
-        )
 
 
 class MRFPipeline:
@@ -631,14 +32,6 @@ class MRFPipeline:
     each policy receives the activity as (possibly) rewritten by the policies
     before it.  Every reject or rewrite is logged as a
     :class:`~repro.mrf.base.ModerationEvent`.
-
-    Filtering runs through a precompiled fast path: per-policy decision
-    plans are merged into a :class:`CompiledPipeline` so activities no
-    policy can touch skip the Python loop entirely, policies that provably
-    cannot act on an activity are skipped inside the loop, and single-origin
-    batches share whole decisions (rejects *and* content-independent
-    rewrites) through :meth:`apply_batch`.  The uncompiled walk is kept as
-    :meth:`filter_uncompiled`, the equivalence baseline.
     """
 
     def __init__(self, local_domain: str, local_instance: Any = None) -> None:
@@ -646,7 +39,6 @@ class MRFPipeline:
         self.local_instance = local_instance
         self._policies: list[MRFPolicy] = []
         self._by_name: dict[str, MRFPolicy] = {}
-        self._compiled: CompiledPipeline | None = None
         #: Bumped on every membership change (and explicit invalidation) so
         #: :meth:`config_fingerprint` can't mistake a replacement policy
         #: for the object it replaced.
@@ -672,7 +64,6 @@ class MRFPipeline:
             raise ValueError(f"policy already enabled: {policy.name}")
         self._policies.append(policy)
         self._by_name[policy.name] = policy
-        self._compiled = None
         self._config_epoch += 1
 
     def remove_policy(self, name: str) -> bool:
@@ -681,7 +72,6 @@ class MRFPipeline:
         if policy is None:
             return False
         self._policies.remove(policy)
-        self._compiled = None
         self._config_epoch += 1
         return True
 
@@ -694,27 +84,13 @@ class MRFPipeline:
         return self._by_name.get(name)
 
     # ------------------------------------------------------------------ #
-    # Precompilation
+    # Configuration fingerprint
     # ------------------------------------------------------------------ #
-    def compiled(self) -> CompiledPipeline:
-        """Return the compiled fast-path table, rebuilding it when stale."""
-        compiled = self._compiled
-        if compiled is not None:
-            for policy, version in zip(self._policies, compiled.versions):
-                if policy.config_version != version:
-                    compiled = None
-                    break
-        if compiled is None:
-            compiled = CompiledPipeline(self._policies)
-            self._compiled = compiled
-        return compiled
-
-    def invalidate_compiled(self) -> None:
-        """Force a recompile (needed after mutating a policy in place
-        without going through a version-bumping configuration method).
-        Also invalidates cached metadata payloads derived from
+    def invalidate_config(self) -> None:
+        """Bump the configuration epoch (needed after mutating a policy in
+        place without going through a version-bumping configuration
+        method), invalidating cached metadata payloads derived from
         :meth:`config_fingerprint`."""
-        self._compiled = None
         self._config_epoch += 1
 
     def config_fingerprint(self) -> tuple:
@@ -723,12 +99,12 @@ class MRFPipeline:
         The API server's batch engine caches each instance's metadata
         payload against this fingerprint, so it must change whenever the
         payload's ``federation`` block could: a policy is added or removed
-        (or the pipeline is explicitly invalidated) — tracked by the
+        (or :meth:`invalidate_config` is called) — tracked by the
         pipeline's membership epoch — or an enabled policy bumps its
         :attr:`~repro.mrf.base.MRFPolicy.config_version` through a mutating
-        configuration method.  Like the compiled fast-path table, in-place
-        mutations that bypass the version-bumping mutators are not
-        detected (call :meth:`invalidate_compiled` after such a mutation).
+        configuration method.  In-place mutations that bypass the
+        version-bumping mutators are not detected (call
+        :meth:`invalidate_config` after such a mutation).
         """
         return (
             self._config_epoch,
@@ -740,536 +116,6 @@ class MRFPipeline:
     # ------------------------------------------------------------------ #
     def filter(self, activity: Activity, now: float) -> MRFDecision:
         """Run ``activity`` through the pipeline and return the final decision."""
-        compiled = self.compiled()
-        if compiled.fully_planned and not compiled.may_any_touch(
-            activity, now, self.local_domain
-        ):
-            return MRFDecision(verdict=Verdict.ACCEPT, activity=activity)
-        ctx = MRFContext(
-            local_domain=self.local_domain,
-            now=now,
-            local_instance=self.local_instance,
-        )
-        decision = self._run(activity, ctx, compiled)
-        if decision is None:
-            return MRFDecision(verdict=Verdict.ACCEPT, activity=activity)
-        return decision
-
-    def filter_batch(
-        self, activities: Iterable[Activity], now: float
-    ) -> list[MRFDecision]:
-        """Filter several activities, reusing one context and one compile.
-
-        Equivalent to calling :meth:`filter` per activity (the clock does
-        not advance within a batch), but the compiled table is validated
-        once and the :class:`~repro.mrf.base.MRFContext` is built at most
-        once per batch instead of once per activity.
-        """
-        activities = list(activities)
-        return [
-            decision
-            if decision is not None
-            else MRFDecision(verdict=Verdict.ACCEPT, activity=activity)
-            for activity, decision in zip(activities, self.filter_batch_lazy(activities, now))
-        ]
-
-    def filter_batch_lazy(
-        self, activities: Iterable[Activity], now: float
-    ) -> list[MRFDecision | None]:
-        """Like :meth:`filter_batch`, but untouched activities yield ``None``.
-
-        ``None`` stands for the trivial accept decision — the caller can
-        treat the activity itself as the filtered result without paying for
-        a decision object.  This is the engine's hot path: at scale, most
-        activities are untouched.
-        """
-        compiled = self.compiled()
-        local_domain = self.local_domain
-        if not isinstance(activities, (list, tuple)):
-            activities = list(activities)
-        if compiled.never_acts:
-            return [None] * len(activities)
-        fast = compiled.fully_planned
-        # A fully-planned single-entry pipeline needs no policy walk: the
-        # merged table firing already identifies the one policy to run.
-        single = fast and len(compiled.entries) == 1
-        single_policy = compiled.entries[0][0] if single else None
-        # The origin-dependent half of the merged table is evaluated once per
-        # distinct origin in the batch (usually exactly one); the residual
-        # per-activity triggers are inlined with hoisted locals.
-        origin_triggers: dict[str, bool] = {}
-        origin_may_trigger = compiled.origin_may_trigger
-        handles = compiled.handles
-        min_post_age = compiled.min_post_age
-        visibilities = compiled.visibilities
-        special = compiled.special
-        residual = compiled.residual_may_touch
-        plain_residual = not handles and not special
-        # The inlined branch below only understands the age/visibility
-        # triggers; content-shaped triggers (mentions, columns, media, bot,
-        # reply) drop to the generic residual call.
-        simple_content = (
-            compiled.min_mentions is None
-            and not compiled.content_triggers
-            and not compiled.media_posts
-            and not compiled.bot_posts
-            and not compiled.reply_with_subject
-        )
-        inline_residual = plain_residual and simple_content
-        content_blind = (
-            inline_residual and min_post_age is None and not visibilities
-        )
-        ctx: MRFContext | None = None
-        decisions: list[MRFDecision | None] = []
-        append = decisions.append
-        for activity in activities:
-            if fast:
-                origin = activity.origin_domain
-                triggered = origin_triggers.get(origin)
-                if triggered is None:
-                    triggered = origin_may_trigger(origin)
-                    origin_triggers[origin] = triggered
-                if not triggered:
-                    if content_blind:
-                        append(None)
-                        continue
-                    if inline_residual:
-                        obj = activity.obj
-                        if obj.__class__ is not Post or not (
-                            (
-                                min_post_age is not None
-                                and now - obj.created_at > min_post_age
-                            )
-                            or (visibilities and obj.visibility in visibilities)
-                        ):
-                            append(None)
-                            continue
-                    elif not residual(activity, now, local_domain):
-                        append(None)
-                        continue
-            if ctx is None:
-                ctx = MRFContext(
-                    local_domain=local_domain,
-                    now=now,
-                    local_instance=self.local_instance,
-                )
-            if single:
-                append(self._run_single(activity, ctx, single_policy))
-            else:
-                append(self._run(activity, ctx, compiled))
-        return decisions
-
-    # ------------------------------------------------------------------ #
-    # Batched shared decisions (the delivery engine's entry point)
-    # ------------------------------------------------------------------ #
-    def apply_batch(
-        self,
-        activities: Sequence[Activity],
-        origin: str,
-        now: float,
-        lean: bool = False,
-        activity_type: ActivityType | None = None,
-    ) -> tuple[tuple[str, str, str] | None, list | None, int]:
-        """Decide a whole single-origin batch, sharing what the plans allow.
-
-        Returns ``(shared, decisions, shared_rewrites)``:
-
-        * ``shared`` — a ``(policy, action, reason)`` rejecting *every*
-          activity of the batch (``decisions`` is then ``None``); the
-          per-activity moderation events are already logged, exactly as
-          running :meth:`filter` per activity would have recorded them.
-        * ``decisions`` — otherwise, one entry per activity as in
-          :meth:`filter_batch_lazy` (``None`` = untouched accept).  With
-          ``lean=True`` (the report-free delivery path), stage-decided
-          activities yield :class:`StageDecision` objects carrying the
-          rewritten *post* instead of a full decision with a rewritten
-          activity wrapper.
-        * ``shared_rewrites`` — how many activities had a rewrite decision
-          applied through a shared (content-independent) stage rather than
-          a policy run.
-
-        ``origin`` must be the normalised origin of every activity in the
-        batch, as activity origins are.  ``activity_type`` — when the caller
-        can prove the batch is type-homogeneous with a post-less payload
-        type (Announce, Like, …) — selects the tighter per-``(origin,
-        type)`` program (see :meth:`CompiledPipeline.program_for_type`);
-        ``None`` keeps the type-agnostic per-origin program, which is
-        always correct.
-        """
-        compiled = self.compiled()
-        if activity_type is not None:
-            program = compiled.program_for_type(
-                origin, self.local_domain, activity_type
-            )
-        else:
-            program = compiled.program_for(origin, self.local_domain)
-        if program.general:
-            return (None, self.filter_batch_lazy(activities, now), 0)
-        shared = program.shared
-        if not program.stages and not program.residual:
-            if shared is None:  # nothing can touch this origin's batch
-                return (None, [None] * len(activities), 0)
-            self._log_shared(activities, origin, shared, now)
-            return (shared, None, 0)
-        return self._run_stages(activities, origin, compiled, program, now, lean)
-
-    @staticmethod
-    def _lean_decision(policy_name: str, outcome, post: Post) -> StageDecision:
-        """Return the (interned) lean decision of one stage outcome.
-
-        Reject outcomes are constant per outcome; accept outcomes are
-        constant per (outcome, post) — the rewritten post comes out of the
-        shared ledger — so the decision objects themselves are shared
-        across every receiver a post federates to.
-        """
-        cache = outcome.lean_cache
-        if outcome.reject:
-            decision = cache.get(None)
-            if decision is None:
-                decision = StageDecision(
-                    policy_name, outcome.action, outcome.reason, False, False, None
-                )
-                cache[None] = decision
-            return decision
-        key = id(post)
-        entry = cache.get(key)
-        if entry is not None and entry[0] is post:
-            return entry[1]
-        if len(cache) >= _LEAN_CACHE_LIMIT:
-            cache.pop(next(iter(cache)))
-        decision = StageDecision(
-            policy_name,
-            outcome.action,
-            outcome.reason,
-            True,
-            True,
-            outcome.rewrite_post(post),
-        )
-        cache[key] = (post, decision)
-        return decision
-
-    def _log_shared(
-        self,
-        activities: Sequence[Activity],
-        origin: str,
-        shared: tuple[str, str, str],
-        now: float,
-        accepted: bool = False,
-    ) -> None:
-        """Log one moderation event per activity for a shared decision."""
-        policy, action, reason = shared
-        base = {
-            "timestamp": now,
-            "moderating_domain": self.local_domain,
-            "origin_domain": origin,
-            "policy": policy,
-            "action": action,
-            "accepted": accepted,
-            "reason": reason,
-        }
-        type_value = _TYPE_VALUE
-        append = self.events.append
-        for activity in activities:
-            event = object.__new__(ModerationEvent)
-            state = dict(base)
-            state["activity_type"] = type_value[activity.activity_type]
-            state["activity_id"] = activity.activity_id
-            event.__dict__.update(state)
-            append(event)
-
-    def _run_stages(
-        self,
-        activities: Sequence[Activity],
-        origin: str,
-        compiled: CompiledPipeline,
-        program: BatchProgram,
-        now: float,
-        lean: bool,
-    ) -> tuple[tuple[str, str, str] | None, list | None, int]:
-        """Apply content-independent rewrite stages (plus a terminal shared
-        reject, when present) to a single-origin batch.
-
-        Per activity and stage, the age selector and slice classifier
-        reproduce exactly what the policy's ``filter`` would have decided —
-        that is the :class:`~repro.mrf.base.SharedRewrite` contract — so
-        events and decisions are indistinguishable from the walked path,
-        while the decision metadata is shared and rewritten posts come out
-        of the shared ledger.  Activities a residual trigger fires for take
-        the full policy walk instead.  In ``uniform`` mode (pure-rewrite
-        stages before a terminal shared reject, no residual) the rewritten
-        activities are unobservable — only their events are logged — and
-        one report shape serves the whole batch.
-        """
-        stages = program.stages
-        residual = program.residual
-        shared = program.shared
-        uniform = program.uniform
-        local_domain = self.local_domain
-        events_append = self.events.append
-        rewrites = 0
-        if (
-            len(stages) == 1
-            and not residual
-            and shared is None
-            and not uniform
-        ):
-            # The dominant program (a lone ObjectAge-style stage): one
-            # hoisted loop, no per-stage dispatch.
-            policy_name, rewrite = stages[0]
-            threshold = rewrite.age_threshold
-            outcomes = rewrite.outcomes
-            slice_of = rewrite.slice_of
-            type_value = _TYPE_VALUE
-            decisions: list = []
-            append = decisions.append
-            for activity in activities:
-                obj = activity.obj
-                if (
-                    obj.__class__ is not Post
-                    or now - obj.created_at <= threshold
-                ):
-                    append(None)
-                    continue
-                outcome = outcomes.get(slice_of(obj))
-                if outcome is None:
-                    append(None)
-                    continue
-                rewrites += 1
-                event = object.__new__(ModerationEvent)
-                event.__dict__.update(
-                    timestamp=now,
-                    moderating_domain=local_domain,
-                    origin_domain=origin,
-                    policy=policy_name,
-                    action=outcome.action,
-                    activity_type=type_value[activity.activity_type],
-                    activity_id=activity.activity_id,
-                    accepted=not outcome.reject,
-                    reason=outcome.reason,
-                )
-                events_append(event)
-                if lean:
-                    append(self._lean_decision(policy_name, outcome, obj))
-                elif outcome.reject:
-                    append(
-                        MRFDecision(
-                            verdict=Verdict.REJECT,
-                            activity=activity,
-                            policy=policy_name,
-                            action=outcome.action,
-                            reason=outcome.reason,
-                        )
-                    )
-                else:
-                    append(
-                        MRFDecision(
-                            verdict=Verdict.ACCEPT,
-                            activity=outcome.rewrite(activity, obj),
-                            policy=policy_name,
-                            action=outcome.action,
-                            reason=outcome.reason,
-                            modified=True,
-                        )
-                    )
-            return (None, decisions, rewrites)
-
-        type_value = _TYPE_VALUE
-        decisions = None if uniform else []
-        ctx: MRFContext | None = None
-        for activity in activities:
-            if residual:
-                fired = False
-                for predicate in residual:
-                    if predicate(activity, now):
-                        fired = True
-                        break
-                if fired:
-                    # A per-activity policy could act: this activity takes
-                    # the full walk (which runs the stage policies too).
-                    if ctx is None:
-                        ctx = MRFContext(
-                            local_domain=local_domain,
-                            now=now,
-                            local_instance=self.local_instance,
-                        )
-                    decisions.append(self._run(activity, ctx, compiled))
-                    continue
-            obj = activity.obj
-            current_post = obj if obj.__class__ is Post else None
-            current = activity
-            acting = None
-            for policy_name, rewrite in stages:
-                if (
-                    current_post is None
-                    or now - current_post.created_at <= rewrite.age_threshold
-                ):
-                    continue
-                outcome = rewrite.outcomes.get(rewrite.slice_of(current_post))
-                if outcome is None:
-                    continue
-                rewrites += 1
-                event = object.__new__(ModerationEvent)
-                event.__dict__.update(
-                    timestamp=now,
-                    moderating_domain=local_domain,
-                    origin_domain=origin,
-                    policy=policy_name,
-                    action=outcome.action,
-                    activity_type=type_value[activity.activity_type],
-                    activity_id=activity.activity_id,
-                    accepted=not outcome.reject,
-                    reason=outcome.reason,
-                )
-                events_append(event)
-                if outcome.reject:
-                    if lean:
-                        acting = self._lean_decision(
-                            policy_name, outcome, current_post
-                        )
-                    else:
-                        acting = MRFDecision(
-                            verdict=Verdict.REJECT,
-                            activity=current,
-                            policy=policy_name,
-                            action=outcome.action,
-                            reason=outcome.reason,
-                        )
-                    break
-                if uniform:
-                    # The batch ends in a shared reject: the rewritten
-                    # activity is unobservable, only its event matters.
-                    continue
-                if lean:
-                    acting = self._lean_decision(policy_name, outcome, current_post)
-                    current_post = acting.post
-                else:
-                    current = outcome.rewrite(current, current_post)
-                    current_post = current.obj
-                    acting = MRFDecision(
-                        verdict=Verdict.ACCEPT,
-                        activity=current,
-                        policy=policy_name,
-                        action=outcome.action,
-                        reason=outcome.reason,
-                        modified=True,
-                    )
-            if acting is not None and not acting.accepted:
-                decisions.append(acting)
-                continue
-            if shared is not None:
-                policy, action, reason = shared
-                event = object.__new__(ModerationEvent)
-                event.__dict__.update(
-                    timestamp=now,
-                    moderating_domain=local_domain,
-                    origin_domain=origin,
-                    policy=policy,
-                    action=action,
-                    activity_type=type_value[activity.activity_type],
-                    activity_id=activity.activity_id,
-                    accepted=False,
-                    reason=reason,
-                )
-                events_append(event)
-                if not uniform:
-                    if lean:
-                        decisions.append(
-                            StageDecision(policy, action, reason, False, False, None)
-                        )
-                    else:
-                        decisions.append(
-                            MRFDecision(
-                                verdict=Verdict.REJECT,
-                                activity=current,
-                                policy=policy,
-                                action=action,
-                                reason=reason,
-                            )
-                        )
-                continue
-            decisions.append(acting)
-        if uniform:
-            return (shared, None, rewrites)
-        return (None, decisions, rewrites)
-
-    def _run(
-        self, activity: Activity, ctx: MRFContext, compiled: CompiledPipeline
-    ) -> MRFDecision | None:
-        """The policy walk, skipping policies that provably cannot act.
-
-        Returns ``None`` when no policy touched the activity (the trivial
-        accept) so hot callers can skip the decision object entirely.
-        """
-        current = activity
-        acting: MRFDecision | None = None
-        now = ctx.now
-        local_domain = ctx.local_domain
-
-        for policy, triggers in compiled.entries:
-            if triggers is not None and not triggers.may_touch(
-                current, now, local_domain
-            ):
-                continue
-            decision = policy.filter(current, ctx)
-            if decision.rejected:
-                self._log(decision, ctx, activity)
-                return decision
-            if decision.action != PASS_ACTION or decision.modified:
-                acting = decision
-                self._log(decision, ctx, activity)
-            current = decision.activity
-
-        if acting is None:
-            return None if current is activity else MRFDecision(
-                verdict=Verdict.ACCEPT, activity=current
-            )
-        # The final decision aggregates the last acting policy's fields with
-        # modified=True; when that policy's own decision already carries them
-        # (the overwhelmingly common single-rewriter case), reuse it.
-        if acting.modified and acting.activity is current:
-            return acting
-        return MRFDecision(
-            verdict=Verdict.ACCEPT,
-            activity=current,
-            policy=acting.policy,
-            action=acting.action,
-            reason=acting.reason,
-            modified=True,
-        )
-
-    def _run_single(
-        self, activity: Activity, ctx: MRFContext, policy: MRFPolicy
-    ) -> MRFDecision | None:
-        """:meth:`_run` specialised for a one-entry compiled pipeline whose
-        merged trigger table already fired — the policy runs unconditionally."""
-        decision = policy.filter(activity, ctx)
-        if decision.rejected:
-            self._log(decision, ctx, activity)
-            return decision
-        if decision.action != PASS_ACTION or decision.modified:
-            self._log(decision, ctx, activity)
-            if decision.modified:
-                return decision
-            return MRFDecision(
-                verdict=Verdict.ACCEPT,
-                activity=decision.activity,
-                policy=decision.policy,
-                action=decision.action,
-                reason=decision.reason,
-                modified=True,
-            )
-        current = decision.activity
-        if current is activity:
-            return None
-        return MRFDecision(verdict=Verdict.ACCEPT, activity=current)
-
-    def filter_uncompiled(self, activity: Activity, now: float) -> MRFDecision:
-        """The seed's uncompiled policy walk, kept as the equivalence baseline.
-
-        Behaviourally identical to :meth:`filter`; every policy runs
-        unconditionally.  Equivalence tests and the perf harness compare the
-        two paths.
-        """
         ctx = MRFContext(
             local_domain=self.local_domain,
             now=now,

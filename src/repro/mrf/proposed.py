@@ -31,15 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.activitypub.activities import Activity
-from repro.fediverse.identifiers import domain_matches, normalise_domain
+from repro.fediverse.identifiers import domain_matches
 from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 from repro.perspective.attributes import AttributeScores, HARMFUL_THRESHOLD
 from repro.perspective.scorer import LexiconScorer
 
@@ -122,9 +116,9 @@ class CuratedBlocklistPolicy(MRFPolicy):
             "lists": {name: sorted(domains) for name, domains in sorted(self._lists.items())},
         }
 
-    # -- the decision plan ------------------------------------------------ #
+    # -- filtering -------------------------------------------------------- #
     def _origin_reject(self, origin: str, local_domain: str) -> tuple[str, str] | None:
-        """The origin-pure hook: the whole decision depends on the origin."""
+        """Return the ``(action, reason)`` rejecting ``origin``, if it is listed."""
         for list_name in sorted(self.subscribed):
             for pattern in self._lists.get(list_name, ()):
                 if domain_matches(origin, pattern):
@@ -134,35 +128,6 @@ class CuratedBlocklistPolicy(MRFPolicy):
                     )
         return None
 
-    def plan(self) -> DecisionPlan:
-        """Subscribed-list triggers plus the origin-pure shared reject.
-
-        The policy rejects by origin alone and touches nothing else, so
-        batched delivery can reject whole batches from listed origins with
-        one shared decision.  ``subscribe``/``unsubscribe``/``publish_list``
-        bump the configuration version, keeping compiled plans current.
-        """
-        exact: set[str] = set()
-        suffixes: list[str] = []
-        for domain in self.blocked_domains():
-            if domain.startswith("*."):
-                suffixes.append(domain[2:])
-                continue
-            try:
-                exact.add(normalise_domain(domain))
-            except ValueError:
-                return DecisionPlan(
-                    triggers=PolicyTriggers(match_all=True),
-                    origin_pure=self._origin_reject,
-                )
-        return DecisionPlan(
-            triggers=PolicyTriggers(
-                domains=frozenset(exact), suffixes=tuple(suffixes)
-            ),
-            origin_pure=self._origin_reject,
-        )
-
-    # -- filtering -------------------------------------------------------- #
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject activities whose origin is on a subscribed list."""
         hit = self._origin_reject(activity.origin_domain, ctx.local_domain)
@@ -247,10 +212,6 @@ class AutoTagPolicy(MRFPolicy):
         """Return a user's current rolling mean score."""
         history = self._history.get(handle.lower())
         return history.mean_max_score() if history else 0.0
-
-    def plan(self) -> DecisionPlan:
-        """Stateful per-user history: every post must be scored."""
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
 
     # -- filtering -------------------------------------------------------- #
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
@@ -361,10 +322,6 @@ class RepeatOffenderPolicy(MRFPolicy):
     def offenders(self) -> dict[str, int]:
         """Return every user with at least one strike."""
         return dict(sorted(self._strikes.items()))
-
-    def plan(self) -> DecisionPlan:
-        """Stateful strike counters: every activity must be seen."""
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
 
     # -- filtering ---------------------------------------------------------- #
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:

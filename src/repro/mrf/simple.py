@@ -14,19 +14,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable
 
-from repro.activitypub.activities import Activity, ActivityType
+from repro.activitypub.activities import Activity
 from repro.fediverse.identifiers import domain_matches, normalise_domain
-from repro.fediverse.post import Post, Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-    SharedRewrite,
-    SliceOutcome,
-)
-from repro.mrf.shared import ledger_room, on_clear, rewrite_ledger
+from repro.fediverse.post import Visibility
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 
 class SimplePolicyAction(str, Enum):
@@ -71,27 +62,6 @@ REWRITE_ACTIONS = frozenset(
         SimplePolicyAction.FOLLOWERS_ONLY,
     }
 )
-
-#: The rewrite actions whose effect is content-independent per post slice —
-#: stageable through the batched fast path — in the order
-#: :meth:`SimplePolicy.filter` applies them.
-_STAGEABLE_ACTIONS = (
-    SimplePolicyAction.MEDIA_REMOVAL,
-    SimplePolicyAction.MEDIA_NSFW,
-    SimplePolicyAction.FOLLOWERS_ONLY,
-    SimplePolicyAction.FEDERATED_TIMELINE_REMOVAL,
-)
-
-#: Actions that keep an origin off the staged fast path: avatar/banner
-#: removal touch the actor of *any* activity (post-carrying or not), and
-#: the delete/report rejects depend on the activity type.
-_UNSTAGEABLE_ACTIONS = (
-    SimplePolicyAction.AVATAR_REMOVAL,
-    SimplePolicyAction.BANNER_REMOVAL,
-    SimplePolicyAction.REJECT_DELETES,
-    SimplePolicyAction.REPORT_REMOVAL,
-)
-
 
 @dataclass(frozen=True)
 class SimplePolicyMatch:
@@ -327,8 +297,6 @@ class SimplePolicy(MRFPolicy):
                 current = current.with_post(post)
                 applied.append(SimplePolicyAction.MEDIA_NSFW)
             if matches(SimplePolicyAction.FOLLOWERS_ONLY, origin) and post.is_public:
-                from repro.fediverse.post import Visibility
-
                 post = post.with_changes(visibility=Visibility.FOLLOWERS_ONLY)
                 current = current.with_post(post)
                 applied.append(SimplePolicyAction.FOLLOWERS_ONLY)
@@ -343,89 +311,6 @@ class SimplePolicy(MRFPolicy):
             action=applied[-1].value,
             reason="+".join(action.value for action in applied),
             modified=True,
-        )
-
-    def unconditional_reject(self, origin: str, local_domain: str) -> tuple[str, str] | None:
-        """Return the ``(action, reason)`` applied to *every* activity from ``origin``.
-
-        ``None`` when activities from the origin are not uniformly
-        rejected.  Only the two origin-pure, type-independent checks at
-        the head of :meth:`filter` qualify — the accept-list gate and the
-        ``reject`` action; ``reject_deletes``/``report_removal`` depend on
-        the activity type and never do.  This is the policy's
-        ``origin_pure`` plan hook: batched delivery uses it to reject a
-        whole single-origin batch without running the filter per activity
-        (``origin`` must already be normalised, as activity origins are).
-        """
-        accept_list = self._targets[SimplePolicyAction.ACCEPT]
-        if (
-            accept_list
-            and origin != local_domain
-            and not self._matches_normalised(SimplePolicyAction.ACCEPT, origin)
-        ):
-            return (
-                SimplePolicyAction.ACCEPT.value,
-                f"{origin} is not on the accept list",
-            )
-        if self._matches_normalised(SimplePolicyAction.REJECT, origin):
-            return (
-                SimplePolicyAction.REJECT.value,
-                f"all activities from {origin} are rejected",
-            )
-        return None
-
-    def shared_stage(self, origin: str, local_domain: str) -> SharedRewrite | None:
-        """Return the content-independent rewrite applied to ``origin``.
-
-        This is the policy's ``origin_stages`` plan hook, consulted by the
-        batch compiler once :meth:`unconditional_reject` stayed silent.  An
-        origin matched only by stageable actions (``media_removal``,
-        ``media_nsfw``, ``followers_only``,
-        ``federated_timeline_removal``) gets an interned
-        :class:`~repro.mrf.base.SharedRewrite` whose per-slice outcomes
-        reproduce :meth:`_apply_rewrites` exactly — what each action does
-        depends only on whether the post has media, is marked sensitive
-        and is public.  ``None`` (→ the general walk) when the origin is
-        also matched by an action no stage can express; an empty rewrite
-        when no rewrite action matches at all (the policy provably never
-        acts on the origin).
-        """
-        matches = self._matches_normalised
-        for action in _UNSTAGEABLE_ACTIONS:
-            if matches(action, origin):
-                return None
-        mask = tuple(matches(action, origin) for action in _STAGEABLE_ACTIONS)
-        return _stage_for(mask)
-
-    def plan(self) -> DecisionPlan:
-        """Target-domain triggers plus the origin-pure shared reject.
-
-        With a non-empty accept list the policy may reject *any* non-listed
-        origin, so it must always run; otherwise it can only act on origins
-        matching one of its patterns.  Either way the head of
-        :meth:`filter` depends on the origin alone, so the plan exposes
-        :meth:`unconditional_reject` as its origin-pure hook — and
-        :meth:`shared_stage` describes the per-origin rewrites the batched
-        path can apply without running the policy.
-        """
-        if self._targets[SimplePolicyAction.ACCEPT]:
-            triggers = PolicyTriggers(match_all=True)
-        else:
-            exact: set[str] = set()
-            suffixes: set[str] = set()
-            for patterns in self._targets.values():
-                for pattern in patterns:
-                    if pattern.startswith("*."):
-                        suffixes.add(pattern[2:])
-                    else:
-                        exact.add(pattern)
-            triggers = PolicyTriggers(
-                domains=frozenset(exact), suffixes=tuple(suffixes)
-            )
-        return DecisionPlan(
-            triggers=triggers,
-            origin_pure=self.unconditional_reject,
-            origin_stages=self.shared_stage,
         )
 
     @staticmethod
@@ -459,139 +344,3 @@ class SimplePolicy(MRFPolicy):
     def describe(self) -> dict[str, Any]:
         """Return a serialisable description of the policy."""
         return {"name": self.name, "config": self.config()}
-
-
-# ---------------------------------------------------------------------- #
-# Shared-rewrite stages (the origin_stages plan hook's tables)
-# ---------------------------------------------------------------------- #
-def _slice_of(post: Post) -> tuple[bool, bool, bool]:
-    """The SimplePolicy slice key: the three post facts the stageable
-    actions condition on."""
-    return (len(post.attachments) > 0, post.sensitive, post.is_public)
-
-
-def _build_rewriter(applied: tuple[SimplePolicyAction, ...]):
-    """Build the fused slice rewrites ``(activity-level, post-level)``.
-
-    Observable-identical to :meth:`SimplePolicy._apply_rewrites`'s
-    ``with_changes``/``with_post``/``with_flag`` chain (note ``with_flag``
-    stamps the flag into the *post's* extra dict too), with the final post
-    and activity built in one copy each.  Rewritten posts are shared
-    through the rewrite ledger, keyed by the applied-action tuple: every
-    receiver applying the same actions to the same post gets one copy.
-    """
-    strip_media = SimplePolicyAction.MEDIA_REMOVAL in applied
-    mark_nsfw = SimplePolicyAction.MEDIA_NSFW in applied
-    followers = SimplePolicyAction.FOLLOWERS_ONLY in applied
-    timeline = SimplePolicyAction.FEDERATED_TIMELINE_REMOVAL in applied
-    ledger = rewrite_ledger(("SimplePolicy",) + tuple(a.value for a in applied))
-
-    def rewrite_post(post: Post) -> Post:
-        entry = ledger.get(id(post))
-        if entry is not None and entry[0] is post:
-            return entry[1]
-        ledger_room(ledger)
-        new_post = object.__new__(type(post))
-        new_post.__dict__.update(post.__dict__)
-        new_post.extra = dict(post.extra)
-        if strip_media:
-            new_post.attachments = ()
-        if mark_nsfw:
-            new_post.sensitive = True
-        if followers:
-            new_post.visibility = Visibility.FOLLOWERS_ONLY
-        if timeline:
-            new_post.extra["federated_timeline_removal"] = True
-        ledger[id(post)] = (post, new_post)
-        return new_post
-
-    def rewrite(activity: Activity, post: Post) -> Activity:
-        current = object.__new__(type(activity))
-        current.__dict__.update(activity.__dict__)
-        current.extra = dict(activity.extra)
-        current.obj = rewrite_post(post)
-        if timeline:
-            current.extra["federated_timeline_removal"] = True
-        return current
-
-    return rewrite, rewrite_post
-
-
-def _outcome_for(applied: tuple[SimplePolicyAction, ...]) -> SliceOutcome:
-    """Return the interned outcome of one applied-action combination.
-
-    Keyed by the applied tuple rather than the configured mask: a
-    ``media_nsfw``-only origin and a ``media_removal+media_nsfw`` origin
-    produce the same outcome for an attachment-less insensitive post, so
-    they share one outcome object, its ledger and its lean cache.
-    """
-    outcome = _OUTCOMES.get(applied)
-    if outcome is None:
-        rewrite, rewrite_post = _build_rewriter(applied)
-        outcome = SliceOutcome(
-            action=applied[-1].value,
-            reason="+".join(action.value for action in applied),
-            rewrite=rewrite,
-            rewrite_post=rewrite_post,
-            produces_visibility=(
-                Visibility.FOLLOWERS_ONLY
-                if SimplePolicyAction.FOLLOWERS_ONLY in applied
-                else None
-            ),
-        )
-        _OUTCOMES[applied] = outcome
-    return outcome
-
-
-def _stage_for(mask: tuple[bool, bool, bool, bool]) -> SharedRewrite:
-    """Return the interned stage of one stageable-action mask.
-
-    The mask says which of :data:`_STAGEABLE_ACTIONS` match the origin;
-    the stage's outcome table enumerates, per ``(has_media, sensitive,
-    is_public)`` slice, exactly the actions :meth:`SimplePolicy.filter`
-    would apply.  A slice no action fires for is left out of the table
-    (untouched); an all-``False`` mask interns the one empty stage, which
-    the batch compiler reads as a provable per-origin no-op.  The age
-    threshold is ``-inf``: the actions apply to posts of any age.
-    """
-    stage = _STAGES.get(mask)
-    if stage is None:
-        outcomes: dict[tuple[bool, bool, bool], SliceOutcome] = {}
-        for has_media in (False, True):
-            for sensitive in (False, True):
-                for is_public in (False, True):
-                    applied = []
-                    if mask[0] and has_media:
-                        applied.append(SimplePolicyAction.MEDIA_REMOVAL)
-                    if mask[1] and not sensitive:
-                        applied.append(SimplePolicyAction.MEDIA_NSFW)
-                    if mask[2] and is_public:
-                        applied.append(SimplePolicyAction.FOLLOWERS_ONLY)
-                    if mask[3]:
-                        applied.append(
-                            SimplePolicyAction.FEDERATED_TIMELINE_REMOVAL
-                        )
-                    if applied:
-                        outcomes[(has_media, sensitive, is_public)] = (
-                            _outcome_for(tuple(applied))
-                        )
-        stage = SharedRewrite(
-            age_threshold=float("-inf"), slice_of=_slice_of, outcomes=outcomes
-        )
-        _STAGES[mask] = stage
-    return stage
-
-
-#: applied-action tuple -> interned slice outcome (shared across masks).
-_OUTCOMES: dict[tuple[SimplePolicyAction, ...], SliceOutcome] = {}
-
-#: stageable-action mask -> interned SharedRewrite stage (≤ 16 entries).
-_STAGES: dict[tuple[bool, bool, bool, bool], SharedRewrite] = {}
-
-
-def _clear_lean_caches() -> None:
-    for outcome in _OUTCOMES.values():
-        outcome.lean_cache.clear()
-
-
-on_clear(_clear_lean_caches)

@@ -13,11 +13,9 @@ from typing import Any, Iterable
 from repro.activitypub.activities import Activity
 from repro.mrf.base import (
     PASS_ACTION,
-    DecisionPlan,
     MRFContext,
     MRFDecision,
     MRFPolicy,
-    PolicyTriggers,
     Verdict,
 )
 
@@ -39,14 +37,6 @@ class SubchainPolicy(MRFPolicy):
         """Append ``policy`` to the nested chain."""
         self.chain.append(policy)
         self._bump_config_version()
-
-    def plan(self) -> DecisionPlan:
-        """Without a chain or patterns nothing can happen; otherwise the
-        actor-regex match is opaque to the trigger vocabulary, so the
-        policy runs on everything."""
-        if not self.chain or not self.match_patterns:
-            return DecisionPlan(triggers=PolicyTriggers())
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
 
     def config(self) -> dict[str, Any]:
         """Return the matching patterns and the nested chain."""

@@ -14,13 +14,7 @@ from typing import Any, Iterable
 
 from repro.activitypub.activities import Activity
 from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 
 class TagAction:
@@ -87,10 +81,6 @@ class TagPolicy(MRFPolicy):
     def config(self) -> dict[str, Any]:
         """Return the policy configuration."""
         return {handle: sorted(tags) for handle, tags in sorted(self._tags.items())}
-
-    def plan(self) -> DecisionPlan:
-        """The policy can only act on activities from tagged accounts."""
-        return DecisionPlan(triggers=PolicyTriggers(handles=frozenset(self._tags)))
 
     # ------------------------------------------------------------------ #
     # Filtering

@@ -17,14 +17,7 @@ from typing import Any
 
 from repro.activitypub.activities import Activity
 from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
-from repro.mrf.shared import mention_count_of
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 #: Flag set by AntiHellthreadPolicy and honoured by HellthreadPolicy.
 HELLTHREAD_EXEMPT_FLAG = "hellthread_exempt"
@@ -45,9 +38,8 @@ class HellthreadPolicy(MRFPolicy):
         self._delist_threshold = delist_threshold
         self._reject_threshold = reject_threshold
 
-    # The thresholds are version-bumping properties so compiled pipelines
-    # recompile when one is adjusted in place (the plan below bakes the
-    # smallest enabled threshold into the fast-path mention trigger).
+    # The thresholds are version-bumping properties, so adjusting one in
+    # place changes the owning pipeline's configuration fingerprint.
     @property
     def delist_threshold(self) -> int:
         """Mention count from which posts are de-listed (0 disables)."""
@@ -79,20 +71,6 @@ class HellthreadPolicy(MRFPolicy):
             "reject_threshold": self.reject_threshold,
         }
 
-    def plan(self) -> DecisionPlan:
-        """The mention-count trigger: only hellthread-sized posts are touched.
-
-        The policy can only act on posts mentioning at least the smallest
-        enabled threshold's worth of users — the overwhelming majority of
-        federated posts mention nobody and skip the policy entirely, with
-        the count served from the shared mention-count columns.  With both
-        actions disabled the policy never acts.
-        """
-        enabled = [t for t in (self._delist_threshold, self._reject_threshold) if t]
-        if not enabled:
-            return DecisionPlan(triggers=PolicyTriggers())
-        return DecisionPlan(triggers=PolicyTriggers(min_mentions=min(enabled)))
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Check the mention count of the carried post against the thresholds."""
         post = activity.post
@@ -103,9 +81,6 @@ class HellthreadPolicy(MRFPolicy):
         ):
             return self.accept(activity)
 
-        # The seed's per-call count: the *trigger* uses the shared columns
-        # (see plan()), but the filter itself stays seed-faithful so the
-        # equivalence baseline times the real per-activity work.
         mentions = post.mention_count
         if self.reject_threshold and mentions >= self.reject_threshold:
             return self.reject(
@@ -133,10 +108,6 @@ class AntiHellthreadPolicy(MRFPolicy):
 
     name = "AntiHellthreadPolicy"
 
-    def plan(self) -> DecisionPlan:
-        """Must see every post-carrying activity (it rewrites them all)."""
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Mark the activity as exempt from hellthread filtering."""
         if activity.post is None:
@@ -153,10 +124,6 @@ class EnsureRePrepended(MRFPolicy):
     """
 
     name = "EnsureRePrepended"
-
-    def plan(self) -> DecisionPlan:
-        """Only replies that carry a subject line can be rewritten."""
-        return DecisionPlan(triggers=PolicyTriggers(reply_with_subject=True))
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Prepend ``re:`` to the subject of replies when missing."""

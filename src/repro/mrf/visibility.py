@@ -14,13 +14,7 @@ from typing import Any, Iterable
 from repro.activitypub.activities import Activity
 from repro.fediverse.clock import SECONDS_PER_DAY
 from repro.fediverse.post import Visibility
-from repro.mrf.base import (
-    DecisionPlan,
-    MRFContext,
-    MRFDecision,
-    MRFPolicy,
-    PolicyTriggers,
-)
+from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
 #: Default expiration applied by ActivityExpirationPolicy (days), as in Pleroma.
 DEFAULT_EXPIRATION_DAYS = 365
@@ -36,9 +30,8 @@ class RejectNonPublic(MRFPolicy):
         self._allow_direct = bool(allow_direct)
         self.config_version = 0
 
-    # The allow flags are exposed as version-bumping properties so compiled
-    # pipelines recompile when a flag is flipped in place (the precheck
-    # below bakes the disallowed visibilities into the fast-path table).
+    # The allow flags are version-bumping properties, so flipping one in
+    # place changes the owning pipeline's configuration fingerprint.
     @property
     def allow_followers_only(self) -> bool:
         """Whether followers-only posts are accepted."""
@@ -65,24 +58,6 @@ class RejectNonPublic(MRFPolicy):
             "allow_followersonly": self.allow_followers_only,
             "allow_direct": self.allow_direct,
         }
-
-    def plan(self) -> DecisionPlan:
-        """The policy can only act on posts of a disallowed visibility.
-
-        A content-shaped trigger: public/unlisted posts (the overwhelming
-        majority of federated traffic) provably pass untouched, so compiled
-        pipelines keep them on the fast path.  With both visibility classes
-        allowed the plan is trigger-less and the policy is dropped from
-        the walk entirely.
-        """
-        disallowed = set()
-        if not self._allow_followers_only:
-            disallowed.add(Visibility.FOLLOWERS_ONLY)
-        if not self._allow_direct:
-            disallowed.add(Visibility.DIRECT)
-        return DecisionPlan(
-            triggers=PolicyTriggers(post_visibilities=frozenset(disallowed))
-        )
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject non-public posts unless their visibility class is allowed."""
@@ -116,17 +91,6 @@ class MentionPolicy(MRFPolicy):
         """Return the handles whose mention causes a drop."""
         return {"actors": sorted(self.blocked_mentions)}
 
-    def plan(self) -> DecisionPlan:
-        """Always run: ``blocked_mentions`` is a public mutable set.
-
-        A narrower trigger (the blocked handle set) would be permanently
-        baked into compiled pipelines — there is no version-bumping
-        mutator, so a later ``policy.blocked_mentions.add(...)`` would be
-        silently ignored.  The plan therefore declares ``match_all``,
-        which is always sound.
-        """
-        return DecisionPlan(triggers=PolicyTriggers(match_all=True))
-
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Reject posts that mention any blocked handle."""
         post = activity.post
@@ -156,12 +120,6 @@ class ActivityExpirationPolicy(MRFPolicy):
     def config(self) -> dict[str, Any]:
         """Return the configured expiration in days."""
         return {"days": self.days}
-
-    def plan(self) -> DecisionPlan:
-        """The policy only stamps locally-originated posts."""
-        return DecisionPlan(
-            triggers=PolicyTriggers(local_origin_only=True, match_all=True)
-        )
 
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
         """Stamp local posts with an expiration timestamp."""

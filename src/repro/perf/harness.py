@@ -328,16 +328,15 @@ def federation_state(
 def _level_heap() -> None:
     """Level the playing field before a timed federation run.
 
-    The engine's shared decision caches (the rewrite ledger, content
-    trigger columns, mention counts) keep posts from earlier runs alive and
-    a grown heap slows whichever path happens to run later (GC scans scale
+    The ObjectAge rewrite ledger keeps posts from earlier runs alive and a
+    grown heap slows whichever path happens to run later (GC scans scale
     with live objects), so both are reset before every timed region.
     """
     import gc
 
-    from repro.mrf.shared import clear_shared_state
+    from repro.mrf.object_age import clear_rewrite_ledger
 
-    clear_shared_state()
+    clear_rewrite_ledger()
     gc.collect()
 
 
@@ -346,10 +345,10 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
 
     Both paths consume the *same* lazy federation-batch stream (identical
     RNG draws and activity-creation order).  The engine groups work per
-    target — one domain normalisation, one instance resolution, one MRF
-    context per batch — and filters through precompiled pipelines; the
-    baseline replays the seed's one-``deliver``-per-activity loop with fresh
-    contexts and per-pattern SimplePolicy matching.  The first run of each
+    target — one domain normalisation, one instance resolution and one
+    origin validation per batch — and applies Creates inline; the baseline
+    replays the seed's one-``deliver``-per-activity loop with per-pattern
+    SimplePolicy matching and chained ObjectAge rewrites.  The first run of each
     path is snapshotted and asserted identical: same report stream, same
     per-instance moderation events, same ground truth and counters.
     """
@@ -361,8 +360,6 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     engine_state = None
     deliveries = 0
     batches = 0
-    batch_rejects = 0
-    batch_rewrites = 0
     for _ in range(repeats):
         # Materialising the batch stream (RNG draws + activity creation) is
         # shared work both paths pay identically, so it stays outside the
@@ -383,8 +380,6 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
         if engine_state is None:
             deliveries = delivery.stats.delivered
             batches = len(work)
-            batch_rejects = delivery.batch_rejects
-            batch_rewrites = delivery.batch_rewrites
             engine_state = federation_state(prepared, delivery.stats)
 
     naive_s = float("inf")
@@ -413,8 +408,6 @@ def bench_delivery(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
     return {
         "deliveries": float(deliveries),
         "batches": float(batches),
-        "batch_rejects": float(batch_rejects),
-        "batch_rewrites": float(batch_rewrites),
         "engine_seconds": engine_s,
         "naive_seconds": naive_s,
         "speedup": naive_s / engine_s if engine_s else float("inf"),
@@ -453,12 +446,11 @@ def bench_protocol(scenario: str, seed: int = 42, repeats: int = 2) -> dict[str,
 
     1. *Create-only bit-identity*: with every protocol knob zeroed the
        batched engine must still match the seed delivery loop exactly —
-       the type-aware batch programs and the verifier hook must be
-       invisible when the workload is pure Create traffic.
+       the verifier hook must be invisible when the workload is pure
+       Create traffic.
     2. *Full-mix engine equivalence*: on the full Announce/Like/reply mix
-       the batched engine (type-homogeneous fast paths engaged) and the
-       seed's general one-at-a-time walk must land bit-identical states —
-       boosts/favourite counters included.
+       the batched engine and the seed's one-at-a-time walk must land
+       bit-identical states — boosts/favourite counters included.
 
     The timed comparison is signature-cache amortisation: every delivery
     is HTTP-signature verified, once with a per-delivery key derivation

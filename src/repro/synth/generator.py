@@ -28,6 +28,7 @@ from repro.fediverse.instance import Instance, InstanceAvailability
 from repro.fediverse.post import MediaAttachment, Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
+from repro.mrf.object_age import clear_rewrite_ledger
 from repro.perspective.attributes import Attribute
 from repro.protocol.announce import select_hot_posts
 from repro.protocol.conversation import CONVERSATION_FIELD, reply_content
@@ -133,9 +134,8 @@ class FederationBatch:
     """One unit of federation work: several activities for one target.
 
     Batches group all activities one origin sends to one receiving instance,
-    so the delivery engine can resolve the target, build the MRF context and
-    validate the compiled pipeline once per batch instead of once per
-    activity.
+    so the delivery engine can resolve the target and validate the origin
+    once per batch instead of once per activity.
     """
 
     origin_domain: str
@@ -204,11 +204,6 @@ class FediverseGenerator:
 
         assigner = PolicyAssigner(config, rng, ground_truth)
         policy_assignment = assigner.assign(registry)
-        # Compile every pipeline's plan table now: compilation is
-        # configuration-time work (it belongs with policy assignment, not
-        # with the first delivery that happens to arrive).
-        for instance in registry.pleroma_instances():
-            instance.mrf.compiled()
 
         self._populate_users_and_posts(registry, rng, text, ground_truth, stats)
 
@@ -254,13 +249,10 @@ class FediverseGenerator:
                 stats.federated_deliveries += delivered
                 stats.rejected_deliveries += rejected
         finally:
-            # The shared decision caches (rewrite ledger, content columns,
-            # mention counts) only pay off within one federation run;
-            # dropping them here keeps finished runs' posts from being
-            # retained across repeated generate() calls.
-            from repro.mrf.shared import clear_shared_state
-
-            clear_shared_state()
+            # The ObjectAge rewrite ledger only pays off within one
+            # federation run; dropping it here keeps finished runs' posts
+            # from being retained across repeated generate() calls.
+            clear_rewrite_ledger()
 
     def _finalise(
         self, prepared: PreparedFediverse, delivery: FederationDelivery

@@ -326,8 +326,8 @@ class TestBatchAPI:
             federation = payload["pleroma"]["metadata"]["federation"]
             assert federation["mrf_simple"] == {"reject": [f"new{iteration}.example"]}
 
-    def test_metadata_cache_invalidate_compiled_escape_hatch(self):
-        """In-place policy mutation + invalidate_compiled() busts the cache."""
+    def test_metadata_cache_invalidate_config_escape_hatch(self):
+        """In-place policy mutation + invalidate_config() busts the cache."""
         registry = FediverseRegistry()
         instance = registry.create_instance("alpha.example", install_default_policies=False)
         policy = SimplePolicy(reject=["old.example"])
@@ -337,7 +337,7 @@ class TestBatchAPI:
         assert before["pleroma"]["metadata"]["federation"]["mrf_simple"] == {
             "reject": ["old.example"]
         }
-        instance.mrf.invalidate_compiled()
+        instance.mrf.invalidate_config()
         after = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
         assert after.body is not before
 

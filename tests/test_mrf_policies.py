@@ -25,6 +25,7 @@ from repro.mrf.keywords import (
 )
 from repro.mrf.media import HashtagPolicy, MediaProxyWarmingPolicy, StealEmojiPolicy
 from repro.mrf.object_age import ObjectAgePolicy
+from repro.mrf.simple import SimplePolicy
 from repro.mrf.subchain import SubchainPolicy
 from repro.mrf.tag import TagAction, TagPolicy
 from repro.mrf.threads import AntiHellthreadPolicy, EnsureRePrepended, HellthreadPolicy
@@ -61,6 +62,18 @@ class TestObjectAgePolicy:
         assert decision.accepted and decision.modified
         assert decision.activity.post.visibility is Visibility.UNLISTED
         assert decision.activity.extra["followers_stripped"] is True
+
+    def test_stale_post_action_reason_and_flags(self):
+        policy = ObjectAgePolicy(threshold=7 * SECONDS_PER_DAY)
+        stale = policy.filter(wrap(remote_post(created_at=0.0)), CTX)
+        assert stale.modified
+        assert stale.action == "strip_followers"
+        assert stale.reason == "delist+strip_followers"
+        assert stale.activity.post.visibility is Visibility.UNLISTED
+        assert stale.activity.post.extra["followers_stripped"] is True
+        assert stale.activity.extra["followers_stripped"] is True
+        young = policy.filter(wrap(remote_post(created_at=CTX.now - SECONDS_PER_DAY)), CTX)
+        assert young.accepted and not young.modified
 
     def test_reject_action(self):
         policy = ObjectAgePolicy(actions=("reject",))
@@ -125,6 +138,26 @@ class TestTagPolicy:
         assert policy.untag_user("remote@beta.example", TagAction.FORCE_NSFW)
         assert policy.tags_for("remote@beta.example") == set()
 
+    def test_tagging_applies_to_next_filter(self):
+        policy = TagPolicy()
+        assert not policy.filter(wrap(remote_post()), CTX).modified
+        policy.tag_user("remote@beta.example", TagAction.FORCE_NSFW)
+        assert policy.filter(wrap(remote_post()), CTX).modified
+
+
+class TestSimplePolicyTargets:
+    def test_added_target_applies_to_next_filter(self):
+        policy = SimplePolicy()
+        assert policy.filter(wrap(remote_post()), CTX).accepted
+        policy.add_target("reject", "beta.example")
+        assert policy.filter(wrap(remote_post()), CTX).rejected
+
+    def test_removed_target_applies_to_next_filter(self):
+        policy = SimplePolicy(reject=["beta.example"])
+        assert policy.filter(wrap(remote_post()), CTX).rejected
+        policy.remove_target("reject", "beta.example")
+        assert policy.filter(wrap(remote_post()), CTX).accepted
+
 
 class TestHellthreadPolicies:
     def test_below_threshold_passes(self):
@@ -154,6 +187,21 @@ class TestHellthreadPolicies:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             HellthreadPolicy(delist_threshold=-1)
+
+    def test_mention_thresholds(self):
+        policy = HellthreadPolicy(delist_threshold=3, reject_threshold=5)
+        few = remote_post(content="hi @a@x.example and @b@y.example")
+        decision = policy.filter(wrap(few), CTX)
+        assert decision.accepted and not decision.modified
+        many = " ".join(f"@user{i}@many.example" for i in range(6))
+        assert policy.filter(wrap(remote_post(content=many)), CTX).rejected
+
+    def test_threshold_mutation_applies_to_next_filter(self):
+        policy = HellthreadPolicy(delist_threshold=10, reject_threshold=0)
+        post = remote_post(content=" ".join(f"@user{i}@many.example" for i in range(4)))
+        assert not policy.filter(wrap(post), CTX).modified
+        policy.delist_threshold = 3
+        assert policy.filter(wrap(post), CTX).modified
 
 
 class TestEnsureRePrepended:
@@ -199,6 +247,36 @@ class TestKeywordPolicy:
         policy = KeywordPolicy(reject=["casino"])
         assert not policy.filter(wrap(remote_post()), CTX).modified
 
+    def test_substring_inside_longer_word(self):
+        """re.search has no word boundaries: 'casino bonus' matches inside
+        'megacasino bonus'."""
+        policy = KeywordPolicy(reject=["casino bonus"])
+        post = remote_post(content="unmissable megacasino bonus deal")
+        assert policy.filter(wrap(post), CTX).rejected
+
+    def test_subject_only_match(self):
+        policy = KeywordPolicy(reject=["forbidden"])
+        post = remote_post(content="clean body", subject="Forbidden topic")
+        assert policy.filter(wrap(post), CTX).rejected
+
+    def test_unicode_casefold_match(self):
+        """re.IGNORECASE matches U+017F (long s) against 's'."""
+        policy = KeywordPolicy(reject=["sale"])
+        assert policy.filter(wrap(remote_post(content="big ſale today")), CTX).rejected
+
+    def test_regex_pattern(self):
+        policy = KeywordPolicy(reject=[r"cas.no\s+bonus"])
+        assert policy.filter(wrap(remote_post(content="casino bonus")), CTX).rejected
+
+    def test_pattern_mutation_applies_to_next_filter(self):
+        policy = KeywordPolicy(reject=["old phrase"])
+        post = remote_post(content="speak of the new menace")
+        assert policy.filter(wrap(post), CTX).accepted
+        policy.add_pattern("reject", "new menace")
+        assert policy.filter(wrap(post), CTX).rejected
+        assert policy.remove_pattern("reject", "new menace")
+        assert policy.filter(wrap(post), CTX).accepted
+
 
 class TestVocabularyAndMarkupPolicies:
     def test_vocabulary_reject_type(self):
@@ -214,11 +292,26 @@ class TestVocabularyAndMarkupPolicies:
         follow = follow_activity(Actor.from_handle("r@beta.example"), "a@alpha.example", 0.0)
         assert policy.filter(follow, CTX).rejected
 
+    def test_vocabulary_mutation_applies_to_next_filter(self):
+        policy = VocabularyPolicy(reject=["Flag"])
+        follow = follow_activity(Actor.from_handle("r@beta.example"), "a@alpha.example", 0.0)
+        assert policy.filter(follow, CTX).accepted
+        policy.add_type("reject", "Follow")
+        assert policy.filter(follow, CTX).rejected
+        assert policy.remove_type("reject", "follow")
+        assert policy.filter(follow, CTX).accepted
+
     def test_normalize_markup_strips_tags(self):
         policy = NormalizeMarkup()
         post = remote_post(content="<p>hello <b>world</b></p>")
         decision = policy.filter(wrap(post), CTX)
         assert decision.activity.post.content == "hello world"
+
+    def test_normalize_markup_leaves_plain_text(self):
+        policy = NormalizeMarkup()
+        assert not policy.filter(wrap(remote_post(content="no markup")), CTX).modified
+        decision = policy.filter(wrap(remote_post(content="hello <b>world</b>")), CTX)
+        assert decision.modified and decision.activity.post.content == "hello world"
 
     def test_no_empty_policy(self):
         policy = NoEmptyPolicy()
@@ -320,12 +413,64 @@ class TestMediaPolicies:
         post = remote_post(tags=("nsfw",))
         assert policy.filter(wrap(post), CTX).activity.post.sensitive
 
+    def test_hashtag_explicit_tags_field_ignores_case(self):
+        """A tag only present in post.tags (not in the content) acts."""
+        policy = HashtagPolicy(sensitive=["nsfw"])
+        post = remote_post(content="no tags here", tags=("NSFW",))
+        decision = policy.filter(wrap(post), CTX)
+        assert decision.modified and decision.activity.post.sensitive
+
+    def test_hashtag_apostrophe_adjacency(self):
+        """'#nsfw's' carries the hashtag 'nsfw'."""
+        policy = HashtagPolicy(sensitive=["nsfw"])
+        post = remote_post(content="look at #nsfw's new stuff")
+        decision = policy.filter(wrap(post), CTX)
+        assert decision.modified and decision.activity.post.sensitive
+
+    def test_hashtag_nonascii_neighbour(self):
+        """U+212A (KELVIN SIGN) ends the ASCII hashtag '#nsfw'."""
+        policy = HashtagPolicy(reject=["nsfw"])
+        assert policy.filter(wrap(remote_post(content="look #nsfw\u212a stuff")), CTX).rejected
+
+    def test_hashtag_prefix_does_not_act(self):
+        policy = HashtagPolicy(sensitive=["nsfw"])
+        decision = policy.filter(wrap(remote_post(content="totally #nsfwish content")), CTX)
+        assert decision.accepted and not decision.modified
+
+    def test_hashtag_underscore_tag(self):
+        policy = HashtagPolicy(sensitive=["my_tag"])
+        assert policy.filter(wrap(remote_post(content="see #my_tag now")), CTX).modified
+
+    def test_hashtag_mutation_applies_to_next_filter(self):
+        policy = HashtagPolicy(sensitive=())
+        post = remote_post(content="all about #cryptids")
+        assert not policy.filter(wrap(post), CTX).modified
+        policy.add_tag("sensitive", "#cryptids")
+        assert policy.filter(wrap(post), CTX).modified
+        assert policy.remove_tag("sensitive", "cryptids")
+        assert not policy.filter(wrap(post), CTX).modified
+
 
 class TestVisibilityPolicies:
     def test_reject_non_public_followers_only(self):
         policy = RejectNonPublic()
         post = remote_post(visibility=Visibility.FOLLOWERS_ONLY)
         assert policy.filter(wrap(post), CTX).rejected
+
+    def test_reject_non_public_rejects_non_public_posts(self):
+        policy = RejectNonPublic()
+        for visibility in (Visibility.FOLLOWERS_ONLY, Visibility.DIRECT):
+            assert policy.filter(wrap(remote_post(visibility=visibility)), CTX).rejected
+        assert policy.filter(wrap(remote_post()), CTX).accepted
+
+    def test_reject_non_public_flag_mutation_applies_to_next_filter(self):
+        policy = RejectNonPublic()
+        direct = wrap(remote_post(visibility=Visibility.DIRECT))
+        assert policy.filter(direct, CTX).rejected
+        policy.allow_direct = True
+        assert policy.filter(direct, CTX).accepted
+        policy.allow_direct = False
+        assert policy.filter(direct, CTX).rejected
 
     def test_reject_non_public_allows_when_configured(self):
         policy = RejectNonPublic(allow_followers_only=True)
