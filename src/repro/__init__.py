@@ -15,7 +15,7 @@ The package is organised in layers:
 * analysis — :mod:`repro.core` (policy prevalence, rejects, collateral
   damage, strawman solutions); and
 * experiments — :mod:`repro.experiments`, one module per paper
-  figure/table, with the ``pleroma-repro`` CLI.
+  figure/table, with the ``python -m repro.experiments.runner`` CLI.
 
 Quickstart::
 

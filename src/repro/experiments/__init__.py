@@ -6,8 +6,8 @@ the measured values against the numbers reported in the paper.  Absolute
 counts depend on the chosen scenario scale; percentages, orderings and
 correlations are the quantities expected to match in shape.
 
-Run everything from the command line with ``pleroma-repro`` (see
-:mod:`repro.experiments.runner`) or call the per-experiment ``run``
+Run everything from the command line with
+``python -m repro.experiments.runner`` or call the per-experiment ``run``
 functions directly.
 """
 

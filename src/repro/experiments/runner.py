@@ -4,11 +4,12 @@ Examples
 --------
 Run every experiment on the default (small) scenario::
 
-    pleroma-repro
+    PYTHONPATH=src python -m repro.experiments.runner
 
 Run a single experiment on the medium scenario and save JSON output::
 
-    pleroma-repro --scenario medium --experiment collateral --json results.json
+    PYTHONPATH=src python -m repro.experiments.runner --scenario medium \\
+        --experiment collateral --json results.json
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.synth.scenario import SCENARIOS
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
-        prog="pleroma-repro",
+        prog="python -m repro.experiments.runner",
         description=(
             "Reproduce the tables and figures of 'Exploring Content Moderation "
             "in the Decentralised Web: The Pleroma Case' (CoNEXT 2021) on a "

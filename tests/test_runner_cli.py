@@ -1,4 +1,4 @@
-"""Tests for the ``pleroma-repro`` command-line runner."""
+"""Tests for the ``python -m repro.experiments.runner`` command-line runner."""
 
 from __future__ import annotations
 
