@@ -163,8 +163,7 @@ class TestHellthreadPolicies:
     def test_below_threshold_passes(self):
         policy = HellthreadPolicy(delist_threshold=5, reject_threshold=10)
         post = remote_post(content="@a@x.example @b@x.example hi")
-        decision = policy.filter(wrap(post), CTX)
-        assert decision.accepted and not decision.modified
+        assert policy.filter(wrap(post), CTX).accepted
 
     def test_delist(self):
         policy = HellthreadPolicy(delist_threshold=3, reject_threshold=10)
@@ -188,6 +187,14 @@ class TestHellthreadPolicies:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             HellthreadPolicy(delist_threshold=-1)
+
+    def test_mention_thresholds(self):
+        policy = HellthreadPolicy(delist_threshold=3, reject_threshold=5)
+        few = remote_post(content="hi @a@x.example and @b@y.example")
+        decision = policy.filter(wrap(few), CTX)
+        assert decision.accepted and not decision.modified
+        many = " ".join(f"@user{i}@many.example" for i in range(6))
+        assert policy.filter(wrap(remote_post(content=many)), CTX).rejected
 
     def test_threshold_mutation_applies_to_next_filter(self):
         policy = HellthreadPolicy(delist_threshold=10, reject_threshold=0)
@@ -247,6 +254,11 @@ class TestKeywordPolicy:
         post = remote_post(content="unmissable megacasino bonus deal")
         assert policy.filter(wrap(post), CTX).rejected
 
+    def test_subject_only_match(self):
+        policy = KeywordPolicy(reject=["forbidden"])
+        post = remote_post(content="clean body", subject="Forbidden topic")
+        assert policy.filter(wrap(post), CTX).rejected
+
     def test_unicode_casefold_match(self):
         """re.IGNORECASE matches U+017F (long s) against 's'."""
         policy = KeywordPolicy(reject=["sale"])
@@ -293,8 +305,13 @@ class TestVocabularyAndMarkupPolicies:
         policy = NormalizeMarkup()
         post = remote_post(content="<p>hello <b>world</b></p>")
         decision = policy.filter(wrap(post), CTX)
-        assert decision.modified and decision.activity.post.content == "hello world"
+        assert decision.activity.post.content == "hello world"
+
+    def test_normalize_markup_leaves_plain_text(self):
+        policy = NormalizeMarkup()
         assert not policy.filter(wrap(remote_post(content="no markup")), CTX).modified
+        decision = policy.filter(wrap(remote_post(content="hello <b>world</b>")), CTX)
+        assert decision.modified and decision.activity.post.content == "hello world"
 
     def test_no_empty_policy(self):
         policy = NoEmptyPolicy()
@@ -393,9 +410,15 @@ class TestMediaPolicies:
 
     def test_hashtag_policy_uses_explicit_tags_field(self):
         policy = HashtagPolicy(sensitive=["nsfw"])
-        for tags in (("nsfw",), ("NSFW",)):
-            post = remote_post(tags=tags)
-            assert policy.filter(wrap(post), CTX).activity.post.sensitive
+        post = remote_post(tags=("nsfw",))
+        assert policy.filter(wrap(post), CTX).activity.post.sensitive
+
+    def test_hashtag_explicit_tags_field_ignores_case(self):
+        """A tag only present in post.tags (not in the content) acts."""
+        policy = HashtagPolicy(sensitive=["nsfw"])
+        post = remote_post(content="no tags here", tags=("NSFW",))
+        decision = policy.filter(wrap(post), CTX)
+        assert decision.modified and decision.activity.post.sensitive
 
     def test_hashtag_apostrophe_adjacency(self):
         """'#nsfw's' carries the hashtag 'nsfw'."""
