@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import struct
 
-from repro.perf.baselines import naive_score_many, single_pass_score_many
+from perf.baselines import naive_score_many, single_pass_score_many
 from repro.perspective.attributes import ATTRIBUTES
 from repro.perspective.lexicon import Lexicon, default_lexicon, tokenize
 from repro.perspective.scorer import LexiconScorer

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from perf.baselines import naive_score_many
 from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
 from repro.core.harmfulness import HarmfulnessLabeller
-from repro.perf.baselines import naive_score_many
 from repro.perspective.attributes import ATTRIBUTES, Attribute
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.corpus import CorpusColumns

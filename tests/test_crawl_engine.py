@@ -7,7 +7,7 @@ loop — every :class:`CrawlResult` field, the failure ordering, the request
 accounting and the assembled dataset.  The twin-campaign fuzz below pins
 that over randomized scenarios (churn, mixed software populations, odd
 page sizes, post caps, partial directory coverage); the seed-faithful loop
-lives in :mod:`repro.perf.baselines`.
+lives in :mod:`perf.baselines`.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ import random
 
 import pytest
 
+from perf import baselines
+from perf.harness import crawl_state
 from repro.api.client import APIClient
 from repro.api.server import FediverseAPIServer, serialise_status
 from repro.crawler.campaign import (
     CampaignConfig,
     CountingCrawlSink,
-    CrawlResult,
     CrawlSink,
     MeasurementCampaign,
 )
@@ -29,33 +30,8 @@ from repro.fediverse.post import MediaAttachment, Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
 from repro.mrf.simple import SimplePolicy
-from repro.perf import baselines
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import scenario_config
-
-
-def crawl_state(result: CrawlResult) -> dict:
-    """Everything a campaign produces, as one comparable structure."""
-    dataset = result.dataset
-    return {
-        "latest_snapshots": result.latest_snapshots,
-        "snapshot_counts": result.snapshot_counts,
-        "all_snapshots": result.all_snapshots,
-        "timelines": result.timelines,
-        "failures": result.failures,
-        "discovered_domains": result.discovered_domains,
-        "pleroma_domains": result.pleroma_domains,
-        "first_seen": result.first_seen,
-        "api_requests": result.api_requests,
-        "breakdown": result.failure_status_breakdown,
-        "dataset": {
-            "instances": dataset.instances,
-            "users": dataset.users,
-            "posts": dataset.posts,
-            "policy_settings": dataset.policy_settings,
-            "reject_edges": dataset.reject_edges,
-        },
-    }
 
 
 class FixedDirectory:

@@ -8,7 +8,7 @@ included -- to digests captured from a reference run: one sha256 over the
 whole state, plus one per field so that a mismatch names the first field
 that differs.
 
-The state is everything :func:`repro.perf.harness._crawl_state` covers
+The state is everything :func:`perf.harness.crawl_state` covers
 (mappings and sets by content, in sorted order, as ``==`` compares them;
 sequences in their own order), the client's and the injector's counters,
 and the final simulated clock.
@@ -23,9 +23,9 @@ from collections.abc import Mapping
 from enum import Enum
 from typing import Any
 
+from perf.harness import crawl_state
 from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
 from repro.faults import FaultSpec, ResilienceConfig
-from repro.perf.harness import _crawl_state
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import scenario_config
 
@@ -90,7 +90,7 @@ def faulted_crawl() -> tuple[MeasurementCampaign, dict[str, Any]]:
         faults=FaultSpec.for_config(config),
         resilience=ResilienceConfig.default(),
     )
-    state = _crawl_state(campaign.assemble(campaign.crawl()))
+    state = crawl_state(campaign.assemble(campaign.crawl()))
     stats = campaign.client.stats
     state["client_stats"] = {
         "requests": stats.requests,

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from perf import baselines
+from perf.harness import delivery_race, race
 from repro.activitypub.activities import create_activity
 from repro.activitypub.actors import Actor
 from repro.activitypub.delivery import (
@@ -18,8 +20,6 @@ from repro.activitypub.delivery import (
 from repro.datasets.store import Dataset
 from repro.fediverse.registry import FediverseRegistry
 from repro.mrf.simple import SimplePolicy
-from repro.perf import baselines
-from repro.perf.harness import federation_state
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import scenario_config
 
@@ -303,23 +303,6 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(("scenario", "overrides"), fuzz_configs())
     def test_fuzz_engine_state_matches_seed_walk(self, scenario, overrides):
         """Twin-run fuzz: the batched engine's federation state equals the seed
-        walk's, bit for bit, across randomized populations."""
-        generator = FediverseGenerator(scenario_config(scenario, **overrides))
-
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        delivery = FederationDelivery(prepared.registry, sinks=[])
-        for batch in work:
-            delivered, rejected = delivery.deliver_batch_counted(
-                batch.activities, batch.target_domain
-            )
-            prepared.stats.federated_deliveries += delivered
-            prepared.stats.rejected_deliveries += rejected
-        engine_state = federation_state(prepared, delivery.stats)
-
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        stats, _ = baselines.naive_federate(prepared.registry, work)
-        prepared.stats.federated_deliveries = stats.delivered
-        prepared.stats.rejected_deliveries = stats.rejected
-        assert engine_state == federation_state(prepared, stats)
+        walk's, bit for bit, across randomized populations (the race raises
+        otherwise)."""
+        race("fuzz", delivery_race(scenario_config(scenario, **overrides)), 1)

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from perf import baselines
 from repro.datasets.schema import (
     InstanceRecord,
     PolicySettingRecord,
@@ -24,7 +25,6 @@ from repro.datasets.schema import (
 from repro.datasets.store import Dataset
 from repro.mrf.noop import NoOpPolicy
 from repro.mrf.pipeline import MRFPipeline
-from repro.perf import baselines
 from repro.perspective.attributes import ATTRIBUTES
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.lexicon import default_lexicon

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from perf.harness import crawl_state
 from repro.api.client import BREAKER_OPEN, APIClient, APIError, _BreakerState
 from repro.api.http import (
     ATTEMPTS_HEADER,
@@ -39,8 +40,6 @@ from repro.fediverse.clock import SimulationClock
 from repro.fediverse.registry import FediverseRegistry
 from repro.synth.scenario import scenario_config
 from repro.synth.generator import FediverseGenerator
-
-from test_crawl_engine import crawl_state
 
 
 # --------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from perf.baselines import naive_pipeline_filter
 from repro.activitypub.activities import create_activity
 from repro.fediverse.clock import SECONDS_PER_DAY
 from repro.fediverse.post import MediaAttachment, Post, Visibility
@@ -30,7 +31,6 @@ from repro.mrf.simple import SimplePolicy
 from repro.mrf.tag import TagAction, TagPolicy
 from repro.mrf.threads import EnsureRePrepended, HellthreadPolicy
 from repro.mrf.visibility import RejectNonPublic
-from repro.perf.baselines import naive_pipeline_filter
 
 NOW = 30 * SECONDS_PER_DAY
 
@@ -231,7 +231,7 @@ def random_activity(rng: random.Random):
 
 class TestSeedWalkEquivalence:
     """``MRFPipeline.filter`` against the seed's walk
-    (:func:`repro.perf.baselines.naive_pipeline_filter`), which runs
+    (:func:`perf.baselines.naive_pipeline_filter`), which runs
     SimplePolicy with the seed's per-pattern matcher and ObjectAge with the
     seed's chained rewrites.  Twin pipelines see the same activity stream,
     so stateful policies must evolve identically too."""

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from perf.harness import delivery_race, race
 from repro.activitypub.activities import (
     ActivityType,
     announce_activity,
@@ -31,8 +32,6 @@ from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
 from repro.crawler.crawler import INSTANCE_PATH
 from repro.fediverse.post import Visibility
 from repro.fediverse.registry import FediverseRegistry
-from repro.perf import baselines
-from repro.perf.harness import federation_state
 from repro.protocol.announce import select_hot_posts
 from repro.protocol.conversation import (
     CONVERSATION_FIELD,
@@ -65,33 +64,6 @@ def _two_instance_registry() -> tuple[FediverseRegistry, str]:
     origin.register_user("author")
     post = origin.publish("author", "a very boostable post")
     return registry, post.uri
-
-
-def _engine_state(config: SynthConfig) -> dict:
-    """The batched engine's federation-state snapshot for ``config``."""
-    generator = FediverseGenerator(config)
-    prepared = generator.prepare()
-    work = list(generator.federation_batches(prepared))
-    delivery = FederationDelivery(prepared.registry, sinks=[])
-    stats = prepared.stats
-    for batch in work:
-        delivered, rejected = delivery.deliver_batch_counted(
-            batch.activities, batch.target_domain
-        )
-        stats.federated_deliveries += delivered
-        stats.rejected_deliveries += rejected
-    return federation_state(prepared, delivery.stats)
-
-
-def _naive_state(config: SynthConfig) -> dict:
-    """The seed one-activity-at-a-time walk's snapshot for ``config``."""
-    generator = FediverseGenerator(config)
-    prepared = generator.prepare()
-    work = list(generator.federation_batches(prepared))
-    stats, _ = baselines.naive_federate(prepared.registry, work)
-    prepared.stats.federated_deliveries = stats.delivered
-    prepared.stats.rejected_deliveries = stats.rejected
-    return federation_state(prepared, stats)
 
 
 MIX = {
@@ -276,24 +248,11 @@ class TestActivityMixGeneration:
 
     def test_engagement_lands_on_target_instances(self):
         config = scenario_config("tiny", seed=11, **MIX)
-        state = _engine_state(config)
-        generator = FediverseGenerator(config)
-        prepared = generator.prepare()
-        work = list(generator.federation_batches(prepared))
-        delivery = FederationDelivery(prepared.registry, sinks=[])
-        for batch in work:
-            delivery.deliver_batch_counted(batch.activities, batch.target_domain)
-        boosts = sum(
-            sum(instance.boosts.values())
-            for instance in prepared.registry.instances()
-        )
-        favourites = sum(
-            sum(instance.favourites.values())
-            for instance in prepared.registry.instances()
-        )
-        assert boosts > 0
-        assert favourites > 0
-        assert state  # the snapshot captured something
+        # The race raises unless the engine's state equals the seed walk's.
+        _, state = race("engagement", delivery_race(config), 1)
+        received = [c for per_uri in state["engagement"].values() for c in per_uri]
+        assert sum(boosts for _, boosts, _ in received) > 0
+        assert sum(favourites for _, _, favourites in received) > 0
 
     def test_config_validation_rejects_bad_mix_knobs(self):
         with pytest.raises(ValueError):
@@ -318,13 +277,16 @@ class TestActivityMixGeneration:
 # Engine equivalence on the activity mix
 # --------------------------------------------------------------------- #
 class TestMixEquivalence:
+    """Each race raises unless the batched engine's federation state equals
+    the seed walk's, bit for bit."""
+
     def test_create_only_config_matches_the_seed_walk(self):
         config = scenario_config("tiny", seed=23)
-        assert _engine_state(config) == _naive_state(config)
+        race("create-only", delivery_race(config), 1)
 
     def test_full_mix_matches_seed_walk(self):
         config = scenario_config("tiny", seed=23, **MIX)
-        assert _naive_state(config) == _engine_state(config)
+        race("full mix", delivery_race(config), 1)
 
     @pytest.mark.parametrize("scenario", ["viral", "hellthread"])
     def test_scenarios_match_the_seed_walk(self, scenario):
@@ -332,8 +294,7 @@ class TestMixEquivalence:
         # at full scale); the mix knobs themselves come from the scenario.
         overrides = {"n_pleroma_instances": 20, "campaign_days": 2.0}
         config = scenario_config(scenario, seed=7, **overrides)
-        reference = _engine_state(config)
-        assert _naive_state(config) == reference
+        _, reference = race(scenario, delivery_race(config), 1)
         assert reference["delivery_stats"][0] > 0
 
     def test_shipped_scenarios_declare_the_mix(self):
