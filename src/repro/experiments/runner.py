@@ -18,10 +18,24 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.experiments.pipeline import ReproPipeline
 from repro.experiments.registry import EXPERIMENTS, run_all, run_experiment
 from repro.synth.scenario import SCENARIOS
+
+
+def _positive(kind: type) -> Callable[[str], int | float]:
+    """An argparse ``type`` parsing ``kind`` and rejecting values <= 0."""
+
+    def parse(text: str) -> int | float:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--campaign-days",
-        type=float,
+        type=_positive(float),
         default=2.0,
         help="length of the simulated crawl window in days (default: 2)",
     )
@@ -57,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--row-limit",
-        type=int,
+        type=_positive(int),
         default=20,
         help="maximum table rows printed per experiment (default: 20)",
     )

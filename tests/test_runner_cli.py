@@ -24,6 +24,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--experiment", "figure42"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--row-limit", "0"],
+            ["--row-limit", "-2"],
+            ["--campaign-days", "0"],
+            ["--campaign-days", "-1"],
+        ],
+    )
+    def test_non_positive_limits_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[0]}: must be positive" in capsys.readouterr().err
+
 
 class TestMain:
     def test_single_experiment_prints_report(self, capsys):
