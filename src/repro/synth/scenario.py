@@ -19,8 +19,8 @@ SCENARIOS: dict[str, dict] = {
     "small": {"n_pleroma_instances": 150, "campaign_days": 14.0},
     # Used by most benchmarks.
     "medium": {"n_pleroma_instances": 400, "campaign_days": 30.0},
-    # Stress scale for the performance harness (see repro.perf): big enough
-    # that quadratic or per-record-scan hot paths dominate the wall clock.
+    # Stress scale for the perf harness (benchmarks/perf): big enough that
+    # quadratic or per-record-scan hot paths dominate the wall clock.
     "large": {"n_pleroma_instances": 800, "campaign_days": 30.0},
     # Beyond-paper scale: twice the large population, for engine stress
     # runs.
@@ -68,9 +68,10 @@ SCENARIOS: dict[str, dict] = {
     },
     # Protocol-realism load: boosts and favourites of a small hot-post pool
     # re-fanned across origins (Announce traffic routinely dwarfs Create
-    # traffic on the real fediverse), signature-verified deliveries, and a
-    # slice of UA-blocking instances the crawler cannot reach.  The home
-    # scenario of the `protocol` bench stage's full-activity-mix gates.
+    # traffic on the real fediverse) and a slice of UA-blocking instances
+    # the crawler cannot reach.  The home scenario of the `protocol` bench
+    # stage, which also signature-verifies its deliveries; the generator
+    # itself attaches no verifier.
     "viral": {
         "n_pleroma_instances": 400,
         "campaign_days": 30.0,
