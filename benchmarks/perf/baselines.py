@@ -67,32 +67,6 @@ def naive_score_many(scorer: LexiconScorer, texts: list[str]) -> list[AttributeS
     return results
 
 
-def single_pass_score_many(scorer: LexiconScorer, texts: list[str]) -> list[AttributeScores]:
-    """PR 1's per-token single-pass scoring, kept as the engine's bridge baseline.
-
-    One materialised token list per text and one merged-table dict probe per
-    token (:meth:`Lexicon.weighted_hits_all`) — the path the compiled
-    matching engine replaced.  Its token-order accumulation is the bitwise
-    contract both the seed loop and the compiled engine must match, which
-    makes it the natural middle term of the three-way equivalence gate.
-    """
-    lexicon = scorer.lexicon
-    results = []
-    for text in texts:
-        tokens = tokenize(text)
-        if not tokens:
-            results.append(AttributeScores())
-            continue
-        all_hits = lexicon.weighted_hits_all(tokens)
-        count = len(tokens)
-        values = {
-            attribute.value: score_for_density(hits / count, scorer.gain, scorer.ceiling)
-            for attribute, hits in zip(ATTRIBUTES, all_hits)
-        }
-        results.append(AttributeScores(**values))
-    return results
-
-
 # ---------------------------------------------------------------------- #
 # Seed-faithful federation delivery
 # ---------------------------------------------------------------------- #

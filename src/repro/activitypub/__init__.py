@@ -18,13 +18,9 @@ from repro.activitypub.activities import (
 )
 from repro.activitypub.actors import Actor
 from repro.activitypub.delivery import (
-    CountingSink,
     DeliveryReport,
-    DeliverySink,
     FederationDelivery,
     FederationStats,
-    ListSink,
-    StreamingEdgeSink,
 )
 
 __all__ = [
@@ -35,11 +31,7 @@ __all__ = [
     "flag_activity",
     "follow_activity",
     "Actor",
-    "CountingSink",
     "DeliveryReport",
-    "DeliverySink",
     "FederationDelivery",
     "FederationStats",
-    "ListSink",
-    "StreamingEdgeSink",
 ]

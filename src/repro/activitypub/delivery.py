@@ -1,24 +1,17 @@
 """Delivery of activities between instances, through the receiving MRF.
 
-The delivery engine is event-driven: every delivery outcome is a
-:class:`DeliveryReport` routed through pluggable :class:`DeliverySink`\\ s.
-The default configuration materialises reports into an in-memory list (the
-seed behaviour); callers that only need aggregates attach a
-:class:`CountingSink`, and measurement campaigns that want moderation edges
-without ever holding the full report list attach a :class:`StreamingEdgeSink`
-that feeds :meth:`repro.datasets.store.Dataset.add_reject_edge` directly.
-
-Deliveries are batched per target instance: :meth:`FederationDelivery.deliver_batch`
-normalises the target domain once, resolves the instance once, validates the
-batch once per origin, and then filters each activity through the target's
-MRF pipeline.
+Deliveries are batched per target instance: one delivery loop resolves the
+target once per batch, validates the batch once per origin, and then filters
+each activity through the target's MRF pipeline.
+:meth:`FederationDelivery.deliver_batch` returns one :class:`DeliveryReport`
+per activity; :meth:`FederationDelivery.deliver_batch_counted` runs the same
+loop without building reports, which is how the generator federates.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.activitypub.activities import Activity, ActivityType, create_activity
 from repro.fediverse.errors import (
@@ -73,74 +66,6 @@ class FederationStats:
             self.by_policy[report.policy] = self.by_policy.get(report.policy, 0) + 1
 
 
-class DeliverySink(ABC):
-    """Consumer of delivery outcomes.
-
-    Sinks receive every :class:`DeliveryReport` the engine produces, in
-    delivery order.  They let callers choose how much state to materialise:
-    everything (:class:`ListSink`), aggregates only (:class:`CountingSink`),
-    or a live stream into the analysis dataset (:class:`StreamingEdgeSink`).
-    """
-
-    @abstractmethod
-    def on_report(self, report: DeliveryReport) -> None:
-        """Consume one delivery outcome."""
-
-
-class ListSink(DeliverySink):
-    """Materialise every report into a list (the seed behaviour)."""
-
-    def __init__(self, reports: list[DeliveryReport] | None = None) -> None:
-        self.reports: list[DeliveryReport] = reports if reports is not None else []
-
-    def on_report(self, report: DeliveryReport) -> None:
-        """Append the report."""
-        self.reports.append(report)
-
-
-class CountingSink(DeliverySink):
-    """Keep aggregate counters only — O(1) memory regardless of volume."""
-
-    def __init__(self) -> None:
-        self.stats = FederationStats()
-
-    def on_report(self, report: DeliveryReport) -> None:
-        """Update the counters."""
-        self.stats.record(report)
-
-
-class StreamingEdgeSink(DeliverySink):
-    """Stream observed moderation outcomes straight into a dataset.
-
-    Every rejected delivery becomes a
-    :class:`~repro.datasets.schema.RejectEdge` (source = the moderating
-    target instance, target = the moderated origin) fed directly to
-    :meth:`~repro.datasets.store.Dataset.add_reject_edge`, which deduplicates
-    — so campaigns can observe delivery-time moderation without ever holding
-    the full report list in memory.
-    """
-
-    def __init__(self, dataset) -> None:
-        from repro.datasets.schema import RejectEdge  # local: avoid layer cycle
-
-        self._dataset = dataset
-        self._edge_type = RejectEdge
-        self.streamed = 0
-
-    def on_report(self, report: DeliveryReport) -> None:
-        """Convert rejected reports into dataset edges."""
-        if report.accepted:
-            return
-        self._dataset.add_reject_edge(
-            self._edge_type(
-                source=report.target_domain,
-                target=report.origin_domain,
-                action=report.action or "reject",
-            )
-        )
-        self.streamed += 1
-
-
 def apply_accepted(registry: FediverseRegistry, activity: Activity, target: Instance) -> None:
     """Apply an MRF-accepted ``activity`` to the ``target`` instance."""
     if activity.is_create and activity.post is not None:
@@ -183,71 +108,59 @@ class FederationDelivery:
     Incoming activities are filtered through the target instance's MRF
     pipeline before being applied; this is where moderation policies take
     effect, and the pipeline records the resulting moderation events that the
-    analysis later consumes.
-
-    ``sinks`` selects where delivery outcomes go.  When omitted, a
-    :class:`ListSink` bound to :attr:`reports` preserves the seed behaviour;
-    pass an explicit list of sinks (possibly empty) to avoid materialising
-    reports.  Aggregate counters in :attr:`stats` are always maintained.
-
-    ``verifier`` optionally attaches an HTTP-signature verification cost
-    model (:class:`repro.protocol.httpsig.HttpSignatureVerifier`): every
-    delivery is verified before validation and MRF filtering, with the cost
-    charged to the verifier's own simulated clock.  Activities failing
-    verification are dropped before delivery (real servers answer 401
-    before the MRF ever runs).  ``None`` — the default — performs no
-    verification at all, keeping existing runs bit-identical.
+    analysis later consumes.  Aggregate counters are kept in :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        registry: FediverseRegistry,
-        sinks: Sequence[DeliverySink] | None = None,
-        verifier=None,
-    ) -> None:
+    def __init__(self, registry: FediverseRegistry) -> None:
         self.registry = registry
-        self.verifier = verifier
         self.stats = FederationStats()
-        self.reports: list[DeliveryReport] = []
         # Always 0: no batch shares a decision; perfbench/layers.py reads both.
         self.batch_rejects = 0
         self.batch_rewrites = 0
-        if sinks is None:
-            self.sinks: list[DeliverySink] = [ListSink(self.reports)]
-        else:
-            self.sinks = list(sinks)
 
-    def add_sink(self, sink: DeliverySink) -> None:
-        """Attach another sink to the engine."""
-        self.sinks.append(sink)
-
-    # ------------------------------------------------------------------ #
-    # Core delivery
-    # ------------------------------------------------------------------ #
     def deliver(self, activity: Activity, target_domain: str) -> DeliveryReport:
         """Deliver one activity to ``target_domain`` and return the outcome."""
-        target_domain = normalise_domain(target_domain)
-        return self._deliver_to(self.registry.get(target_domain), (activity,))[0]
+        return self.deliver_batch((activity,), target_domain)[0]
 
     def deliver_batch(
         self, activities: Iterable[Activity], target_domain: str
     ) -> list[DeliveryReport]:
-        """Deliver several activities to one target and return the outcomes.
+        """Deliver several activities to one target and return the outcomes."""
+        reports: list[DeliveryReport] = []
+        self._deliver(activities, target_domain, reports)
+        return reports
 
-        The target domain is normalised and resolved once for the whole
-        batch and peer bookkeeping runs once per distinct origin; the MRF
-        pipeline then filters each activity.
+    def deliver_batch_counted(
+        self, activities: Iterable[Activity], target_domain: str
+    ) -> tuple[int, int]:
+        """Deliver a batch without building reports; return ``(delivered, rejected)``."""
+        return self._deliver(activities, target_domain, None)
+
+    def broadcast(self, activity: Activity, target_domains: list[str]) -> list[DeliveryReport]:
+        """Deliver one activity to several targets, skipping the origin.
+
+        Each target domain is normalised exactly once; duplicate targets and
+        the activity's own origin are skipped.
         """
-        target_domain = normalise_domain(target_domain)
-        return self._deliver_to(self.registry.get(target_domain), activities)
+        origin = activity.origin_domain
+        reports: list[DeliveryReport] = []
+        seen: set[str] = set()
+        for domain in target_domains:
+            domain = normalise_domain(domain)
+            if domain == origin or domain in seen:
+                continue
+            seen.add(domain)
+            self._deliver((activity,), domain, reports)
+        return reports
 
-    def _verified(self, activities: list[Activity]) -> list[Activity]:
-        """Run the optional signature verifier over a batch."""
-        verifier = self.verifier
-        if verifier is None:
-            return activities
-        return verifier.verified_only(activities)
+    def federate_post(self, post: Post, target_domains: list[str]) -> list[DeliveryReport]:
+        """Wrap ``post`` in a Create activity and deliver it to targets."""
+        activity = create_activity(post)
+        return self.broadcast(activity, target_domains)
 
+    # ------------------------------------------------------------------ #
+    # The delivery loop
+    # ------------------------------------------------------------------ #
     def _validate_batch(self, target: Instance, activities: list[Activity]) -> None:
         """Reject origin self-delivery and record peer relations (once per origin)."""
         target_domain = target.domain
@@ -271,55 +184,17 @@ class FederationDelivery:
                 registry.federate_normalised(origin, target_domain)
             last = origin
 
-    def _deliver_to(
-        self, target: Instance, activities: Iterable[Activity]
-    ) -> list[DeliveryReport]:
-        """Batched delivery core: ``target`` is already resolved."""
-        activities = self._verified(list(activities))
-        if not activities:
-            return []
-        self._validate_batch(target, activities)
-        registry = self.registry
-        target_domain = target.domain
-        now = registry.clock.now()
-        mrf_filter = target.mrf.filter
-
-        reports = []
-        for activity in activities:
-            decision = mrf_filter(activity, now)
-            report = DeliveryReport(
-                activity_id=activity.activity_id,
-                origin_domain=activity.origin_domain,
-                target_domain=target_domain,
-                accepted=decision.accepted,
-                policy=decision.policy,
-                action=decision.action,
-                reason=decision.reason,
-                modified=decision.modified,
-            )
-            self._record(report)
-            if decision.accepted:
-                apply_accepted(registry, decision.activity, target)
-            reports.append(report)
-        return reports
-
-    def deliver_batch_counted(
-        self, activities: Iterable[Activity], target_domain: str
+    def _deliver(
+        self,
+        activities: Iterable[Activity],
+        target_domain: str,
+        reports: list[DeliveryReport] | None,
     ) -> tuple[int, int]:
-        """Deliver a batch recording aggregates only; return ``(delivered, rejected)``.
+        """Deliver a batch to one target; return ``(delivered, rejected)``.
 
-        The streaming fast path of the engine: when no sinks are attached,
-        no :class:`DeliveryReport` objects are materialised at all — each
-        decision goes straight from the pipeline to application, and only
-        the counters in :attr:`stats` are updated.
-        With sinks attached it falls back to :meth:`deliver_batch` so every
-        sink still observes the full report stream.
+        Appends one :class:`DeliveryReport` per activity to ``reports``
+        unless it is ``None``.
         """
-        if self.sinks:
-            reports = self.deliver_batch(activities, target_domain)
-            rejected = sum(1 for report in reports if not report.accepted)
-            return len(reports), rejected
-
         registry = self.registry
         try:
             # Generated batches carry already-normalised target domains;
@@ -327,10 +202,11 @@ class FederationDelivery:
             target = registry.get_normalised(target_domain)
         except UnknownInstanceError:
             target = registry.get(normalise_domain(target_domain))
-        activities = self._verified(list(activities))
+        activities = list(activities)
         if not activities:
             return 0, 0
         self._validate_batch(target, activities)
+        target_domain = target.domain
         now = registry.clock.now()
         mrf_filter = target.mrf.filter
 
@@ -350,6 +226,19 @@ class FederationDelivery:
         modified = 0
         for activity in activities:
             decision = mrf_filter(activity, now)
+            if reports is not None:
+                reports.append(
+                    DeliveryReport(
+                        activity_id=activity.activity_id,
+                        origin_domain=activity.origin_domain,
+                        target_domain=target_domain,
+                        accepted=decision.accepted,
+                        policy=decision.policy,
+                        action=decision.action,
+                        reason=decision.reason,
+                        modified=decision.modified,
+                    )
+                )
             if decision.policy:
                 by_policy[decision.policy] = by_policy.get(decision.policy, 0) + 1
             if not decision.accepted:
@@ -375,33 +264,3 @@ class FederationDelivery:
         stats.rejected += rejected
         stats.modified += modified
         return delivered, rejected
-
-    def broadcast(self, activity: Activity, target_domains: list[str]) -> list[DeliveryReport]:
-        """Deliver one activity to several targets, skipping the origin.
-
-        Each target domain is normalised exactly once; duplicate targets and
-        the activity's own origin are skipped.
-        """
-        origin = activity.origin_domain
-        reports = []
-        seen: set[str] = set()
-        for domain in target_domains:
-            domain = normalise_domain(domain)
-            if domain == origin or domain in seen:
-                continue
-            seen.add(domain)
-            reports.extend(self._deliver_to(self.registry.get(domain), (activity,)))
-        return reports
-
-    def federate_post(self, post: Post, target_domains: list[str]) -> list[DeliveryReport]:
-        """Wrap ``post`` in a Create activity and deliver it to targets."""
-        activity = create_activity(post)
-        return self.broadcast(activity, target_domains)
-
-    # ------------------------------------------------------------------ #
-    # Bookkeeping
-    # ------------------------------------------------------------------ #
-    def _record(self, report: DeliveryReport) -> None:
-        self.stats.record(report)
-        for sink in self.sinks:
-            sink.on_report(report)

@@ -75,14 +75,12 @@ class HarmfulnessLabeller:
         dataset: Dataset,
         client: PerspectiveClient | None = None,
         threshold: float = HARMFUL_THRESHOLD,
-        materialise_corpus: bool = True,
     ) -> None:
         if not 0 < threshold <= 1:
             raise ValueError("threshold must be within (0, 1]")
         self.dataset = dataset
         self.client = client or PerspectiveClient()
         self.threshold = threshold
-        self.materialise_corpus = materialise_corpus
         self._user_labels: dict[tuple[str, float], UserLabel | None] = {}
 
     @classmethod
@@ -96,9 +94,9 @@ class HarmfulnessLabeller:
         instead of each re-scanning the whole post corpus through a
         private client.  Scoring is deterministic, so the shared labels
         are bitwise identical to privately computed ones.  Callers that
-        need an isolated configuration (own threshold, quota accounting or
-        a mutable lexicon) should construct their own labeller and pass it
-        explicitly.
+        need an isolated configuration (own threshold, own request counters
+        or a mutable lexicon) should construct their own labeller and pass
+        it explicitly.
         """
         labeller = _SHARED_LABELLERS.get(dataset)
         if labeller is None:
@@ -114,44 +112,35 @@ class HarmfulnessLabeller:
         """The corpus columns the shared client serves scores from."""
         return self.client.corpus
 
-    def _materialise_corpus(self) -> None:
+    def _ensure_corpus(self) -> None:
         """Materialise score columns for every collected post, once per campaign.
 
         The first scoring call scans the whole corpus in one batched
-        compiled-matcher pass and attaches the resulting
-        :class:`~repro.perspective.corpus.CorpusColumns` to the client;
-        every later label — and every re-label after
+        compiled-matcher pass and sets the resulting
+        :class:`~repro.perspective.corpus.CorpusColumns` as the client's
+        corpus; every later label — and every re-label after
         :meth:`invalidate_labels` — is arithmetic on the cached columns.
         Lexicon mutations bump the version stamp the columns check, so
         they transparently re-scan rather than serve stale hits.  Client
-        request accounting, quota and caching are unaffected.
+        request accounting and caching are unaffected.
         """
-        if (
-            not self.materialise_corpus
-            or self.client.corpus is not None
-            # A bounded-cache client ignores any attached corpus (the
-            # columns would defeat its memory bound), so don't build one.
-            or self.client.max_cache_size is not None
-        ):
-            return
-        self.client.attach_corpus(
-            CorpusColumns(
-                self.client.scorer,
-                (post.content for post in self.dataset.posts),
+        client = self.client
+        if client.corpus is None:
+            client.corpus = CorpusColumns(
+                client.scorer, (post.content for post in self.dataset.posts)
             )
-        )
 
     # ------------------------------------------------------------------ #
     # Post-level scoring
     # ------------------------------------------------------------------ #
     def score_post(self, post: PostRecord) -> AttributeScores:
         """Score one post's content."""
-        self._materialise_corpus()
+        self._ensure_corpus()
         return self.client.analyze(post.content).scores
 
     def score_posts(self, posts: list[PostRecord]) -> list[AttributeScores]:
         """Score several posts, preserving order."""
-        self._materialise_corpus()
+        self._ensure_corpus()
         results = self.client.analyze_many([post.content for post in posts])
         return [result.scores for result in results]
 

@@ -19,13 +19,7 @@ from repro.crawler.directory import InstanceDirectory
 from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineCollection
 from repro.crawler.crawler import InstanceCrawler, TimelineCrawler
 from repro.crawler.builder import build_dataset
-from repro.crawler.campaign import (
-    CampaignConfig,
-    CountingCrawlSink,
-    CrawlResult,
-    CrawlSink,
-    MeasurementCampaign,
-)
+from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 
 __all__ = [
     "InstanceDirectory",
@@ -36,8 +30,6 @@ __all__ = [
     "TimelineCrawler",
     "build_dataset",
     "CampaignConfig",
-    "CountingCrawlSink",
     "CrawlResult",
-    "CrawlSink",
     "MeasurementCampaign",
 ]

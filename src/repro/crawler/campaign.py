@@ -5,20 +5,14 @@ through the Peers API, snapshots every Pleroma instance's metadata on a
 fixed interval over the campaign window (four hours in the paper), collects
 public timelines, and finally assembles the analysis dataset.
 
-Since the batched crawl engine, every phase emits per-round domain batches
-through the API layer's batch entry points (one instance resolution and
-availability check per domain per group, fused snapshot follow-ups,
-server-side timeline streams), and crawl events flow through pluggable
-:class:`CrawlSink`\\ s — the seed-compatible :class:`CrawlResult` assembly is
-the default, while :class:`CountingCrawlSink` (via :meth:`MeasurementCampaign.run_counted`)
-observes a campaign in O(1) memory, mirroring the delivery engine's sinks.
+Every phase emits per-round domain batches through the API layer's batch
+entry points: one instance resolution and availability check per domain per
+group, fused snapshot follow-ups and server-side timeline streams.
 """
 
 from __future__ import annotations
 
-from abc import ABC
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.api.client import APIClient
 from repro.api.server import FediverseAPIServer
@@ -54,6 +48,9 @@ class CampaignConfig:
             raise ValueError("duration_days must be positive")
         if self.snapshot_interval_hours <= 0:
             raise ValueError("snapshot_interval_hours must be positive")
+        cap = self.max_posts_per_instance
+        if cap is not None and cap < 0:
+            raise ValueError(f"max_posts_per_instance must be non-negative, got {cap}")
 
     @property
     def snapshot_rounds(self) -> int:
@@ -130,60 +127,6 @@ def assemble_result(result: CrawlResult) -> CrawlResult:
     return result
 
 
-# --------------------------------------------------------------------- #
-# Crawl sinks
-# --------------------------------------------------------------------- #
-class CrawlSink(ABC):
-    """Consumer of crawl events, in crawl order.
-
-    Mirrors the delivery engine's sinks: the campaign notifies every sink
-    of each metadata snapshot, recorded failure and timeline collection as
-    it happens, so observers can choose how much state to materialise —
-    the seed-compatible :class:`CrawlResult` retains everything, while
-    :class:`CountingCrawlSink` keeps aggregates only.
-    """
-
-    def on_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
-        """Observe one metadata snapshot (after peer-list carry-forward)."""
-
-    def on_failure(self, failure: CrawlFailure) -> None:
-        """Observe one recorded crawl failure."""
-
-    def on_timeline(self, collection: TimelineCollection) -> None:
-        """Observe one collected timeline."""
-
-
-class CountingCrawlSink(CrawlSink):
-    """Keep aggregate campaign counters only — O(1) memory at any scale."""
-
-    def __init__(self) -> None:
-        self.snapshots = 0
-        self.failures = 0
-        self.failures_by_status: dict[int, int] = {}
-        self.timelines = 0
-        self.unreachable_timelines = 0
-        self.posts = 0
-
-    def on_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
-        """Count the snapshot."""
-        self.snapshots += 1
-
-    def on_failure(self, failure: CrawlFailure) -> None:
-        """Count the failure, by status code."""
-        self.failures += 1
-        self.failures_by_status[failure.status_code] = (
-            self.failures_by_status.get(failure.status_code, 0) + 1
-        )
-
-    def on_timeline(self, collection: TimelineCollection) -> None:
-        """Count the collection and its posts."""
-        self.timelines += 1
-        if collection.reachable:
-            self.posts += collection.post_count
-        else:
-            self.unreachable_timelines += 1
-
-
 class MeasurementCampaign:
     """Run the full Section-3 measurement over a simulated fediverse."""
 
@@ -193,7 +136,6 @@ class MeasurementCampaign:
         config: CampaignConfig | None = None,
         server: FediverseAPIServer | None = None,
         directory: InstanceDirectory | None = None,
-        sinks: Sequence[CrawlSink] | None = None,
         faults: FaultSpec | FaultPlan | None = None,
         resilience: ResilienceConfig | None = None,
     ) -> None:
@@ -218,33 +160,12 @@ class MeasurementCampaign:
         self.timeline_crawler = TimelineCrawler(
             self.client, page_size=self.config.timeline_page_size
         )
-        self.sinks: list[CrawlSink] = list(sinks or [])
-        self.instance_crawler.on_failure = self._emit_failure
         #: Domains re-snapshotted by the per-round retry queue, and how
         #: many of those second passes produced a snapshot.  Campaign-side
         #: bookkeeping (not part of :class:`CrawlResult`) read by the
         #: chaos bench.
         self.round_retried = 0
         self.round_salvaged = 0
-
-    def add_sink(self, sink: CrawlSink) -> None:
-        """Attach another sink to the campaign."""
-        self.sinks.append(sink)
-
-    # ------------------------------------------------------------------ #
-    # Sink notification
-    # ------------------------------------------------------------------ #
-    def _emit_snapshot(self, round_index: int, snapshot: InstanceSnapshot) -> None:
-        for sink in self.sinks:
-            sink.on_snapshot(round_index, snapshot)
-
-    def _emit_failure(self, failure: CrawlFailure) -> None:
-        for sink in self.sinks:
-            sink.on_failure(failure)
-
-    def _emit_timeline(self, collection: TimelineCollection) -> None:
-        for sink in self.sinks:
-            sink.on_timeline(collection)
 
     # ------------------------------------------------------------------ #
     # Campaign phases
@@ -263,31 +184,6 @@ class MeasurementCampaign:
                 all_domains.update(response.body)
         return pleroma_domains, all_domains
 
-    def snapshot_round(
-        self, pleroma_domains: Iterable[str], now: float, fetch_peers: bool
-    ) -> dict[str, InstanceSnapshot]:
-        """Phase 2 (one round): snapshot every Pleroma instance's metadata.
-
-        The whole round is emitted as per-domain batches through the crawl
-        engine — one request group per instance.
-        """
-        return self.instance_crawler.snapshot_many(
-            sorted(pleroma_domains), now, fetch_peers=fetch_peers
-        )
-
-    def collect_timelines(
-        self, domains: set[str], now: float
-    ) -> list[TimelineCollection]:
-        """Phase 3: collect public posts from every reachable instance."""
-        return list(
-            self.timeline_crawler.collect_many(
-                sorted(domains),
-                now,
-                local_only=True,
-                max_posts=self.config.max_posts_per_instance,
-            )
-        )
-
     # ------------------------------------------------------------------ #
     # Entry points
     # ------------------------------------------------------------------ #
@@ -299,7 +195,53 @@ class MeasurementCampaign:
         separate so the perf harness can time the crawl itself against the
         seed loop without the shared dataset-building cost).
         """
-        return self._crawl_phases(retain_timelines=True)
+        clock = self.registry.clock
+        result = CrawlResult(dataset=Dataset())
+
+        pleroma_domains, all_domains = self.discover()
+        result.pleroma_domains = pleroma_domains
+        result.discovered_domains = all_domains
+
+        first_seen = result.first_seen
+        latest = result.latest_snapshots
+        counts = result.snapshot_counts
+        interval = self.config.snapshot_interval_hours * 3600.0
+        keep_all = self.config.keep_all_snapshots
+        round_retry = self.resilience is not None and self.resilience.round_retry
+        snapshot_many = self.instance_crawler.snapshot_many
+        # Sorted once: every round snapshots the domains in this order.
+        round_domains = sorted(pleroma_domains)
+        for round_index in range(self.config.snapshot_rounds):
+            now = clock.now()
+            # Peer lists are large and barely change; fetching them on the
+            # first round only mirrors how the paper's crawler was run.
+            fetch_peers = round_index == 0
+            failures_before = len(self.instance_crawler.failures)
+            snapshots = snapshot_many(round_domains, now, fetch_peers=fetch_peers)
+            if round_retry:
+                self._retry_round(
+                    snapshots, pleroma_domains, now, fetch_peers, failures_before
+                )
+            for domain, snapshot in snapshots.items():
+                first_seen.setdefault(domain, now)
+                previous = latest.get(domain)
+                if previous is not None and not snapshot.peers:
+                    snapshot.peers = previous.peers
+                latest[domain] = snapshot
+                counts[domain] = counts.get(domain, 0) + 1
+                if keep_all:
+                    result.all_snapshots.append(snapshot)
+            clock.advance(interval)
+
+        result.timelines = self.timeline_crawler.collect_many(
+            sorted(latest),
+            clock.now(),
+            local_only=True,
+            max_posts=self.config.max_posts_per_instance,
+        )
+        result.failures = list(self.instance_crawler.failures)
+        result.api_requests = self.client.stats.requests
+        return result
 
     def assemble(self, result: CrawlResult) -> CrawlResult:
         """Build the analysis dataset from a finished crawl."""
@@ -309,22 +251,6 @@ class MeasurementCampaign:
         """Run discovery, the snapshot rounds, timeline collection and build
         the dataset."""
         return self.assemble(self.crawl())
-
-    def run_counted(self) -> CountingCrawlSink:
-        """Run the campaign keeping aggregate counters only.
-
-        The crawl-side analogue of the delivery engine's counting mode:
-        every timeline collection is dropped as soon as the sinks have
-        seen it and no dataset is assembled, so the campaign's memory
-        footprint stays flat regardless of how many posts it crawls.
-        """
-        sink = CountingCrawlSink()
-        self.sinks.append(sink)
-        try:
-            self._crawl_phases(retain_timelines=False)
-        finally:
-            self.sinks.remove(sink)
-        return sink
 
     def _retry_round(
         self,
@@ -360,59 +286,3 @@ class MeasurementCampaign:
         )
         self.round_salvaged += len(salvaged)
         snapshots.update(salvaged)
-
-    def _crawl_phases(self, retain_timelines: bool) -> CrawlResult:
-        clock = self.registry.clock
-        result = CrawlResult(dataset=Dataset())
-
-        pleroma_domains, all_domains = self.discover()
-        result.pleroma_domains = pleroma_domains
-        result.discovered_domains = all_domains
-
-        first_seen = result.first_seen
-        latest = result.latest_snapshots
-        counts = result.snapshot_counts
-        interval = self.config.snapshot_interval_hours * 3600.0
-        keep_all = self.config.keep_all_snapshots
-        round_retry = self.resilience is not None and self.resilience.round_retry
-        # Sorted once: re-sorting an already sorted list each round is linear.
-        round_domains = sorted(pleroma_domains)
-        for round_index in range(self.config.snapshot_rounds):
-            now = clock.now()
-            # Peer lists are large and barely change; fetching them on the
-            # first round only mirrors how the paper's crawler was run.
-            fetch_peers = round_index == 0
-            failures_before = len(self.instance_crawler.failures)
-            snapshots = self.snapshot_round(round_domains, now, fetch_peers)
-            if round_retry:
-                self._retry_round(
-                    snapshots, pleroma_domains, now, fetch_peers, failures_before
-                )
-            for domain, snapshot in snapshots.items():
-                first_seen.setdefault(domain, now)
-                previous = latest.get(domain)
-                if previous is not None and not snapshot.peers:
-                    snapshot.peers = previous.peers
-                latest[domain] = snapshot
-                counts[domain] = counts.get(domain, 0) + 1
-                if keep_all:
-                    result.all_snapshots.append(snapshot)
-                if self.sinks:
-                    self._emit_snapshot(round_index, snapshot)
-            clock.advance(interval)
-
-        collections = self.timeline_crawler.collect_many(
-            sorted(result.latest_snapshots),
-            clock.now(),
-            local_only=True,
-            max_posts=self.config.max_posts_per_instance,
-        )
-        for collection in collections:
-            if retain_timelines:
-                result.timelines.append(collection)
-            if self.sinks:
-                self._emit_timeline(collection)
-        result.failures = list(self.instance_crawler.failures)
-        result.api_requests = self.client.stats.requests
-        return result
-

@@ -5,7 +5,7 @@ attributes — toxicity, profanity and sexually-explicit content — each as a
 probability in [0, 1].  The real API is a remote service; this package
 provides a deterministic, lexicon-based substitute exposing the same
 interface the analysis needs: per-attribute scores per text, a client with
-request batching, caching and rate accounting, and the same 0.8 "harmful"
+request batching, caching and request accounting, and the same 0.8 "harmful"
 threshold convention the paper uses.
 
 Because the synthetic post generator (:mod:`repro.synth`) plants harmful
@@ -21,7 +21,7 @@ from repro.perspective.attributes import (
     AttributeScores,
     HARMFUL_THRESHOLD,
 )
-from repro.perspective.client import AnalysisResult, PerspectiveClient, RateLimitExceeded
+from repro.perspective.client import AnalysisResult, PerspectiveClient
 from repro.perspective.corpus import CorpusColumns
 from repro.perspective.lexicon import Lexicon, default_lexicon
 from repro.perspective.matcher import CompiledLexiconMatcher
@@ -34,7 +34,6 @@ __all__ = [
     "HARMFUL_THRESHOLD",
     "AnalysisResult",
     "PerspectiveClient",
-    "RateLimitExceeded",
     "CompiledLexiconMatcher",
     "CorpusColumns",
     "Lexicon",

@@ -1,26 +1,17 @@
 """An API-shaped client around the lexicon scorer.
 
 The analysis code talks to the scorer the way the paper's pipeline talked to
-the Perspective API: one ``analyze`` call per text (or batched), subject to a
-request quota, with caching of repeated texts.  Modelling the quota matters
-for the crawler-cost benchmark; caching matters because the same post may be
-observed from several instances (it federates).
+the Perspective API: one ``analyze`` call per text (or batched), with caching
+of repeated texts.  Caching matters because the same post may be observed
+from several instances (it federates).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.perspective.attributes import ATTRIBUTES, Attribute, AttributeScores
+from repro.perspective.attributes import AttributeScores
 from repro.perspective.scorer import LexiconScorer
-
-
-class RateLimitExceeded(RuntimeError):
-    """Raised when the per-window request quota is exhausted."""
-
-    def __init__(self, quota: int) -> None:
-        super().__init__(f"perspective quota of {quota} requests per window exceeded")
-        self.quota = quota
 
 
 @dataclass(frozen=True)
@@ -39,8 +30,6 @@ class ClientStats:
     requests: int = 0
     analyzed_texts: int = 0
     cache_hits: int = 0
-    rate_limited: int = 0
-    per_attribute_requests: dict[str, int] = field(default_factory=dict)
 
 
 class PerspectiveClient:
@@ -50,184 +39,75 @@ class PerspectiveClient:
     ----------
     scorer:
         The scorer used to produce attribute scores.
-    quota_per_window:
-        Maximum number of (non-cached) requests per window; ``None`` means
-        unlimited.  The real API enforces a per-minute quota, which the
-        paper's five-month campaign had to respect.
-    max_cache_size:
-        Optional bound on the text-keyed score cache.  ``None`` (the
-        default) keeps every score, which is what the analysis pipeline
-        wants; a bound turns the cache into an LRU for long-running
-        services that cannot hold every text in memory.
+    corpus:
+        Optional :class:`~repro.perspective.corpus.CorpusColumns` built over
+        the same scorer, to serve scores from.  Its scores are bitwise
+        identical to :meth:`LexiconScorer.score`, and request counting and
+        the text cache behave exactly as without one, so a corpus is
+        observable only as throughput.
     """
 
-    def __init__(
-        self,
-        scorer: LexiconScorer | None = None,
-        quota_per_window: int | None = None,
-        max_cache_size: int | None = None,
-        corpus=None,
-    ) -> None:
-        if quota_per_window is not None and quota_per_window <= 0:
-            raise ValueError("quota_per_window must be positive (or None)")
-        if max_cache_size is not None and max_cache_size <= 0:
-            raise ValueError("max_cache_size must be positive (or None)")
+    def __init__(self, scorer: LexiconScorer | None = None, corpus=None) -> None:
         self.scorer = scorer or LexiconScorer()
-        self.quota_per_window = quota_per_window
-        self.max_cache_size = max_cache_size
         self.corpus = corpus
         self.stats = ClientStats()
         self._cache: dict[str, AttributeScores] = {}
-        self._window_requests = 0
 
-    def attach_corpus(self, corpus) -> None:
-        """Serve scores from materialised corpus columns.
-
-        ``corpus`` is a :class:`~repro.perspective.corpus.CorpusColumns`
-        built over the same scorer.  Only the scoring work changes —
-        request counting, quota charging and the text cache behave exactly
-        as without a corpus, and the derived scores are bitwise identical
-        to :meth:`LexiconScorer.score`, so attaching one is observable
-        only as throughput.
-
-        Clients with a bounded cache (``max_cache_size``) ignore the
-        corpus: it interns every analysed text for the campaign's
-        lifetime, which would silently defeat the memory bound the LRU
-        promises.
-        """
-        self.corpus = corpus
-
-    def _corpus_scores(self) -> "object | None":
-        """Return the corpus to score through, or ``None`` to use the scorer."""
-        if self.max_cache_size is not None:
-            return None
-        return self.corpus
-
-    # ------------------------------------------------------------------ #
-    # Quota window management
-    # ------------------------------------------------------------------ #
-    def reset_window(self) -> None:
-        """Start a new quota window (e.g. a new minute)."""
-        self._window_requests = 0
-
-    @property
-    def window_requests(self) -> int:
-        """Return how many non-cached requests were made this window."""
-        return self._window_requests
-
-    def _charge_quota(self) -> None:
-        if self.quota_per_window is None:
-            return
-        if self._window_requests >= self.quota_per_window:
-            self.stats.rate_limited += 1
-            raise RateLimitExceeded(self.quota_per_window)
-        self._window_requests += 1
-
-    # ------------------------------------------------------------------ #
-    # Cache management
-    # ------------------------------------------------------------------ #
-    def _cache_get(self, text: str) -> AttributeScores | None:
-        if self.max_cache_size is None:
-            return self._cache.get(text)
-        scores = self._cache.pop(text, None)
-        if scores is not None:
-            self._cache[text] = scores  # re-insert: most recently used last
-        return scores
-
-    def _cache_put(self, text: str, scores: AttributeScores) -> None:
-        if self.max_cache_size is not None and len(self._cache) >= self.max_cache_size:
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[text] = scores
-
-    def _count_request(self, attributes: tuple[Attribute, ...]) -> None:
-        self.stats.requests += 1
-        self.stats.analyzed_texts += 1
-        for attribute in attributes:
-            self.stats.per_attribute_requests[attribute.value] = (
-                self.stats.per_attribute_requests.get(attribute.value, 0) + 1
-            )
-
-    # ------------------------------------------------------------------ #
-    # Analysis
-    # ------------------------------------------------------------------ #
-    def analyze(
-        self,
-        text: str,
-        attributes: tuple[Attribute, ...] = ATTRIBUTES,
-    ) -> AnalysisResult:
+    def analyze(self, text: str) -> AnalysisResult:
         """Analyse one text, using the cache when possible."""
-        cached = self._cache_get(text)
+        cached = self._cache.get(text)
         if cached is not None:
             self.stats.cache_hits += 1
             return AnalysisResult(text=text, scores=cached, cached=True)
-
-        self._charge_quota()
-        self._count_request(attributes)
-        corpus = self._corpus_scores()
-        if corpus is not None:
-            scores = corpus.scores_for_text(text)
+        self.stats.requests += 1
+        self.stats.analyzed_texts += 1
+        if self.corpus is not None:
+            scores = self.corpus.scores_for_text(text)
         else:
             scores = self.scorer.score(text)
-        self._cache_put(text, scores)
+        self._cache[text] = scores
         return AnalysisResult(text=text, scores=scores)
 
-    def analyze_many(
-        self,
-        texts: list[str],
-        attributes: tuple[Attribute, ...] = ATTRIBUTES,
-    ) -> list[AnalysisResult]:
+    def analyze_many(self, texts: list[str]) -> list[AnalysisResult]:
         """Analyse several texts in submission order.
 
-        A genuine batch path: distinct uncached texts are collected first
-        and scored with one :meth:`LexiconScorer.score_many` call, while
-        cache semantics, usage counters and quota charging stay identical
-        to calling :meth:`analyze` per text (duplicates within the batch
-        count as cache hits, and quota is charged per distinct new text in
-        submission order).
+        Distinct uncached texts are collected first and scored in one batch,
+        while cache semantics and usage counters stay identical to calling
+        :meth:`analyze` per text (duplicates within the batch count as cache
+        hits).
         """
-        if self.max_cache_size is not None:
-            # A bounded LRU makes batch ordering observable (an entry can be
-            # evicted between this method's lookup and scoring phases), so
-            # take the sequential path literally to keep the guarantee.
-            return [self.analyze(text, attributes) for text in texts]
+        stats = self.stats
+        cache = self._cache
         results: list[AnalysisResult | None] = [None] * len(texts)
         order: list[str] = []
         slots: dict[str, list[int]] = {}
-        try:
-            for index, text in enumerate(texts):
-                known = slots.get(text)
-                if known is not None:
-                    # Duplicate of a text charged earlier in this batch: the
-                    # sequential path would have served it from the cache.
-                    self.stats.cache_hits += 1
-                    known.append(index)
-                    continue
-                cached = self._cache_get(text)
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = AnalysisResult(text=text, scores=cached, cached=True)
-                    continue
-                self._charge_quota()
-                self._count_request(attributes)
-                order.append(text)
-                slots[text] = [index]
-        finally:
-            # Score whatever was charged — also when the quota ran out
-            # mid-batch, so the cache ends up exactly as the sequential
-            # path would have left it.
-            corpus = self._corpus_scores()
-            if corpus is not None:
-                scored = corpus.scores_for(order)
-            else:
-                scored = self.scorer.score_many(order)
-            for text, scores in zip(order, scored):
-                self._cache_put(text, scores)
-                indices = slots[text]
-                results[indices[0]] = AnalysisResult(text=text, scores=scores)
-                for duplicate in indices[1:]:
-                    results[duplicate] = AnalysisResult(
-                        text=text, scores=scores, cached=True
-                    )
+        for index, text in enumerate(texts):
+            known = slots.get(text)
+            if known is not None:
+                # Duplicate of a text scored earlier in this batch: the
+                # sequential path would have served it from the cache.
+                stats.cache_hits += 1
+                known.append(index)
+                continue
+            cached = cache.get(text)
+            if cached is not None:
+                stats.cache_hits += 1
+                results[index] = AnalysisResult(text=text, scores=cached, cached=True)
+                continue
+            stats.requests += 1
+            stats.analyzed_texts += 1
+            order.append(text)
+            slots[text] = [index]
+        if self.corpus is not None:
+            scored = self.corpus.scores_for(order)
+        else:
+            scored = self.scorer.score_many(order)
+        for text, scores in zip(order, scored):
+            cache[text] = scores
+            indices = slots[text]
+            results[indices[0]] = AnalysisResult(text=text, scores=scores)
+            for duplicate in indices[1:]:
+                results[duplicate] = AnalysisResult(text=text, scores=scores, cached=True)
         return results
 
     def clear_cache(self) -> None:

@@ -179,26 +179,6 @@ class Lexicon:
             self._merged = {term: tuple(vector) for term, vector in merged.items()}
         return self._merged
 
-    def weighted_hits_all(self, tokens: list[str]) -> tuple[float, ...]:
-        """Return every attribute's summed hit weight in one pass.
-
-        Accumulation follows token order per attribute, exactly like calling
-        :meth:`weighted_hits` once per attribute — adding ``0.0`` is the
-        floating-point identity, so skipping non-lexicon tokens leaves each
-        attribute's partial-sum sequence (and therefore the result bits)
-        unchanged.  Keeping the seed's summation order matters: scores are
-        compared against thresholds with ``>=`` and the synthetic corpus
-        plants densities that land exactly on them.
-        """
-        merged = self.merged_table()
-        totals = [0.0] * len(ATTRIBUTES)
-        for token in tokens:
-            weights = merged.get(token)
-            if weights is not None:
-                for position, weight in enumerate(weights):
-                    totals[position] += weight
-        return tuple(totals)
-
     def compiled(self) -> CompiledLexiconMatcher:
         """Return the compiled matching engine for the current lexicon.
 

@@ -1,12 +1,10 @@
-"""Protocol-realism subsystem: boosts, conversations and signed deliveries.
+"""Protocol-realism subsystem: boosts and conversations.
 
 The measured fediverse is not a stream of ``Create`` activities: real MRF
-pipelines spend most of their time on boosts (``Announce``), favourites
-(``Like``), reply threads and the HTTP-signature verification every
-delivery pays before any policy runs.  This package models those protocol
-mechanics on top of the existing activity model, following the direction
-named in ROADMAP (Epicyon's ``announce.py`` / ``conversation.py`` /
-``httpsig.py``):
+pipelines spend much of their time on boosts (``Announce``), favourites
+(``Like``) and reply threads.  This package models those protocol mechanics
+on top of the existing activity model, following Epicyon's ``announce.py``
+and ``conversation.py``:
 
 * :mod:`repro.protocol.announce` — hot-post selection for boost cascades:
   the planted set of posts that re-fan across origins in the ``viral``
@@ -14,40 +12,18 @@ named in ROADMAP (Epicyon's ``announce.py`` / ``conversation.py`` /
 * :mod:`repro.protocol.conversation` — reply-thread (conversation)
   helpers: conversation ids and the accumulated mention blocks that make
   deep threads cross the Hellthread mention floors at realistic depth.
-* :mod:`repro.protocol.httpsig` — a deterministic HTTP-signature
-  verification cost model: per-actor keys derived by iterated hashing
-  (the expensive part), per-delivery verification charged to a dedicated
-  simulated clock, and an actor-key cache the batched delivery path uses
-  to amortise derivations.
 
 Everything here is inert by default: the generator only emits the new
-activity types when a scenario turns the corresponding knobs on, and the
-delivery engine only verifies signatures when a verifier is attached — so
+activity types when a scenario turns the corresponding knobs on, so
 Create-only configurations stay bit-identical to the pre-protocol engine
 (the ``protocol`` bench stage gates this).
 """
 
 from repro.protocol.announce import select_hot_posts
 from repro.protocol.conversation import conversation_id, mention_block
-from repro.protocol.httpsig import (
-    KEY_DERIVATION_ROUNDS,
-    SIGNATURE_FIELD,
-    ActorKeyCache,
-    HttpSignatureVerifier,
-    SignatureStats,
-    derive_actor_key,
-    sign_activity,
-)
 
 __all__ = [
-    "ActorKeyCache",
-    "HttpSignatureVerifier",
-    "KEY_DERIVATION_ROUNDS",
-    "SIGNATURE_FIELD",
-    "SignatureStats",
     "conversation_id",
-    "derive_actor_key",
     "mention_block",
     "select_hot_posts",
-    "sign_activity",
 ]

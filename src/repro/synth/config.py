@@ -11,6 +11,7 @@ and :func:`repro.synth.scenario.scenario_config` provides larger presets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 # --------------------------------------------------------------------------- #
 # Calibration constants lifted from the paper
@@ -160,6 +161,74 @@ PAPER_ELITE_NON_PLEROMA_INSTANCES: tuple[str, ...] = (
 # --------------------------------------------------------------------------- #
 # Generator configuration
 # --------------------------------------------------------------------------- #
+# Bounds of the numeric knobs, each the one its consumer in the generator
+# needs: shares and adoption tables are probabilities; the geometric_count
+# means (posts per user, SimplePolicy list sizes) must be at least 1; the
+# lognormal_count means and the reject-target weights must be positive;
+# per-peer counts at least 1; durations positive.  A dict knob is checked
+# value by value.
+_SHARE = (lambda value: 0 <= value <= 1, "within [0, 1]")
+_POSITIVE = (lambda value: value > 0, "positive")
+_AT_LEAST_ONE = (lambda value: value >= 1, "at least 1")
+_NON_NEGATIVE = (lambda value: value >= 0, "non-negative")
+
+_BOUNDS: dict[str, tuple[Callable[[float], bool], str]] = {
+    "n_pleroma_instances": (lambda value: value >= 10, "at least 10"),
+    "non_pleroma_ratio": _NON_NEGATIVE,
+    "uncrawlable_status_shares": _SHARE,
+    "timeline_unreachable_rate": _SHARE,
+    "policy_exposure_rate": _SHARE,
+    "controversial_share": (lambda value: 0 < value < 1, "within (0, 1)"),
+    "n_elite_instances": _NON_NEGATIVE,
+    "mainstream_mean_users": _POSITIVE,
+    "controversial_mean_users": _POSITIVE,
+    # Elite instances and harmful users are scaled up, never down: a small
+    # multiplier could leave an elite instance with no users, or a harmful
+    # user's geometric_count mean below 1.
+    "elite_user_multiplier": _AT_LEAST_ONE,
+    "single_user_controversial_share": _SHARE,
+    "active_user_share": _SHARE,
+    "mean_posts_per_user": _AT_LEAST_ONE,
+    "harmful_post_multiplier": _AT_LEAST_ONE,
+    "controversial_score_band_shares": _SHARE,
+    "mainstream_score_band_shares": _SHARE,
+    "harmful_attribute_mix": _SHARE,
+    "harmful_target_score": (lambda value: value <= 0.98, "at most the 0.98 ceiling"),
+    "controversial_harmful_category_share": _SHARE,
+    "media_attachment_rate": _SHARE,
+    "sexual_media_attachment_rate": _SHARE,
+    "bot_user_share": _SHARE,
+    "mean_post_length": _POSITIVE,
+    "policy_adoption": _SHARE,
+    "custom_policy_adoption": _SHARE,
+    "action_adoption": _SHARE,
+    "controversial_simplepolicy_factor": _SHARE,
+    "mean_reject_list_size": _AT_LEAST_ONE,
+    "mean_other_action_list_size": _AT_LEAST_ONE,
+    "non_pleroma_blockable_share": _SHARE,
+    "elite_target_weight": _POSITIVE,
+    "controversial_target_weight": _POSITIVE,
+    "ordinary_target_weight": _POSITIVE,
+    "sexual_media_target_multiplier": _POSITIVE,
+    "federation_fanout": _AT_LEAST_ONE,
+    "federation_posts_per_peer": _AT_LEAST_ONE,
+    "federation_hot_origin_share": _SHARE,
+    "federation_hot_fanout_multiplier": _AT_LEAST_ONE,
+    "federation_announce_share": _SHARE,
+    "federation_announces_per_peer": _AT_LEAST_ONE,
+    "federation_like_share": _SHARE,
+    "federation_likes_per_peer": _AT_LEAST_ONE,
+    "federation_hot_post_count": _AT_LEAST_ONE,
+    "reply_thread_share": _SHARE,
+    "reply_thread_max_depth": _NON_NEGATIVE,
+    "ua_blocking_share": _SHARE,
+    "instance_churn_rate": _SHARE,
+    "churn_window_days": _POSITIVE,
+    "campaign_days": _POSITIVE,
+    "snapshot_interval_hours": _POSITIVE,
+}
+
+
 @dataclass
 class SynthConfig:
     """All knobs of the synthetic-fediverse generator.
@@ -213,17 +282,13 @@ class SynthConfig:
     harmful_post_multiplier: float = 2.0
 
     # -- content -------------------------------------------------------- #
-    #: Share of users on controversial instances who post harmful content
-    #: (i.e. whose average Perspective score reaches 0.8 in some attribute).
-    #: This is documentation of the calibration target; generation itself is
-    #: driven by the score-band shares below (the two 0.8+ bands sum to it).
-    harmful_user_share: float = PAPER_HARMFUL_USER_SHARE
     #: Score-band shares for users on controversial instances: maps the lower
     #: edge of a 0.1-wide score band to the share of users whose average
     #: Perspective score lands in that band.  Users not covered by any band
     #: are benign (score ~0).  The default is derived from Table 2 of the
     #: paper (cumulative non-harmful shares at thresholds 0.5–0.9), so the
-    #: threshold sweep reproduces the same gradient.
+    #: threshold sweep reproduces the same gradient; the two 0.8+ bands sum
+    #: to the paper's harmful-user share (``PAPER_HARMFUL_USER_SHARE``).
     controversial_score_band_shares: dict[float, float] = field(
         default_factory=lambda: {
             0.9: 0.027,
@@ -360,48 +425,23 @@ class SynthConfig:
     snapshot_interval_hours: float = float(PAPER_SNAPSHOT_INTERVAL_HOURS)
 
     def __post_init__(self) -> None:
-        if self.n_pleroma_instances < 10:
-            raise ValueError("n_pleroma_instances must be at least 10")
-        if not 0 < self.controversial_share < 1:
-            raise ValueError("controversial_share must be within (0, 1)")
-        if self.n_elite_instances < 0:
-            raise ValueError("n_elite_instances must be non-negative")
-        if not 0 <= self.harmful_user_share <= 1:
-            raise ValueError("harmful_user_share must be within [0, 1]")
-        if self.harmful_target_score > 0.98:
-            raise ValueError("harmful_target_score above the scorer ceiling")
-        total_uncrawlable = sum(self.uncrawlable_status_shares.values())
-        if total_uncrawlable >= 1.0:
-            raise ValueError("uncrawlable shares must sum to less than 1")
-        if not 0 <= self.federation_hot_origin_share <= 1:
-            raise ValueError("federation_hot_origin_share must be within [0, 1]")
-        if self.federation_hot_fanout_multiplier < 1.0:
-            raise ValueError("federation_hot_fanout_multiplier must be >= 1")
-        if not 0 <= self.instance_churn_rate <= 1:
-            raise ValueError("instance_churn_rate must be within [0, 1]")
-        if self.churn_window_days <= 0:
-            raise ValueError("churn_window_days must be positive")
+        for name, (holds, bound) in _BOUNDS.items():
+            value = getattr(self, name)
+            items = value.items() if isinstance(value, dict) else ((None, value),)
+            for key, item in items:
+                if not holds(item):
+                    where = name if key is None else f"{name}[{key!r}]"
+                    raise ValueError(f"{where} must be {bound}, got {item!r}")
+        if sum(self.uncrawlable_status_shares.values()) >= 1.0:
+            raise ValueError(
+                "uncrawlable_status_shares must sum to less than 1, "
+                f"got {self.uncrawlable_status_shares!r}"
+            )
         if self.fault_profile not in ("none", "light", "mixed", "heavy"):
             raise ValueError(
                 f"unknown fault_profile {self.fault_profile!r}; "
                 "available: none, light, mixed, heavy"
             )
-        if not 0 <= self.federation_announce_share <= 1:
-            raise ValueError("federation_announce_share must be within [0, 1]")
-        if self.federation_announces_per_peer < 1:
-            raise ValueError("federation_announces_per_peer must be at least 1")
-        if not 0 <= self.federation_like_share <= 1:
-            raise ValueError("federation_like_share must be within [0, 1]")
-        if self.federation_likes_per_peer < 1:
-            raise ValueError("federation_likes_per_peer must be at least 1")
-        if self.federation_hot_post_count < 1:
-            raise ValueError("federation_hot_post_count must be at least 1")
-        if not 0 <= self.reply_thread_share <= 1:
-            raise ValueError("reply_thread_share must be within [0, 1]")
-        if self.reply_thread_max_depth < 0:
-            raise ValueError("reply_thread_max_depth must be non-negative")
-        if not 0 <= self.ua_blocking_share <= 1:
-            raise ValueError("ua_blocking_share must be within [0, 1]")
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -175,16 +175,14 @@ class FediverseGenerator:
     def generate(self) -> GeneratedFediverse:
         """Build and return the complete synthetic fediverse.
 
-        Federation runs through the counting path of the delivery engine:
-        no per-delivery report objects are materialised (attach sinks to a
-        custom :class:`FederationDelivery` and call :meth:`federate` to
-        observe the report stream instead).  Ground truth, generation
+        Federation runs through the counted path of the delivery engine, so
+        no per-delivery report objects are built.  Ground truth, generation
         statistics and the per-instance moderation-event streams are
         identical to the seed's one-at-a-time delivery loop for a fixed
         seed — the perf harness asserts this at scale.
         """
         prepared = self.prepare()
-        delivery = FederationDelivery(prepared.registry, sinks=[])
+        delivery = FederationDelivery(prepared.registry)
         self.federate(prepared, delivery)
         return self._finalise(prepared, delivery)
 
@@ -236,9 +234,7 @@ class FediverseGenerator:
     ) -> None:
         """Consume the federation stream through the delivery engine.
 
-        Uses the counted delivery path: with a sink-less engine no report
-        objects exist at all; with sinks attached every sink still sees the
-        full report stream.
+        Uses the counted delivery path, which builds no report objects.
         """
         stats = prepared.stats
         try:

@@ -70,8 +70,7 @@ SCENARIOS: dict[str, dict] = {
     # re-fanned across origins (Announce traffic routinely dwarfs Create
     # traffic on the real fediverse) and a slice of UA-blocking instances
     # the crawler cannot reach.  The home scenario of the `protocol` bench
-    # stage, which also signature-verifies its deliveries; the generator
-    # itself attaches no verifier.
+    # stage.
     "viral": {
         "n_pleroma_instances": 400,
         "campaign_days": 30.0,

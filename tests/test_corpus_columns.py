@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from perf.baselines import naive_score_many
 from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
 from repro.core.harmfulness import HarmfulnessLabeller
-from repro.perspective.attributes import ATTRIBUTES, Attribute
+from repro.perspective.attributes import Attribute, AttributeScores
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.corpus import CorpusColumns
 from repro.perspective.scorer import LexiconScorer
@@ -86,12 +84,16 @@ class TestClientCorpusIntegration:
 
     def test_analyze_single_uses_corpus_and_charges_quota(self):
         scorer = LexiconScorer()
-        client = PerspectiveClient(scorer=scorer, quota_per_window=2)
-        client.attach_corpus(CorpusColumns(scorer, TEXTS))
-        client.analyze(TEXTS[0])
-        client.analyze(TEXTS[1])
-        with pytest.raises(Exception):
-            client.analyze(TEXTS[2])
+        corpus = CorpusColumns(scorer, TEXTS[:2])
+        client = PerspectiveClient(scorer=scorer, corpus=corpus)
+        for text in TEXTS:
+            assert client.analyze(text).scores == scorer.score(text)
+        # Texts the corpus lacked were interned on first analysis.
+        assert all(text in corpus for text in TEXTS)
+        # One request is charged per distinct text, the unit the real API's
+        # quota counts; the repeated text is a cache hit.
+        assert client.stats.requests == len(set(TEXTS))
+        assert client.stats.cache_hits == len(TEXTS) - len(set(TEXTS))
 
 
 def _dataset() -> Dataset:
@@ -130,14 +132,20 @@ class TestLabellerCorpus:
         assert [l.mean_scores for l in labels] == [l.mean_scores for l in relabelled]
 
     def test_labeller_without_corpus_matches_labeller_with(self):
-        with_corpus = HarmfulnessLabeller(_dataset())
-        without = HarmfulnessLabeller(_dataset(), materialise_corpus=False)
+        dataset = _dataset()
+        labeller = HarmfulnessLabeller(dataset)
+        scorer = LexiconScorer()
+        harmful = 0
         for handle in [f"user{i}@inst.example" for i in range(3)]:
-            a = with_corpus.label_user(handle)
-            b = without.label_user(handle)
-            assert a.mean_scores == b.mean_scores
-            assert a.harmful_post_count == b.harmful_post_count
-        assert without.corpus is None
+            label = labeller.label_user(handle)
+            scores = [scorer.score(post.content) for post in dataset.posts_by(handle)]
+            assert label.mean_scores == AttributeScores.mean(scores)
+            assert label.harmful_post_count == sum(
+                score.is_harmful(labeller.threshold) for score in scores
+            )
+            harmful += label.harmful_post_count
+        assert labeller.corpus is not None
+        assert harmful == 1
 
     def test_corpus_tracks_lexicon_mutation_through_labelling(self):
         labeller = HarmfulnessLabeller(_dataset())

@@ -20,12 +20,7 @@ from perf import baselines
 from perf.harness import crawl_state
 from repro.api.client import APIClient
 from repro.api.server import FediverseAPIServer, serialise_status
-from repro.crawler.campaign import (
-    CampaignConfig,
-    CountingCrawlSink,
-    CrawlSink,
-    MeasurementCampaign,
-)
+from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
 from repro.fediverse.post import MediaAttachment, Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
@@ -177,65 +172,6 @@ class TestTwinCampaignEquivalence:
             FediverseGenerator(config).generate().registry, campaign_config
         )
         assert crawl_state(engine) == crawl_state(naive)
-
-
-class TestCrawlSinks:
-    def test_counting_sink_matches_result(self):
-        config = CampaignConfig(duration_days=0.5, timeline_page_size=5)
-        sink = CountingCrawlSink()
-        campaign = MeasurementCampaign(
-            build_mixed_registry(),
-            config,
-            directory=FixedDirectory(MIXED_DOMAINS),
-            sinks=[sink],
-        )
-        result = campaign.run()
-        assert sink.snapshots == sum(result.snapshot_counts.values())
-        assert sink.failures == len(result.failures)
-        assert sink.timelines == len(result.timelines)
-        assert sink.unreachable_timelines == sum(
-            1 for collection in result.timelines if not collection.reachable
-        )
-        assert sink.posts == sum(
-            collection.post_count
-            for collection in result.timelines
-            if collection.reachable
-        )
-        statuses: dict[int, int] = {}
-        for failure in result.failures:
-            statuses[failure.status_code] = statuses.get(failure.status_code, 0) + 1
-        assert sink.failures_by_status == statuses
-
-    def test_run_counted_keeps_aggregates_only(self):
-        config = CampaignConfig(duration_days=0.5, timeline_page_size=5)
-        counted = MeasurementCampaign(
-            build_mixed_registry(), config, directory=FixedDirectory(MIXED_DOMAINS)
-        ).run_counted()
-        reference = MeasurementCampaign(
-            build_mixed_registry(), config, directory=FixedDirectory(MIXED_DOMAINS)
-        ).run()
-        assert counted.snapshots == sum(reference.snapshot_counts.values())
-        assert counted.posts == sum(
-            collection.post_count
-            for collection in reference.timelines
-            if collection.reachable
-        )
-        assert counted.failures == len(reference.failures)
-
-    def test_custom_sink_observes_rounds(self):
-        observed_rounds: set[int] = set()
-
-        class RoundSink(CrawlSink):
-            def on_snapshot(self, round_index, snapshot):
-                observed_rounds.add(round_index)
-
-        config = CampaignConfig(duration_days=0.5)
-        campaign = MeasurementCampaign(
-            build_mixed_registry(), config, directory=FixedDirectory(MIXED_DOMAINS)
-        )
-        campaign.add_sink(RoundSink())
-        campaign.run()
-        assert observed_rounds == set(range(config.snapshot_rounds))
 
 
 class TestBatchAPI:

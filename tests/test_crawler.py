@@ -146,6 +146,9 @@ class TestCampaign:
             CampaignConfig(duration_days=0)
         with pytest.raises(ValueError):
             CampaignConfig(snapshot_interval_hours=0)
+        # A negative cap would slice [:-1] off every instance's posts.
+        with pytest.raises(ValueError, match="max_posts_per_instance must be non-negative"):
+            CampaignConfig(max_posts_per_instance=-1)
 
     def test_snapshot_rounds(self):
         assert CampaignConfig(duration_days=1.0, snapshot_interval_hours=4.0).snapshot_rounds == 6

@@ -1,4 +1,4 @@
-"""Tests for the batched delivery engine: batches, sinks and accounting."""
+"""Tests for the batched delivery engine: batches and accounting."""
 
 from __future__ import annotations
 
@@ -10,14 +10,7 @@ from perf import baselines
 from perf.harness import delivery_race, race
 from repro.activitypub.activities import create_activity
 from repro.activitypub.actors import Actor
-from repro.activitypub.delivery import (
-    CountingSink,
-    FederationDelivery,
-    FederationStats,
-    ListSink,
-    StreamingEdgeSink,
-)
-from repro.datasets.store import Dataset
+from repro.activitypub.delivery import FederationDelivery, FederationStats
 from repro.fediverse.registry import FediverseRegistry
 from repro.mrf.simple import SimplePolicy
 from repro.synth.generator import FediverseGenerator
@@ -69,13 +62,12 @@ class TestDeliverBatch:
         with_reports = FederationDelivery(registry)
         reports = with_reports.deliver_batch(activities, "alpha.example")
 
-        counted = FederationDelivery(registry, sinks=[])
+        counted = FederationDelivery(registry)
         delivered, rejected = counted.deliver_batch_counted(activities, "alpha.example")
 
         assert delivered == len(reports) == 3
         assert rejected == sum(1 for r in reports if r.rejected) == 2
         assert counted.stats == with_reports.stats
-        assert counted.reports == []  # nothing materialised
 
     def test_broadcast_normalises_and_skips_duplicates(self, registry, rejecting_pair):
         _, beta, _ = rejecting_pair
@@ -133,53 +125,6 @@ class TestStatsAccounting:
         assert stats.by_policy == {"P": 2}
 
 
-class TestSinks:
-    def test_list_sink_default_preserves_reports(self, registry, rejecting_pair):
-        _, beta, _ = rejecting_pair
-        delivery = FederationDelivery(registry)
-        delivery.deliver(_activities(beta, "bob", ["hi"])[0], "alpha.example")
-        assert len(delivery.reports) == 1
-        assert delivery.reports[0].target_domain == "alpha.example"
-
-    def test_counting_sink(self, registry, rejecting_pair):
-        _, beta, gamma = rejecting_pair
-        counting = CountingSink()
-        delivery = FederationDelivery(registry, sinks=[counting])
-        activities = _activities(beta, "bob", ["1", "2"]) + _activities(gamma, "gail", ["3"])
-        delivery.deliver_batch(activities, "alpha.example")
-        assert counting.stats.delivered == 3
-        assert counting.stats.rejected == 2
-        assert delivery.reports == []  # no list sink attached
-
-    def test_streaming_edge_sink_feeds_dataset(self, registry, rejecting_pair):
-        _, beta, _ = rejecting_pair
-        dataset = Dataset()
-        sink = StreamingEdgeSink(dataset)
-        delivery = FederationDelivery(registry, sinks=[sink])
-        activities = _activities(beta, "bob", ["1", "2"])
-        delivery.deliver_batch(activities, "alpha.example")
-        # Two rejected deliveries stream two observations deduplicated into
-        # one moderation edge: alpha (moderator) -> beta (moderated).
-        assert sink.streamed == 2
-        assert len(dataset.reject_edges) == 1
-        edge = dataset.reject_edges[0]
-        assert (edge.source, edge.target, edge.action) == (
-            "alpha.example",
-            "beta.example",
-            "reject",
-        )
-        assert dataset.rejects_applied("alpha.example") == 1
-        assert dataset.rejected_domains() == ["beta.example"]
-
-    def test_extra_sink_via_add_sink(self, registry, rejecting_pair):
-        _, beta, _ = rejecting_pair
-        extra = ListSink()
-        delivery = FederationDelivery(registry)
-        delivery.add_sink(extra)
-        delivery.deliver(_activities(beta, "bob", ["hi"])[0], "alpha.example")
-        assert len(extra.reports) == len(delivery.reports) == 1
-
-
 def fuzz_configs():
     """Randomized-but-reproducible scenario parameter sets, churn included."""
     rng = random.Random(20260807)
@@ -230,7 +175,7 @@ class TestEngineEquivalence:
         generator = FediverseGenerator(config)
 
         engine_prepared = generator.prepare()
-        engine_delivery = FederationDelivery(engine_prepared.registry, sinks=[])
+        engine_delivery = FederationDelivery(engine_prepared.registry)
         generator.federate(engine_prepared, engine_delivery)
 
         naive_prepared = generator.prepare()

@@ -1,6 +1,6 @@
 """Equivalence tests: indexed/cached fast paths vs naive reference scans.
 
-The indexed ``Dataset`` accessors, the single-pass scorer and the cached
+The indexed ``Dataset`` accessors, the compiled scorer and the cached
 collateral sweep are transparent optimisations: every one of them must
 return exactly what the seed's naive scan over the flat record lists
 returned — same elements, same order, same float bits.  These tests pin
@@ -215,7 +215,7 @@ CORPUS = [
 ]
 
 
-def test_single_pass_scores_match_per_attribute_passes() -> None:
+def test_merged_scores_match_per_attribute_passes() -> None:
     scorer = LexiconScorer()
     for text in CORPUS:
         single = scorer.score(text)
@@ -266,17 +266,6 @@ def test_batch_analyze_matches_sequential_stats_and_flags() -> None:
     assert batch_client.cache_size == seq_client.cache_size
 
 
-def test_batch_analyze_with_bounded_lru_matches_sequential() -> None:
-    texts = CORPUS[1:] * 2
-    batch_client = PerspectiveClient(max_cache_size=2)
-    seq_client = PerspectiveClient(max_cache_size=2)
-    batch = batch_client.analyze_many(texts)
-    seq = [seq_client.analyze(text) for text in texts]
-    assert [(r.scores, r.cached) for r in batch] == [(r.scores, r.cached) for r in seq]
-    assert batch_client.stats == seq_client.stats
-    assert batch_client._cache == seq_client._cache
-
-
 def test_label_memo_tracks_threshold_changes(tiny_pipeline) -> None:
     from repro.core.harmfulness import HarmfulnessLabeller
 
@@ -313,16 +302,6 @@ def test_breakdown_cache_immune_to_caller_mutation(tiny_pipeline) -> None:
     rows[0].non_harmful_users += 100
     again = analyzer.per_instance_breakdown()
     assert [dict(row.as_row()) for row in again] == pristine
-
-
-def test_lru_cache_bound_evicts_oldest() -> None:
-    client = PerspectiveClient(max_cache_size=2)
-    client.analyze("one two three")
-    client.analyze("idiot")
-    client.analyze("damn")  # evicts "one two three"
-    assert client.cache_size == 2
-    assert client.analyze("idiot").cached
-    assert not client.analyze("one two three").cached  # was evicted, rescored
 
 
 def test_collateral_sweep_matches_seed_algorithm(tiny_pipeline) -> None:

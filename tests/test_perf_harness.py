@@ -38,7 +38,7 @@ def test_report_contains_every_benchmark(tiny_report) -> None:
         speedups = [key for key in metrics if key.endswith("_speedup")]
         assert speedups and all(metrics[key] > 0.0 for key in speedups)
     scoring = report.metrics["scoring"]
-    assert scoring["single_pass_seconds"] > 0.0
+    assert scoring["compiled_seconds"] > 0.0
     assert scoring["columns_build_seconds"] > 0.0
     assert scoring["interned_texts"] > 0
     assert report.metrics["threshold_sweep"]["thresholds"] == len(SWEEP_THRESHOLDS)
@@ -84,11 +84,3 @@ def test_race_raises_when_a_candidate_diverges() -> None:
     metrics, state = race("toy stage", Race(spec.build, sorted, {"copy": sorted}), 1)
     assert state == [1, 2, 3]
     assert set(metrics) == {"reference_seconds", "copy_seconds", "copy_speedup"}
-
-
-def test_race_checks_the_reference_against_an_expected_state() -> None:
-    spec = Race(build=lambda: [3, 1, 2], reference=sorted, candidates={})
-    with pytest.raises(RuntimeError, match="reference diverged from the expected"):
-        race("toy stage", spec, 1, expected=[3, 2, 1])
-    metrics, _ = race("toy stage", spec, 1, expected=[1, 2, 3])
-    assert set(metrics) == {"reference_seconds"}

@@ -10,7 +10,7 @@ from repro.perspective.attributes import (
     AttributeScores,
     HARMFUL_THRESHOLD,
 )
-from repro.perspective.client import PerspectiveClient, RateLimitExceeded
+from repro.perspective.client import PerspectiveClient
 from repro.perspective.lexicon import Lexicon, default_lexicon, tokenize
 from repro.perspective.scorer import (
     CEILING,
@@ -144,36 +144,11 @@ class TestClient:
         assert client.stats.cache_hits == 1
         assert client.cache_size == 1
 
-    def test_quota_enforced(self):
-        client = PerspectiveClient(quota_per_window=2)
-        client.analyze("one")
-        client.analyze("two")
-        with pytest.raises(RateLimitExceeded):
-            client.analyze("three")
-        assert client.stats.rate_limited == 1
-
-    def test_quota_window_reset(self):
-        client = PerspectiveClient(quota_per_window=1)
-        client.analyze("one")
-        client.reset_window()
-        client.analyze("two")
-        assert client.stats.requests == 2
-
-    def test_cached_results_do_not_consume_quota(self):
-        client = PerspectiveClient(quota_per_window=1)
-        client.analyze("same")
-        client.analyze("same")
-        assert client.window_requests == 1
-
     def test_analyze_many(self):
         client = PerspectiveClient()
         results = client.analyze_many(["a b c", "you idiot moron idiot scum"])
         assert len(results) == 2
         assert results[1].scores.toxicity > 0
-
-    def test_invalid_quota(self):
-        with pytest.raises(ValueError):
-            PerspectiveClient(quota_per_window=0)
 
     def test_clear_cache(self):
         client = PerspectiveClient()

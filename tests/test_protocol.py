@@ -1,13 +1,11 @@
 """Tests for the protocol-realism subsystem (``repro.protocol``).
 
-Covers the HTTP-signature cost model (deterministic key derivation, the
-actor-key cache, the private cost clock, forged-signature rejection at the
-delivery engine), hot-post selection, conversation helpers, the
-generator's Announce/Like/reply emission (inert by default,
-type-homogeneous batches, engagement landing on target instances), the
-batched engine against the seed walk on the full activity mix and on
-scaled-down viral/hellthread scenarios, and the Epicyon-style user-agent
-blocking surface down to the recorded :class:`CrawlFailure` reason.
+Covers hot-post selection, conversation helpers, the generator's
+Announce/Like/reply emission (inert by default, type-homogeneous batches,
+engagement landing on target instances), the batched engine against the
+seed walk on the full activity mix and on scaled-down viral/hellthread
+scenarios, and the Epicyon-style user-agent blocking surface down to the
+recorded :class:`CrawlFailure` reason.
 """
 
 from __future__ import annotations
@@ -17,14 +15,7 @@ import random
 import pytest
 
 from perf.harness import delivery_race, race
-from repro.activitypub.activities import (
-    ActivityType,
-    announce_activity,
-    create_activity,
-    like_activity,
-)
-from repro.activitypub.actors import Actor
-from repro.activitypub.delivery import FederationDelivery
+from repro.activitypub.activities import ActivityType
 from repro.api.client import APIClient
 from repro.api.http import CRAWLER_UA_TOKEN, DEFAULT_USER_AGENT, USER_AGENT_HEADER
 from repro.api.server import UA_BLOCKED_REASON, FediverseAPIServer, agent_blocked
@@ -39,31 +30,9 @@ from repro.protocol.conversation import (
     mention_block,
     reply_content,
 )
-from repro.protocol.httpsig import (
-    SIGNATURE_FIELD,
-    ActorKeyCache,
-    HttpSignatureVerifier,
-    derive_actor_key,
-    sign_activity,
-)
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import SCENARIOS, scenario_config
-
-
-# --------------------------------------------------------------------- #
-# Helpers
-# --------------------------------------------------------------------- #
-def _two_instance_registry() -> tuple[FediverseRegistry, str]:
-    """A registry with an origin post ready to engage from a peer."""
-    registry = FediverseRegistry()
-    origin = registry.create_instance(
-        "origin.example", install_default_policies=False
-    )
-    registry.create_instance("target.example", install_default_policies=False)
-    origin.register_user("author")
-    post = origin.publish("author", "a very boostable post")
-    return registry, post.uri
 
 
 MIX = {
@@ -75,105 +44,6 @@ MIX = {
     "reply_thread_share": 0.1,
     "reply_thread_max_depth": 8,
 }
-
-
-# --------------------------------------------------------------------- #
-# HTTP-signature cost model
-# --------------------------------------------------------------------- #
-class TestHttpSignatures:
-    def test_key_derivation_is_deterministic_per_handle(self):
-        assert derive_actor_key("alice@a.example") == derive_actor_key(
-            "alice@a.example"
-        )
-        assert derive_actor_key("alice@a.example") != derive_actor_key(
-            "bob@b.example"
-        )
-        # Fewer rounds produce a different (cheaper) key, so the round
-        # count is part of the key identity.
-        assert derive_actor_key("alice@a.example", rounds=2) != derive_actor_key(
-            "alice@a.example", rounds=3
-        )
-
-    def test_sign_verify_roundtrip_and_forgery_rejection(self):
-        actor = Actor.from_handle("alice@origin.example")
-        activity = announce_activity(
-            "https://origin.example/posts/1", actor, published=10.0
-        )
-        verifier = HttpSignatureVerifier(rounds=4)
-        # Unsigned deliveries verify (the generator models cost, not forgery).
-        assert verifier.verify(activity) is True
-        # A genuine signature verifies.
-        activity.extra[SIGNATURE_FIELD] = sign_activity(
-            activity, derive_actor_key(actor.handle, rounds=4)
-        )
-        assert verifier.verify(activity) is True
-        # A forged one is rejected and counted.
-        activity.extra[SIGNATURE_FIELD] = "00" * 32
-        assert verifier.verify(activity) is False
-        stats = verifier.stats()
-        assert stats.verified == 3
-        assert stats.failures == 1
-
-    def test_cost_clock_is_private_and_charges_by_cache_outcome(self):
-        actor = Actor.from_handle("alice@origin.example")
-        first = like_activity("https://o.example/posts/1", actor, published=1.0)
-        second = like_activity("https://o.example/posts/2", actor, published=2.0)
-
-        uncached = HttpSignatureVerifier(rounds=4)
-        uncached.verify(first)
-        uncached.verify(second)
-        # Two derivations plus two verifications.
-        assert uncached.stats().simulated_seconds == pytest.approx(
-            2 * uncached.derivation_seconds + 2 * uncached.verify_seconds
-        )
-
-        cached = HttpSignatureVerifier(ActorKeyCache(rounds=4), rounds=4)
-        cached.verify(first)
-        cached.verify(second)
-        # One derivation amortised over both deliveries.
-        assert cached.stats().simulated_seconds == pytest.approx(
-            cached.derivation_seconds + 2 * cached.verify_seconds
-        )
-        assert cached.stats().cache_hits == 1
-        assert cached.stats().derivations == 1
-        assert cached.stats().hit_rate == pytest.approx(0.5)
-
-    def test_actor_key_cache_fifo_eviction_and_counters(self):
-        cache = ActorKeyCache(maxsize=2, rounds=2)
-        key_a, was_cached = cache.key_for("a@x.example")
-        assert not was_cached and key_a == derive_actor_key("a@x.example", 2)
-        assert cache.key_for("a@x.example") == (key_a, True)
-        cache.key_for("b@x.example")
-        cache.key_for("c@x.example")  # evicts a@x.example (FIFO)
-        assert len(cache) == 2
-        _, was_cached = cache.key_for("a@x.example")
-        assert not was_cached
-        assert cache.hits == 1
-        assert cache.misses == 4
-        assert cache.hit_rate == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            ActorKeyCache(maxsize=0)
-
-    def test_delivery_engine_drops_forged_signatures_before_the_mrf(self):
-        registry, post_uri = _two_instance_registry()
-        actor = Actor.from_handle("booster@origin.example")
-        genuine = announce_activity(actor=actor, post_uri=post_uri, published=5.0)
-        forged = announce_activity(actor=actor, post_uri=post_uri, published=6.0)
-        genuine.extra[SIGNATURE_FIELD] = sign_activity(
-            genuine, derive_actor_key(actor.handle, rounds=4)
-        )
-        forged.extra[SIGNATURE_FIELD] = "ff" * 32
-
-        delivery = FederationDelivery(
-            registry, verifier=HttpSignatureVerifier(rounds=4)
-        )
-        reports = delivery.deliver_batch([genuine, forged], "target.example")
-        # The forged delivery never reaches the MRF: one report, not two.
-        assert len(reports) == 1
-        assert reports[0].accepted
-        target = registry.get("target.example")
-        assert target.boosts == {post_uri: 1}
-        assert delivery.verifier.stats().failures == 1
 
 
 # --------------------------------------------------------------------- #

@@ -27,6 +27,35 @@ from repro.synth.scenario import SCENARIOS, build_scenario, scenario_config
 from repro.synth.text import TextGenerator
 
 
+#: (knob, out-of-range value, start of the ValueError message naming it).
+OUT_OF_RANGE_KNOBS = [
+    ("federation_fanout", -1, "federation_fanout must be at least 1, got -1"),
+    ("non_pleroma_ratio", -1, "non_pleroma_ratio must be non-negative"),
+    ("active_user_share", 1.5, "active_user_share must be within [0, 1]"),
+    ("media_attachment_rate", 3, "media_attachment_rate must be within [0, 1]"),
+    ("timeline_unreachable_rate", 2, "timeline_unreachable_rate must be"),
+    ("policy_exposure_rate", -1, "policy_exposure_rate must be within [0, 1]"),
+    ("campaign_days", 0, "campaign_days must be positive, got 0"),
+    ("snapshot_interval_hours", -4.0, "snapshot_interval_hours must be positive"),
+    ("federation_posts_per_peer", -3, "federation_posts_per_peer must be at least 1"),
+    ("mean_posts_per_user", -1, "mean_posts_per_user must be at least 1"),
+    ("mean_reject_list_size", 0.5, "mean_reject_list_size must be at least 1"),
+    ("mainstream_mean_users", 0, "mainstream_mean_users must be positive"),
+    ("controversial_mean_users", -2.0, "controversial_mean_users must be positive"),
+    ("elite_target_weight", 0, "elite_target_weight must be positive"),
+    (
+        "policy_adoption",
+        {"SimplePolicy": 1.2},
+        "policy_adoption['SimplePolicy'] must be within [0, 1], got 1.2",
+    ),
+    (
+        "controversial_score_band_shares",
+        {0.9: -0.1},
+        "controversial_score_band_shares[0.9] must be within [0, 1]",
+    ),
+]
+
+
 class TestConfig:
     def test_defaults_valid(self):
         config = SynthConfig()
@@ -40,6 +69,19 @@ class TestConfig:
             SynthConfig(controversial_share=1.5)
         with pytest.raises(ValueError):
             SynthConfig(harmful_target_score=0.999)
+
+    @pytest.mark.parametrize(
+        ("knob", "value", "named"),
+        [pytest.param(*case, id=case[0]) for case in OUT_OF_RANGE_KNOBS],
+    )
+    def test_out_of_range_knob_is_rejected_by_name(self, knob, value, named):
+        with pytest.raises(ValueError) as raised:
+            SynthConfig(**{knob: value})
+        assert str(raised.value).startswith(named)
+
+    def test_every_scenario_constructs(self):
+        for name in SCENARIOS:
+            assert scenario_config(name).n_pleroma_instances >= 10
 
     def test_policy_adoption_matches_paper_table(self):
         assert PAPER_POLICY_ADOPTION["ObjectAgePolicy"] == pytest.approx(869 / 1298)
