@@ -19,7 +19,7 @@ import pytest
 from perf import baselines
 from perf.harness import crawl_state
 from repro.api.client import APIClient
-from repro.api.server import FediverseAPIServer, serialise_status
+from repro.api.server import UA_BLOCKED_REASON, FediverseAPIServer, serialise_status
 from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
 from repro.fediverse.post import MediaAttachment, Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
@@ -172,6 +172,41 @@ class TestTwinCampaignEquivalence:
             FediverseGenerator(config).generate().registry, campaign_config
         )
         assert crawl_state(engine) == crawl_state(naive)
+
+    @pytest.mark.parametrize("keep_all", [False, True])
+    def test_month_long_churn_crawl_matches_seed_loop(self, keep_all):
+        """A 30-day fault-free crawl whose churn flips spread over the window.
+
+        Most domain-rounds of a long crawl repeat the domain's previous
+        outcome; the ones that do not are the first round, each churn flip
+        and the UA-blocked domains' refusals.
+        """
+        config = scenario_config(
+            "churn",
+            seed=5,
+            n_pleroma_instances=60,
+            ua_blocking_share=0.05,
+            churn_window_days=28.0,
+        )
+        campaign_config = CampaignConfig(
+            duration_days=30.0,
+            snapshot_interval_hours=config.snapshot_interval_hours,
+            keep_all_snapshots=keep_all,
+        )
+        engine = MeasurementCampaign(
+            FediverseGenerator(config).generate().registry, campaign_config
+        ).run()
+        naive = baselines.naive_crawl(
+            FediverseGenerator(config).generate().registry, campaign_config
+        )
+        assert crawl_state(engine) == crawl_state(naive)
+        failed_later = {
+            failure.domain
+            for failure in engine.failures
+            if failure.timestamp > engine.first_seen.get(failure.domain, float("inf"))
+        }
+        assert failed_later & set(engine.latest_snapshots)
+        assert any(f.reason == UA_BLOCKED_REASON for f in engine.failures)
 
 
 class TestBatchAPI:
