@@ -193,7 +193,6 @@ _BOUNDS: dict[str, tuple[Callable[[float], bool], str]] = {
     "controversial_score_band_shares": _SHARE,
     "mainstream_score_band_shares": _SHARE,
     "harmful_attribute_mix": _SHARE,
-    "harmful_target_score": (lambda value: value <= 0.98, "at most the 0.98 ceiling"),
     "controversial_harmful_category_share": _SHARE,
     "media_attachment_rate": _SHARE,
     "sexual_media_attachment_rate": _SHARE,
@@ -307,8 +306,6 @@ class SynthConfig:
     harmful_attribute_mix: dict[str, float] = field(
         default_factory=lambda: dict(PAPER_HARMFUL_ATTRIBUTE_MIX)
     )
-    #: Target Perspective score planted for harmful users' posts.
-    harmful_target_score: float = 0.88
     #: Share of rejected/controversial instances whose dominant category is
     #: harmful (toxic / sexually explicit / profane) rather than "general".
     controversial_harmful_category_share: float = PAPER_REJECTED_HARMFUL_CATEGORY_SHARE

@@ -67,8 +67,6 @@ class TestConfig:
             SynthConfig(n_pleroma_instances=5)
         with pytest.raises(ValueError):
             SynthConfig(controversial_share=1.5)
-        with pytest.raises(ValueError):
-            SynthConfig(harmful_target_score=0.999)
 
     @pytest.mark.parametrize(
         ("knob", "value", "named"),
