@@ -446,7 +446,7 @@ def bench_crawl(run: _Run) -> dict[str, float]:
     """
     config = run.config()
     window = _window(config, config.campaign_days)
-    metrics, state = race("crawl", _crawl_race(config, window), min(run.repeats, 2))
+    metrics, state = race("crawl", _crawl_race(config, window), run.repeats)
     churn = scenario_config("churn", seed=run.seed, n_pleroma_instances=120)
     churn_window = _window(churn, churn.churn_window_days, keep_all_snapshots=True)
     churn_race = _crawl_race(churn, churn_window)

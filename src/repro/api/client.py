@@ -271,6 +271,38 @@ class APIClient:
             return None  # half-open: let a trial through
         return BREAKER_OPEN
 
+    def breakers(self) -> dict[str, bool]:
+        """Map each domain with circuit-breaker state to whether it is open now.
+
+        An open breaker answers the domain's next request locally; the
+        other domains with state (failures below the threshold, or a
+        cooldown elapsed) send theirs to the transport.
+        """
+        return {
+            domain: self._breaker_blocked(domain) is not None
+            for domain in self._breakers
+        }
+
+    def credit(self, by_status: dict[int, int], by_domain: dict[str, int]) -> None:
+        """Count first attempts the crawl answered without the transport.
+
+        ``by_status`` and ``by_domain`` give the same requests twice, by
+        status code and by domain; they are counted exactly as one
+        :meth:`ClientStats.record` call per request would count them.
+        """
+        stats = self.stats
+        for code, count in by_status.items():
+            if count:
+                stats.requests += count
+                stats.by_status[code] = stats.by_status.get(code, 0) + count
+                if 200 <= code < 300:
+                    stats.ok += count
+                else:
+                    stats.failed += count
+        for domain, count in by_domain.items():
+            if count:
+                stats.by_domain[domain] = stats.by_domain.get(domain, 0) + count
+
     def _record_short_circuit(self, response: HTTPResponse, domain: str) -> None:
         self.stats.record(response.status, domain, short_circuited=True)
 
@@ -363,8 +395,10 @@ class APIClient:
         while keeping request accounting identical to issuing the same
         :meth:`get` calls one at a time: one counter update per response,
         in request order.  Transient failures are retried in batch rounds
-        (only the still-failing requests are re-issued), so per-request
-        attempt counts match the sequential path.
+        (only the still-failing requests are re-issued).  A round is sent
+        only when the domain's retry budget covers every pending request;
+        otherwise the group gives up at once, where sequential calls would
+        spend the budget that remains.
         """
         blocked = self._breaker_blocked(domain)
         if blocked is not None:

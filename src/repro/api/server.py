@@ -229,16 +229,9 @@ class FediverseAPIServer:
         except UnknownInstanceError:
             error = self._availability_error(404, "unknown instance")
             return [error] * count
-        availability = instance.availability
-        now = self.registry.clock.now()
-        if not availability.ok_at(now):
-            error = self._availability_error(
-                availability.status_at(now), availability.reason_at(now)
-            )
-            return [error] * count
-        if agent_blocked(instance, user_agent):
-            error = self._availability_error(403, UA_BLOCKED_REASON)
-            return [error] * count
+        refused = self.refusal(instance, self.registry.clock.now(), user_agent)
+        if refused is not None:
+            return [refused] * count
 
         responses = []
         serves = self._resolved_serves
@@ -283,24 +276,40 @@ class FediverseAPIServer:
         now = registry.clock.now()
         get = registry.get_normalised
         serve = self._serve_metadata
-        error = self._availability_error
+        refusal = self.refusal
         responses = []
         append = responses.append
         for domain in domains:
             try:
                 instance = get(domain)
             except UnknownInstanceError:
-                append(error(404, "unknown instance"))
+                append(self._availability_error(404, "unknown instance"))
                 continue
-            availability = instance.availability
-            status = availability.status_at(now)
-            if status != 200:
-                append(error(status, availability.reason_at(now)))
-            elif agent_blocked(instance, user_agent):
-                append(error(403, UA_BLOCKED_REASON))
-            else:
-                append(serve(instance))
+            refused = refusal(instance, now, user_agent)
+            append(serve(instance) if refused is None else refused)
         return responses
+
+    def refusal(
+        self, instance: Instance, now: float, user_agent: str
+    ) -> HTTPResponse | None:
+        """Return the error ``instance`` answers every request with at ``now``.
+
+        That is its availability failure, else a block of ``user_agent``;
+        ``None`` means it serves the request.  Both depend only on the
+        instant and the agent string, so the crawl can tell a quiet
+        domain-round's outcome without sending its request.
+        """
+        availability = instance.availability
+        status = availability.status_at(now)
+        if status != 200:
+            return self._availability_error(status, availability.reason_at(now))
+        if agent_blocked(instance, user_agent):
+            return self._availability_error(403, UA_BLOCKED_REASON)
+        return None
+
+    def credit(self, count: int) -> None:
+        """Count ``count`` requests the crawl answered without sending them."""
+        self.requests_served += count
 
     def _availability_error(self, status: int, reason: str) -> HTTPResponse:
         """Return the shared frozen error response for one availability state.

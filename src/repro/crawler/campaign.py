@@ -5,24 +5,37 @@ through the Peers API, snapshots every Pleroma instance's metadata on a
 fixed interval over the campaign window (four hours in the paper), collects
 public timelines, and finally assembles the analysis dataset.
 
-Every phase emits per-round domain batches through the API layer's batch
-entry points: one instance resolution and availability check per domain per
-group, fused snapshot follow-ups and server-side timeline streams.
+Discovery, the first snapshot round and timeline collection send every
+request through the API layer's batch entry points (fused snapshot
+follow-ups, server-side timeline streams).  Later rounds send requests only
+for the domains whose outcome can change in that round; every other
+domain-round is answered from the instance's availability at the round time
+and the domain's earlier snapshot, with identical results and counters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Container
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.api.client import APIClient
+from repro.api.http import HTTPResponse
 from repro.api.server import FediverseAPIServer
 from repro.crawler.builder import build_dataset
-from repro.crawler.crawler import PEERS_PATH, InstanceCrawler, TimelineCrawler
+from repro.crawler.crawler import (
+    PEERS_PATH,
+    InstanceCrawler,
+    SnapshotTemplate,
+    TimelineCrawler,
+)
 from repro.crawler.directory import InstanceDirectory
 from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineCollection
 from repro.datasets.store import Dataset
 from repro.faults.plan import FaultPlan, FaultSpec, compile_for_campaign
 from repro.faults.retry import ResilienceConfig
+from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
 
 
@@ -106,6 +119,11 @@ class CrawlResult:
                 continue
             breakdown[status] = breakdown.get(status, 0) + 1
         return breakdown
+
+
+def _flip_time(availability: InstanceAvailability) -> float:
+    """Return when ``availability`` next changes its answer (``inf``: never)."""
+    return inf if availability.down_after is None else availability.down_after
 
 
 def assemble_result(result: CrawlResult) -> CrawlResult:
@@ -202,39 +220,22 @@ class MeasurementCampaign:
         result.pleroma_domains = pleroma_domains
         result.discovered_domains = all_domains
 
-        first_seen = result.first_seen
-        latest = result.latest_snapshots
-        counts = result.snapshot_counts
-        interval = self.config.snapshot_interval_hours * 3600.0
-        keep_all = self.config.keep_all_snapshots
-        round_retry = self.resilience is not None and self.resilience.round_retry
-        snapshot_many = self.instance_crawler.snapshot_many
-        # Sorted once: every round snapshots the domains in this order.
+        # Round 0 requests every domain's metadata and, the only time, its
+        # peers: peer lists are large and barely change, which mirrors how
+        # the paper's crawler was run.  Sorted once: every round snapshots
+        # the domains in this order.
         round_domains = sorted(pleroma_domains)
-        for round_index in range(self.config.snapshot_rounds):
-            now = clock.now()
-            # Peer lists are large and barely change; fetching them on the
-            # first round only mirrors how the paper's crawler was run.
-            fetch_peers = round_index == 0
-            failures_before = len(self.instance_crawler.failures)
-            snapshots = snapshot_many(round_domains, now, fetch_peers=fetch_peers)
-            if round_retry:
-                self._retry_round(
-                    snapshots, pleroma_domains, now, fetch_peers, failures_before
-                )
-            for domain, snapshot in snapshots.items():
-                first_seen.setdefault(domain, now)
-                previous = latest.get(domain)
-                if previous is not None and not snapshot.peers:
-                    snapshot.peers = previous.peers
-                latest[domain] = snapshot
-                counts[domain] = counts.get(domain, 0) + 1
-                if keep_all:
-                    result.all_snapshots.append(snapshot)
-            clock.advance(interval)
+        now = clock.now()
+        failures_before = len(self.instance_crawler.failures)
+        snapshots = self.instance_crawler.snapshot_many(round_domains, now)
+        self._retry_round(snapshots, pleroma_domains, now, True, failures_before)
+        self._record(result, snapshots, now)
+        clock.advance(self.config.snapshot_interval_hours * 3600.0)
+        if self.config.snapshot_rounds > 1:
+            self._event_rounds(result, round_domains)
 
         result.timelines = self.timeline_crawler.collect_many(
-            sorted(latest),
+            sorted(result.latest_snapshots),
             clock.now(),
             local_only=True,
             max_posts=self.config.max_posts_per_instance,
@@ -252,6 +253,169 @@ class MeasurementCampaign:
         the dataset."""
         return self.assemble(self.crawl())
 
+    def _record(
+        self, result: CrawlResult, snapshots: dict[str, InstanceSnapshot], now: float
+    ) -> None:
+        """Fold one round's snapshots into the result, in order."""
+        latest = result.latest_snapshots
+        counts = result.snapshot_counts
+        keep_all = self.config.keep_all_snapshots
+        for domain, snapshot in snapshots.items():
+            result.first_seen.setdefault(domain, now)
+            previous = latest.get(domain)
+            if previous is not None and not snapshot.peers:
+                snapshot.peers = previous.peers
+            latest[domain] = snapshot
+            counts[domain] = counts.get(domain, 0) + 1
+            if keep_all:
+                result.all_snapshots.append(snapshot)
+
+    def _event_rounds(self, result: CrawlResult, round_domains: list[str]) -> None:
+        """Run snapshot rounds 1 onwards, sending only eventful requests.
+
+        A domain-round is *eventful* when its outcome can differ from the
+        server's plain answer at the round time: the domain has breaker
+        state, the injector faults its first attempt, or a success would
+        need a parse or a nodeinfo follow-up.  Eventful domains go through
+        :meth:`APIClient.metadata_many` as before.  Every other domain-round
+        is *quiet*: a failure is the instance's refusal at the round time,
+        and a success is counted and later served from the domain's
+        snapshot template.  Up domains with no fault schedule are not
+        visited at all until their availability flips.  Quiet requests are
+        credited to the client's and server's counters in bulk, so every
+        result field and counter equals that of rounds that send every
+        request.
+        """
+        clock, registry = self.registry.clock, self.registry
+        client, crawler, server = self.client, self.instance_crawler, self.server
+        injector = self.transport if self.transport is not server else None
+        schedules = injector.plan.schedules if injector is not None else {}
+        keep_all = self.config.keep_all_snapshots
+        counts = result.snapshot_counts
+        templates = crawler.templates
+        refusal, user_agent = server.refusal, client.user_agent
+        instances = {
+            domain: registry.get_normalised(domain) if domain in registry else None
+            for domain in round_domains
+        }
+
+        def classify(
+            domains: list[str], now: float, eventful: Container[str]
+        ) -> list[tuple[str, HTTPResponse | None, SnapshotTemplate | None]]:
+            """Pair each domain with what a quiet request would get at ``now``.
+
+            That is the instance's refusal, or else the template of its
+            success; both are ``None`` when the request must be sent (the
+            domain is in ``eventful``, unknown, or has no usable template).
+            """
+            plan = []
+            for domain in domains:
+                refused = template = None
+                instance = instances[domain]
+                if instance is not None and domain not in eventful:
+                    refused = refusal(instance, now, user_agent)
+                    if refused is None and domain in templates:
+                        template = templates[domain]
+                        if template.needs_nodeinfo:
+                            template = None
+                plan.append((domain, refused, template))
+            return plan
+
+        # An unscheduled domain that is up with a template answers every
+        # round alike until its availability flips, so it is parked (not
+        # visited) before then.  Flip times are fixed: sort them once.
+        parked = sorted(
+            (_flip_time(instances[domain].availability), domain)
+            for domain, _, template in classify(
+                [d for d in round_domains if d not in schedules],
+                clock.now(),
+                client.breakers(),
+            )
+            if template is not None and not keep_all
+        )
+        flips = [flip for flip, _ in parked]
+        unparked = None
+        # Quiet requests by domain and (failures only, until the end) by
+        # status; the latest quiet success of each domain; every round time.
+        quiet_requests = dict.fromkeys(round_domains, 0)
+        quiet_statuses: dict[int, int] = {}
+        quiet_last: dict[str, float] = {}
+        round_times: list[float] = []
+        interval = self.config.snapshot_interval_hours * 3600.0
+        for _ in range(1, self.config.snapshot_rounds):
+            now = clock.now()
+            round_times.append(now)
+            # The visited domains change only when a parked domain flips.
+            flipped = bisect_right(flips, now)
+            if flipped != unparked:
+                unparked = flipped
+                still_parked = {domain for _, domain in parked[unparked:]}
+                active = [d for d in round_domains if d not in still_parked]
+
+            breakers = client.breakers()
+            faulted: Container[str] = ()
+            if injector is not None:
+                faulted = injector.decide_round(
+                    [d for d in active if d not in breakers or not breakers[d]]
+                    if breakers
+                    else active
+                )
+            plan = classify(active, now, breakers.keys() | faulted if breakers else faulted)
+            eventful = [
+                domain
+                for domain, refused, template in plan
+                if refused is None and template is None
+            ]
+            failures_before = len(crawler.failures)
+            responses = iter(client.metadata_many(eventful) if eventful else ())
+            snapshots: dict[str, InstanceSnapshot] = {}
+            for domain, refused, template in plan:
+                if template is not None:
+                    quiet_requests[domain] += 1
+                    quiet_last[domain] = now
+                    if keep_all:
+                        snapshots[domain] = template.snapshot(domain, now)
+                    else:
+                        counts[domain] += 1
+                elif refused is not None:
+                    quiet_requests[domain] += 1
+                    crawler.snapshot_from(domain, refused, now, False)
+                    code = int(refused.status)
+                    quiet_statuses[code] = quiet_statuses.get(code, 0) + 1
+                else:
+                    snapshot = crawler.snapshot_from(domain, next(responses), now, False)
+                    if snapshot is not None:
+                        snapshots[domain] = snapshot
+            self._retry_round(
+                snapshots, result.pleroma_domains, now, False, failures_before
+            )
+            self._record(result, snapshots, now)
+            clock.advance(interval)
+
+        for flip, domain in parked:
+            rounds = bisect_left(round_times, flip)
+            if rounds:
+                quiet_requests[domain] += rounds
+                counts[domain] += rounds
+                quiet_last[domain] = round_times[rounds - 1]
+        latest = result.latest_snapshots
+        for domain, last in quiet_last.items():
+            # Quiet successes reuse the template served before them, which
+            # holds only while the instance's metadata is unchanged.
+            template = templates[domain]
+            if server.metadata_payload(instances[domain]) is not template.payload:
+                raise RuntimeError(
+                    f"instance metadata of {domain} changed during the crawl"
+                )
+            previous = latest[domain]
+            if last > previous.timestamp:
+                latest[domain] = snapshot = template.snapshot(domain, last)
+                snapshot.peers = previous.peers
+        quiet = sum(quiet_requests.values())
+        quiet_statuses[200] = quiet - sum(quiet_statuses.values())
+        client.credit(quiet_statuses, quiet_requests)
+        server.credit(quiet)
+
     def _retry_round(
         self,
         snapshots: dict[str, InstanceSnapshot],
@@ -268,6 +432,8 @@ class MeasurementCampaign:
         produced no snapshot.  With a zero-fault transport no failure
         carries an attribution, so the queue is provably always empty.
         """
+        if self.resilience is None or not self.resilience.round_retry:
+            return
         round_failures = self.instance_crawler.failures[failures_before:]
         queue = sorted(
             {

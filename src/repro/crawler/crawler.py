@@ -92,7 +92,7 @@ def _failure_from_error(
 
 
 @dataclass
-class _SnapshotTemplate:
+class SnapshotTemplate:
     """Metadata parsed once per distinct payload, reused across rounds.
 
     ``payload`` is the exact object the parse ran on: the batch server
@@ -113,6 +113,17 @@ class _SnapshotTemplate:
     proto: dict[str, Any]
     needs_nodeinfo: bool
 
+    def snapshot(self, domain: str, now: float) -> InstanceSnapshot:
+        """Return this metadata's snapshot of ``domain`` at ``now``, without peers."""
+        fields = self.proto.copy()
+        # The snapshot carries the domain as requested (not the payload's
+        # self-reported uri), exactly like the per-request path.
+        fields["domain"] = domain
+        fields["timestamp"] = now
+        snapshot = object.__new__(InstanceSnapshot)
+        snapshot.__dict__ = fields
+        return snapshot
+
 
 class InstanceCrawler:
     """Snapshot instance metadata and peer lists through the public API."""
@@ -120,7 +131,8 @@ class InstanceCrawler:
     def __init__(self, client: APIClient) -> None:
         self.client = client
         self.failures: list[CrawlFailure] = []
-        self._templates: dict[str, _SnapshotTemplate] = {}
+        #: The parsed metadata of each domain's latest successful response.
+        self.templates: dict[str, SnapshotTemplate] = {}
 
     def snapshot(self, domain: str, now: float, fetch_peers: bool = True) -> InstanceSnapshot | None:
         """Snapshot one instance; return ``None`` (and record) on failure."""
@@ -163,64 +175,70 @@ class InstanceCrawler:
         The whole round's metadata requests are served in one batch call;
         the conditional follow-ups (nodeinfo for unclassifiable software,
         peers on the first round) ride in one fused group per snapshot.
-        Snapshots, recorded failures (contents *and* order) and request
-        accounting are identical to calling :meth:`snapshot` once per
-        domain in the given order.
+        Without retries, snapshots, recorded failures (contents *and*
+        order) and request accounting are identical to calling
+        :meth:`snapshot` once per domain in the given order.  A retrying
+        client retries the batch in rounds, each advancing the clock once,
+        where sequential calls would wait per request.
         """
         domains = list(domains)
-        client = self.client
-        responses = client.metadata_many(domains)
+        responses = self.client.metadata_many(domains)
         snapshots: dict[str, InstanceSnapshot] = {}
-        templates = self._templates
         for domain, response in zip(domains, responses):
-            if not response.ok:
-                self.failures.append(_failure_from_response(domain, now, response))
-                continue
-            payload = response.body
-            template = templates.get(domain)
-            if template is None or template.payload is not payload:
-                template = self._parse_template(payload)
-                templates[domain] = template
-
-            nodeinfo_response: HTTPResponse | None = None
-            peers_response: HTTPResponse | None = None
-            if template.needs_nodeinfo or fetch_peers:
-                follow_paths = []
-                if template.needs_nodeinfo:
-                    follow_paths.append(NODEINFO_PATH)
-                if fetch_peers:
-                    follow_paths.append(PEERS_PATH)
-                follow = client.get_many(domain, follow_paths)
-                if template.needs_nodeinfo:
-                    nodeinfo_response = follow[0]
-                if fetch_peers:
-                    peers_response = follow[-1]
-
-            fields = template.proto.copy()
-            # The snapshot carries the domain as requested (not the payload's
-            # self-reported uri), exactly like the per-request path.
-            fields["domain"] = domain
-            fields["timestamp"] = now
-            if nodeinfo_response is not None:
-                fields["software"] = self._software_from_nodeinfo_response(
-                    domain, now, nodeinfo_response
-                )
-            snapshot = object.__new__(InstanceSnapshot)
-            snapshot.__dict__ = fields
-            if peers_response is not None:
-                if peers_response.ok:
-                    snapshot.peers = tuple(peers_response.body)
-                else:
-                    self.failures.append(
-                        _failure_from_response(
-                            domain, now, peers_response, prefix="peers: "
-                        )
-                    )
-            snapshots[domain] = snapshot
+            snapshot = self.snapshot_from(domain, response, now, fetch_peers)
+            if snapshot is not None:
+                snapshots[domain] = snapshot
         return snapshots
 
+    def snapshot_from(
+        self, domain: str, response: HTTPResponse, now: float, fetch_peers: bool
+    ) -> InstanceSnapshot | None:
+        """Turn one metadata response into a snapshot, or record its failure.
+
+        A successful response's payload is parsed once per distinct payload
+        object; the nodeinfo and peers follow-ups it needs are sent as one
+        group, and their failures are recorded after it.
+        """
+        if not response.ok:
+            self.failures.append(_failure_from_response(domain, now, response))
+            return None
+        payload = response.body
+        template = self.templates.get(domain)
+        if template is None or template.payload is not payload:
+            template = self.templates[domain] = self._parse_template(payload)
+
+        nodeinfo_response: HTTPResponse | None = None
+        peers_response: HTTPResponse | None = None
+        if template.needs_nodeinfo or fetch_peers:
+            follow_paths = []
+            if template.needs_nodeinfo:
+                follow_paths.append(NODEINFO_PATH)
+            if fetch_peers:
+                follow_paths.append(PEERS_PATH)
+            follow = self.client.get_many(domain, follow_paths)
+            if template.needs_nodeinfo:
+                nodeinfo_response = follow[0]
+            if fetch_peers:
+                peers_response = follow[-1]
+
+        snapshot = template.snapshot(domain, now)
+        if nodeinfo_response is not None:
+            snapshot.software = self._software_from_nodeinfo_response(
+                domain, now, nodeinfo_response
+            )
+        if peers_response is not None:
+            if peers_response.ok:
+                snapshot.peers = tuple(peers_response.body)
+            else:
+                self.failures.append(
+                    _failure_from_response(
+                        domain, now, peers_response, prefix="peers: "
+                    )
+                )
+        return snapshot
+
     @staticmethod
-    def _parse_template(payload: dict[str, Any]) -> _SnapshotTemplate:
+    def _parse_template(payload: dict[str, Any]) -> SnapshotTemplate:
         stats = payload.get("stats", {})
         software = _parse_software(payload)
         federation = (
@@ -253,7 +271,7 @@ class InstanceCrawler:
             ),
             "peers": (),
         }
-        return _SnapshotTemplate(
+        return SnapshotTemplate(
             payload=payload,
             proto=proto,
             needs_nodeinfo=software == "unknown",

@@ -8,7 +8,9 @@ keep the engine's single-instant contract: faults are decided for the whole
 group at the group's timestamp, the clean subset is served by one inner
 batch call, and the responses are spliced back in request order.  Timeout
 costs are charged to the simulated clock *after* the batch is served, so a
-batch still models one instant.
+batch still models one instant.  A snapshot round's first attempts can be
+decided before they are sent (:meth:`FaultInjector.decide_round`), so the
+crawl sends only the domains whose outcome can change.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class FaultInjector:
         self._spec = plan.spec
         #: One frozen response per fault kind, shared by every injection.
         self._responses: dict[FaultKind, HTTPResponse] = {}
+        #: The last :meth:`decide_round` pass: its decisions (``None`` for a
+        #: clean pass), its instant, and the timeout seconds before it.
+        self._decided: dict[str, HTTPResponse | None] = {}
+        self._decided_at: float | None = None
+        self._decided_before = 0.0
 
     # ------------------------------------------------------------------ #
     # Transport passthroughs the client relies on
@@ -209,19 +216,53 @@ class FaultInjector:
         self._charge_timeouts(before)
         return responses
 
-    def metadata_round(
-        self, domains: Sequence[str], *, user_agent: str = ""
-    ) -> list[HTTPResponse]:
-        """Serve a snapshot round's metadata requests, faults spliced in."""
+    def decide_round(self, domains: Sequence[str]) -> set[str]:
+        """Decide a snapshot round's first metadata attempts, once.
+
+        Each scheduled domain draws at this instant exactly what
+        :meth:`metadata_round` would draw for it, in order, and its faults
+        are counted.  The next :meth:`metadata_round` call at this instant
+        serves these decisions without drawing again, and charges the
+        timeouts accrued since this pass.  Returns the faulted domains.
+        """
         schedules = self.plan.schedules
         decide = self._decide
         now = self.server.registry.clock.now()
-        before = self.stats.timeout_seconds
+        self._decided_before = self.stats.timeout_seconds
+        self._decided_at = now
+        decided = self._decided = {}
+        faulted = set()
+        for domain in domains:
+            if domain in schedules:
+                fault = decided[domain] = decide(schedules[domain], now, True)
+                if fault is not None:
+                    faulted.add(domain)
+        return faulted
+
+    def metadata_round(
+        self, domains: Sequence[str], *, user_agent: str = ""
+    ) -> list[HTTPResponse]:
+        """Serve a snapshot round's metadata requests, faults spliced in.
+
+        A domain decided by :meth:`decide_round` at this instant is served
+        its decision; any other scheduled domain draws now.
+        """
+        schedules = self.plan.schedules
+        decide = self._decide
+        now = self.server.registry.clock.now()
+        if now == self._decided_at:
+            decided, before = self._decided, self._decided_before
+        else:
+            decided, before = {}, self.stats.timeout_seconds
+        self._decided, self._decided_at = {}, None
         injected: dict[int, HTTPResponse] = {}
         clean: list[str] = []
         for index, domain in enumerate(domains):
-            schedule = schedules.get(domain)
-            fault = decide(schedule, now, True) if schedule is not None else None
+            if domain in decided:
+                fault = decided[domain]
+            else:
+                schedule = schedules.get(domain)
+                fault = decide(schedule, now, True) if schedule is not None else None
             if fault is None:
                 clean.append(domain)
             else:

@@ -208,6 +208,26 @@ class TestTwinCampaignEquivalence:
         assert failed_later & set(engine.latest_snapshots)
         assert any(f.reason == UA_BLOCKED_REASON for f in engine.failures)
 
+    def test_metadata_changed_mid_crawl_is_refused(self):
+        """Rounds that do not request a domain cannot see its metadata change."""
+        registry = build_mixed_registry()
+        campaign = MeasurementCampaign(
+            registry,
+            CampaignConfig(duration_days=1.0),
+            directory=FixedDirectory(MIXED_DOMAINS),
+        )
+        clock = registry.clock
+        advance = clock.advance
+
+        def advance_then_register(seconds: float) -> float:
+            if not registry.get("moderator.example").has_user("latecomer"):
+                registry.get("moderator.example").register_user("latecomer")
+            return advance(seconds)
+
+        clock.advance = advance_then_register
+        with pytest.raises(RuntimeError, match="moderator.example"):
+            campaign.crawl()
+
 
 class TestBatchAPI:
     def test_handle_batch_unknown_domain(self):

@@ -262,6 +262,49 @@ class TestInjectedFaults:
 
         assert statuses(False) == statuses(True)
 
+    def test_decided_round_is_served_once_without_drawing_again(self):
+        """A round decided ahead of serving replays the undecided round."""
+        domains = ["alpha.example", "beta.example"]
+        spec = FaultSpec(timeout_rate=0.4, malformed_rate=0.4)
+
+        def rounds(decide_first: bool):
+            registry = build_registry(tuple(domains))
+            plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
+            injector = plan.wrap(FediverseAPIServer(registry))
+            outcomes = []
+            for _ in range(8):
+                faulted = injector.decide_round(domains) if decide_first else None
+                responses = injector.metadata_round(domains)
+                if decide_first:
+                    assert faulted == {
+                        domain
+                        for domain, response in zip(domains, responses)
+                        if response.fault_kind
+                    }
+                outcomes.append([(int(r.status), r.fault_kind) for r in responses])
+                registry.clock.advance(3600.0)
+            streams = [plan.schedules[domain].rng.random() for domain in domains]
+            return outcomes, injector.stats, registry.clock.now(), streams
+
+        assert rounds(True) == rounds(False)
+
+        # A decision is served once, and only at the instant it was made.
+        registry = build_registry(tuple(domains))
+        plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
+        injector = plan.wrap(FediverseAPIServer(registry))
+        stream = plan.schedules["alpha.example"].rng
+        injector.decide_round(domains)
+        drawn = stream.getstate()
+        injector.metadata_round(domains)
+        assert stream.getstate() == drawn
+        injector.metadata_round(domains)
+        assert stream.getstate() != drawn
+        injector.decide_round(domains)
+        registry.clock.advance(60.0)
+        drawn = stream.getstate()
+        injector.metadata_round(domains)
+        assert stream.getstate() != drawn
+
 
 # --------------------------------------------------------------------- #
 # Retry policy, budget, breaker
