@@ -18,7 +18,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Container
 from dataclasses import dataclass, field
-from math import inf
 
 from repro.api.client import APIClient
 from repro.api.http import HTTPResponse
@@ -35,7 +34,6 @@ from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineColl
 from repro.datasets.store import Dataset
 from repro.faults.plan import FaultPlan, FaultSpec, compile_for_campaign
 from repro.faults.retry import ResilienceConfig
-from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
 
 
@@ -119,11 +117,6 @@ class CrawlResult:
                 continue
             breakdown[status] = breakdown.get(status, 0) + 1
         return breakdown
-
-
-def _flip_time(availability: InstanceAvailability) -> float:
-    """Return when ``availability`` next changes its answer (``inf``: never)."""
-    return inf if availability.down_after is None else availability.down_after
 
 
 def assemble_result(result: CrawlResult) -> CrawlResult:
@@ -286,7 +279,8 @@ class MeasurementCampaign:
         result field and counter equals that of rounds that send every
         request.
         """
-        clock, registry = self.registry.clock, self.registry
+        registry = self.registry
+        clock = registry.clock
         client, crawler, server = self.client, self.instance_crawler, self.server
         injector = self.transport if self.transport is not server else None
         schedules = injector.plan.schedules if injector is not None else {}
@@ -300,19 +294,19 @@ class MeasurementCampaign:
         }
 
         def classify(
-            domains: list[str], now: float, eventful: Container[str]
+            domains: list[str], now: float, must_send: Container[str]
         ) -> list[tuple[str, HTTPResponse | None, SnapshotTemplate | None]]:
             """Pair each domain with what a quiet request would get at ``now``.
 
             That is the instance's refusal, or else the template of its
             success; both are ``None`` when the request must be sent (the
-            domain is in ``eventful``, unknown, or has no usable template).
+            domain is in ``must_send``, unknown, or has no usable template).
             """
             plan = []
             for domain in domains:
                 refused = template = None
                 instance = instances[domain]
-                if instance is not None and domain not in eventful:
+                if instance is not None and domain not in must_send:
                     refused = refusal(instance, now, user_agent)
                     if refused is None and domain in templates:
                         template = templates[domain]
@@ -324,14 +318,16 @@ class MeasurementCampaign:
         # An unscheduled domain that is up with a template answers every
         # round alike until its availability flips, so it is parked (not
         # visited) before then.  Flip times are fixed: sort them once.
-        parked = sorted(
-            (_flip_time(instances[domain].availability), domain)
+        # Keeping every snapshot materialises each quiet one in its round,
+        # so then nothing is parked.
+        parked = [] if keep_all else sorted(
+            (instances[domain].availability.changes_at, domain)
             for domain, _, template in classify(
                 [d for d in round_domains if d not in schedules],
                 clock.now(),
                 client.breakers(),
             )
-            if template is not None and not keep_all
+            if template is not None
         )
         flips = [flip for flip, _ in parked]
         unparked = None
@@ -360,7 +356,9 @@ class MeasurementCampaign:
                     if breakers
                     else active
                 )
-            plan = classify(active, now, breakers.keys() | faulted if breakers else faulted)
+            plan = classify(
+                active, now, breakers.keys() | faulted if breakers else faulted
+            )
             eventful = [
                 domain
                 for domain, refused, template in plan
@@ -383,7 +381,8 @@ class MeasurementCampaign:
                     code = int(refused.status)
                     quiet_statuses[code] = quiet_statuses.get(code, 0) + 1
                 else:
-                    snapshot = crawler.snapshot_from(domain, next(responses), now, False)
+                    response = next(responses)
+                    snapshot = crawler.snapshot_from(domain, response, now, False)
                     if snapshot is not None:
                         snapshots[domain] = snapshot
             self._retry_round(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 from repro.fediverse.errors import PostNotFoundError, UnknownUserError
@@ -52,6 +53,15 @@ class InstanceAvailability:
     def ok_at(self, now: float) -> bool:
         """Return ``True`` when the instance answers API requests at ``now``."""
         return self.status_at(now) == 200
+
+    @property
+    def changes_at(self) -> float:
+        """Return the one instant at which ``status_at``/``reason_at`` change.
+
+        ``inf`` when they never do: the answer at any two instants on the
+        same side of it is the same.
+        """
+        return inf if self.down_after is None else self.down_after
 
     @property
     def ok(self) -> bool:
