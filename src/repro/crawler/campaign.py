@@ -266,21 +266,15 @@ class MeasurementCampaign:
     def _event_rounds(self, result: CrawlResult, round_domains: list[str]) -> None:
         """Run snapshot rounds 1 onwards, sending only eventful requests.
 
-        A domain-round is *eventful* when its outcome can differ from the
-        server's plain answer at the round time: the domain has breaker
-        state, the injector faults its first attempt, or a success would
-        need a parse or a nodeinfo follow-up.  Eventful domains go through
-        :meth:`APIClient.metadata_many` as before.  Every other domain-round
-        is *quiet*: a failure is the instance's refusal at the round time,
-        and a success is counted and later served from the domain's
-        snapshot template.  Up domains with no fault schedule are not
-        visited at all until their availability flips.  Quiet requests are
-        credited to the client's and server's counters in bulk, so every
-        result field and counter equals that of rounds that send every
-        request.
+        A domain-round is *eventful* when the domain has breaker state, the
+        injector faults its first attempt, or a success would need a parse
+        or a nodeinfo follow-up; those requests are sent as before.  Every
+        other domain-round is *quiet*: its failure is the instance's
+        refusal at the round time, its success is served from the domain's
+        snapshot template, and its request is credited to the counters in
+        bulk, so every result field and counter is unchanged.
         """
-        registry = self.registry
-        clock = registry.clock
+        registry, clock = self.registry, self.registry.clock
         client, crawler, server = self.client, self.instance_crawler, self.server
         injector = self.transport if self.transport is not server else None
         schedules = injector.plan.schedules if injector is not None else {}
@@ -349,21 +343,10 @@ class MeasurementCampaign:
                 active = [d for d in round_domains if d not in still_parked]
 
             breakers = client.breakers()
-            faulted: Container[str] = ()
-            if injector is not None:
-                faulted = injector.decide_round(
-                    [d for d in active if d not in breakers or not breakers[d]]
-                    if breakers
-                    else active
-                )
-            plan = classify(
-                active, now, breakers.keys() | faulted if breakers else faulted
-            )
-            eventful = [
-                domain
-                for domain, refused, template in plan
-                if refused is None and template is None
-            ]
+            sent = [d for d in active if not breakers.get(d)] if breakers else active
+            faulted = injector.decide_round(sent) if injector is not None else set()
+            plan = classify(active, now, breakers.keys() | faulted)
+            eventful = [d for d, r, t in plan if r is None and t is None]
             failures_before = len(crawler.failures)
             responses = iter(client.metadata_many(eventful) if eventful else ())
             snapshots: dict[str, InstanceSnapshot] = {}
