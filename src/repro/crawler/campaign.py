@@ -343,7 +343,7 @@ class MeasurementCampaign:
                 active = [d for d in round_domains if d not in still_parked]
 
             breakers = client.breakers()
-            sent = [d for d in active if not breakers.get(d)] if breakers else active
+            sent = [d for d in active if d not in breakers or not breakers[d]]
             faulted = injector.decide_round(sent) if injector is not None else set()
             plan = classify(active, now, breakers.keys() | faulted)
             eventful = [d for d, r, t in plan if r is None and t is None]
