@@ -9,11 +9,11 @@ because the campaign must keep going when individual instances are down.
 Both crawlers also expose batched entry points — :meth:`InstanceCrawler.snapshot_many`
 and :meth:`TimelineCrawler.collect_many` — that route through the API
 layer's batch engine (:meth:`~repro.api.client.APIClient.get_many` /
-:meth:`~repro.api.client.APIClient.stream_timeline`).  The batched paths
-produce bit-identical snapshots, collections, failures and request
-accounting; they only eliminate per-request transport overhead and reuse
-parsed metadata across snapshot rounds (validated by payload identity, so a
-changed payload is always re-parsed).
+:meth:`~repro.api.client.APIClient.stream_timeline`).  Without retries the
+batched paths produce bit-identical snapshots, collections, failures and
+request accounting; they only eliminate per-request transport overhead and
+reuse parsed metadata across snapshot rounds (validated by payload
+identity, so a changed payload is always re-parsed).
 """
 
 from __future__ import annotations
