@@ -193,13 +193,17 @@ class TestTwinCampaignEquivalence:
             snapshot_interval_hours=config.snapshot_interval_hours,
             keep_all_snapshots=keep_all,
         )
-        engine = MeasurementCampaign(
+        campaign = MeasurementCampaign(
             FediverseGenerator(config).generate().registry, campaign_config
-        ).run()
+        )
+        engine = campaign.run()
         naive = baselines.naive_crawl(
             FediverseGenerator(config).generate().registry, campaign_config
         )
         assert crawl_state(engine) == crawl_state(naive)
+        # Without faults every request the client counts is one the server
+        # served, whether it was sent or credited.
+        assert campaign.server.requests_served == campaign.client.stats.requests
         failed_later = {
             failure.domain
             for failure in engine.failures
