@@ -30,7 +30,7 @@ from repro.datasets.schema import RejectEdge
 from repro.datasets.store import Dataset
 from repro.experiments.pipeline import ReproPipeline
 from repro.faults.plan import FaultSpec
-from repro.faults.retry import ResilienceConfig
+from repro.faults.retry import RetryPolicy
 from repro.mrf.object_age import clear_rewrite_ledger
 from repro.perspective.corpus import CorpusColumns
 from repro.perspective.scorer import LexiconScorer
@@ -506,7 +506,7 @@ def bench_chaos(run: _Run, fault_seed: int = 1337) -> dict[str, float]:
             registry,
             window,
             faults=FaultSpec.profile(profile, seed=fault_seed) if profile else None,
-            resilience=ResilienceConfig.default() if resilient else None,
+            retry=RetryPolicy() if resilient else None,
         )
 
     def plain_and_zero_fault() -> tuple[MeasurementCampaign, MeasurementCampaign]:

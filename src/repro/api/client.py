@@ -14,14 +14,16 @@ per-domain retry budget, and opens a per-domain circuit breaker after
 consecutive transient failures.  Every wait is charged to the registry's
 *simulated* clock.  Permanent failures are never retried — so with a
 zero-fault transport the resilient client is byte-for-byte the plain one.
+A single ``get`` and a ``metadata_many`` round share one retry loop;
+``stream_timeline`` keeps its own, since one stream counts as several
+page requests.
 
 Accounting contract: every attempt that reaches the transport is recorded
 exactly once in :class:`ClientStats` (``requests``/``by_status``/
-``by_domain``), on every path — single ``get``, ``get_many`` batches,
-``metadata_many`` rounds and ``stream_timeline`` — so retries are visible in
-the same counters the dataset statistics already use.  The batch paths
-count a whole group of responses in the same pass that stores and
-classifies them, in request order.
+``by_domain``), on every path — ``get``, ``metadata_many`` rounds and
+``stream_timeline`` — so retries are visible in the same counters the
+dataset statistics already use.  A round of responses is counted in the
+same pass that stores and classifies it, in request order.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from repro.api.http import (
     DEFAULT_USER_AGENT,
     FAULT_HEADER,
     TRANSIENT_STATUSES,
-    HTTPRequest,
     HTTPResponse,
     HTTPStatus,
 )
@@ -200,20 +201,18 @@ class APIClient:
             )
         return response
 
-    def _annotate(self, response: HTTPResponse, attempts: int) -> HTTPResponse:
-        """Stamp a given-up-on failure with the attempts it consumed."""
-        if attempts <= 1 or response.ok:
-            return response
-        headers = dict(response.headers)
-        headers[ATTEMPTS_HEADER] = str(attempts)
-        return HTTPResponse(status=response.status, body=response.body, headers=headers)
-
     def _annotate_retried(
         self, responses: list[HTTPResponse], attempts: dict[int, int]
     ) -> list[HTTPResponse]:
-        """Annotate, in place, the responses at the retried indices."""
+        """Stamp, in place, each retried failure with the attempts it consumed."""
         for index, count in attempts.items():
-            responses[index] = self._annotate(responses[index], count)
+            response = responses[index]
+            if not response.ok:
+                headers = dict(response.headers)
+                headers[ATTEMPTS_HEADER] = str(count)
+                responses[index] = HTTPResponse(
+                    status=response.status, body=response.body, headers=headers
+                )
         return responses
 
     def _absorb(
@@ -344,110 +343,24 @@ class APIClient:
             if response.transient or domains[index] in breakers:
                 self._note_outcome(domains[index], response.transient)
 
-    def _send_with_retry(
-        self, domain: str, send: Callable[[], HTTPResponse]
-    ) -> tuple[HTTPResponse, int]:
-        """Issue one logical request, retrying transient failures."""
-        policy = self.retry
-        response = self._normalise(send())
-        self.stats.record(response.status, domain)
-        attempts = 1
-        if policy is None:
-            return response, attempts
-        while (
-            response.transient
-            and attempts < policy.max_attempts
-            and self._budget(domain) > 0
-        ):
-            self._wait([(domain, response.retry_after)], attempts)
-            self._spend(domain, 1)
-            response = self._normalise(send())
-            self.stats.record(response.status, domain)
-            attempts += 1
-        self._note_outcome(domain, response.transient)
-        return response, attempts
-
-    # ------------------------------------------------------------------ #
-    # Request entry points
-    # ------------------------------------------------------------------ #
-    def get(self, domain: str, path: str) -> HTTPResponse:
-        """Perform a GET and return the raw response (never raises)."""
-        blocked = self._breaker_blocked(domain)
-        if blocked is not None:
-            self._record_short_circuit(blocked, domain)
-            return blocked
-        response, attempts = self._send_with_retry(
-            domain,
-            lambda: self.server.get(domain, path, user_agent=self.user_agent),
-        )
-        return self._annotate(response, attempts)
-
-    # ------------------------------------------------------------------ #
-    # Batched accessors (the crawl engine's transport)
-    # ------------------------------------------------------------------ #
-    def get_many(
-        self, domain: str, paths: Sequence[HTTPRequest | str]
+    def _send(
+        self,
+        domains: Sequence[str],
+        send: Callable[[Sequence[int]], list[HTTPResponse]],
     ) -> list[HTTPResponse]:
-        """Perform several GETs against one domain as a single batch.
+        """Issue one logical request per domain, retrying transient failures.
 
-        Routes through :meth:`FediverseAPIServer.handle_batch` — one
-        instance resolution and availability check for the whole group —
-        while keeping request accounting identical to issuing the same
-        :meth:`get` calls one at a time: one counter update per response,
-        in request order.  Transient failures are retried in batch rounds
-        (only the still-failing requests are re-issued).  A round is sent
-        only when the domain's retry budget covers every pending request;
-        otherwise the group gives up at once, where sequential calls would
-        spend the budget that remains.
-        """
-        blocked = self._breaker_blocked(domain)
-        if blocked is not None:
-            for _ in paths:
-                self._record_short_circuit(blocked, domain)
-            return [blocked] * len(paths)
-        policy = self.retry
-        count = len(paths)
-        domains = [domain] * count
-        responses: list[HTTPResponse] = [None] * count  # type: ignore[list-item]
-        served = self.server.handle_batch(domain, paths, user_agent=self.user_agent)
-        pending = self._absorb(responses, range(count), served, domains)
-        if policy is None:
-            return responses
-        attempts: dict[int, int] = {}
-        round_no = 1
-        while pending and round_no < policy.max_attempts:
-            if self._budget(domain) < len(pending):
-                break
-            self._wait(
-                [(domain, responses[index].retry_after) for index in pending],
-                round_no,
-            )
-            self._spend(domain, len(pending))
-            retried = self.server.handle_batch(
-                domain,
-                [paths[index] for index in pending],
-                user_agent=self.user_agent,
-            )
-            for index in pending:
-                attempts[index] = attempts.get(index, 1) + 1
-            pending = self._absorb(responses, pending, retried, domains)
-            round_no += 1
-        self._settle(responses, range(count), domains)
-        return self._annotate_retried(responses, attempts)
-
-    def metadata_many(self, domains: Sequence[str]) -> list[HTTPResponse]:
-        """Fetch ``/api/v1/instance`` for a whole snapshot round of domains.
-
-        One response per domain, in order, with the same per-request
-        accounting as sequential :meth:`instance_metadata` calls.
-        Transient failures are retried in rounds through the same
-        :meth:`FediverseAPIServer.metadata_round` entry point, preserving
-        its payload cache.
+        ``send(indices)`` puts the requests at ``indices`` on the transport
+        once and returns their responses in that order.  Returns one
+        response per domain, in order.  A domain whose breaker is open is
+        answered locally; the others are sent together, and the transient
+        failures among them are re-sent in retry rounds while their domain
+        has retry budget left, each round waiting once for its longest
+        backoff.
         """
         policy = self.retry
         responses: list[HTTPResponse] = [None] * len(domains)  # type: ignore[list-item]
         open_indices: Sequence[int] = range(len(domains))
-        open_domains = domains
         if self._breakers:
             breakers = self._breakers
             open_indices = []
@@ -459,13 +372,9 @@ class APIClient:
                         self._record_short_circuit(blocked, domain)
                         continue
                 open_indices.append(index)
-            open_domains = [domains[index] for index in open_indices]
         pending: list[int] = []
-        if open_domains:
-            served = self.server.metadata_round(
-                open_domains, user_agent=self.user_agent
-            )
-            pending = self._absorb(responses, open_indices, served, domains)
+        if open_indices:
+            pending = self._absorb(responses, open_indices, send(open_indices), domains)
         if policy is None:
             return responses
         # Only a re-issued request can turn (or stay) transient, and a
@@ -484,13 +393,38 @@ class APIClient:
             for index in pending:
                 self._spend(domains[index], 1)
                 attempts[index] = attempts.get(index, 1) + 1
-            retried = self.server.metadata_round(
-                [domains[index] for index in pending], user_agent=self.user_agent
-            )
-            pending = self._absorb(responses, pending, retried, domains)
+            pending = self._absorb(responses, pending, send(pending), domains)
             round_no += 1
         self._settle(responses, open_indices, domains)
         return self._annotate_retried(responses, attempts)
+
+    # ------------------------------------------------------------------ #
+    # Request entry points
+    # ------------------------------------------------------------------ #
+    def get(self, domain: str, path: str) -> HTTPResponse:
+        """Perform a GET and return the raw response (never raises)."""
+        transport, user_agent = self.server, self.user_agent
+        return self._send(
+            (domain,),
+            lambda _: [transport.get(domain, path, user_agent=user_agent)],
+        )[0]
+
+    def metadata_many(self, domains: Sequence[str]) -> list[HTTPResponse]:
+        """Fetch ``/api/v1/instance`` for a whole snapshot round of domains.
+
+        One response per domain, in order, with the same per-request
+        accounting and retries as sequential :meth:`get` calls, except
+        that each retry round waits once for all its requests.  Every
+        attempt goes through :meth:`FediverseAPIServer.metadata_round`,
+        preserving its payload cache.
+        """
+        transport, user_agent = self.server, self.user_agent
+        return self._send(
+            domains,
+            lambda indices: transport.metadata_round(
+                [domains[index] for index in indices], user_agent=user_agent
+            ),
+        )
 
     def stream_timeline(
         self,

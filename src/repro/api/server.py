@@ -8,13 +8,12 @@ availability (so 404/403/502/503/410 instances fail exactly as they did for
 the paper's crawler) and then routes the request to the endpoint handlers.
 
 Besides the per-request :meth:`FediverseAPIServer.handle` path, the server
-exposes the batch entry points of the crawl engine:
-:meth:`FediverseAPIServer.handle_batch` resolves the target instance and its
-availability once for a whole group of requests (serving the metadata
-endpoint from a fingerprint-validated payload cache), and
-:meth:`FediverseAPIServer.stream_timeline` serves an entire paged timeline
-collection in one call while keeping request accounting identical to a
-client paging through it.
+exposes the two batch entry points of the crawl engine:
+:meth:`FediverseAPIServer.metadata_round` serves a snapshot round's
+metadata requests in one call (from a fingerprint-validated payload cache),
+and :meth:`FediverseAPIServer.stream_timeline` serves an entire paged
+timeline collection in one call while keeping request accounting identical
+to a client paging through it.
 
 Cached responses (metadata payloads, availability errors) are shared by
 every caller and every round, so they are frozen
@@ -160,9 +159,9 @@ class FediverseAPIServer:
         self.registry = registry
         self.router = Router()
         self.requests_served = 0
-        #: Metadata responses served by the batch path, keyed by domain and
-        #: validated against :meth:`Instance.metadata_fingerprint` (the
-        #: single-request path stays stateless and seed-faithful).  Cached
+        #: Metadata responses served by :meth:`metadata_round`, keyed by
+        #: domain and validated against :meth:`Instance.metadata_fingerprint`
+        #: (the single-request path stays stateless and seed-faithful).  Cached
         #: payloads are frozen, since every caller shares them.
         self._metadata_cache: dict[str, tuple[tuple, HTTPResponse]] = {}
         #: Availability-error responses, keyed by (status, reason) — the
@@ -204,50 +203,8 @@ class FediverseAPIServer:
     # ------------------------------------------------------------------ #
     # Batch entry points (the crawl engine)
     # ------------------------------------------------------------------ #
-    def handle_batch(
-        self,
-        domain: str,
-        requests: Sequence[HTTPRequest | str],
-        *,
-        user_agent: str = "",
-    ) -> list[HTTPResponse]:
-        """Serve a group of requests addressed to one instance.
-
-        The instance is resolved and its availability applied once for the
-        whole group — a batch models a single instant, which is exactly how
-        the crawler issues them (the simulation clock never advances inside
-        a snapshot or collection phase).  Static endpoint paths are served
-        directly from the resolved instance, skipping the URL parse and the
-        regex route walk; the metadata endpoint is additionally served from
-        the fingerprint-validated payload cache.  Responses and request
-        accounting are identical to per-request :meth:`handle` calls.
-        """
-        count = len(requests)
-        self.requests_served += count
-        try:
-            instance = self.registry.get(domain)
-        except UnknownInstanceError:
-            error = self._availability_error(404, "unknown instance")
-            return [error] * count
-        refused = self.refusal(instance, self.registry.clock.now(), user_agent)
-        if refused is not None:
-            return [refused] * count
-
-        responses = []
-        serves = self._resolved_serves
-        for request in requests:
-            path = request if isinstance(request, str) else request.path
-            serve = serves.get(path)
-            if serve is not None:
-                responses.append(serve(instance))
-                continue
-            if isinstance(request, str):
-                request = HTTPRequest.from_url(domain, request)
-            responses.append(self.router.dispatch(request))
-        return responses
-
     def metadata_payload(self, instance: Instance) -> Any:
-        """Return the instance-metadata payload, cached across batch calls.
+        """Return the instance-metadata payload, cached across rounds.
 
         The cache is validated against
         :meth:`~repro.fediverse.instance.Instance.metadata_fingerprint`, so
@@ -401,16 +358,10 @@ class FediverseAPIServer:
         self.router.add("/nodeinfo/2.0", self._nodeinfo_endpoint)
         self.router.add("/api/v1/accounts/{username}", self._account_endpoint)
         self.router.add("/api/v1/accounts/{username}/statuses", self._account_statuses_endpoint)
-        # Static endpoints the batch path serves without the regex walk.
-        self._resolved_serves = {
-            "/api/v1/instance": self._serve_metadata,
-            "/api/v1/instance/peers": self._serve_peers,
-            "/nodeinfo/2.0": self._serve_nodeinfo,
-        }
 
     def _serve_metadata(self, instance: Instance) -> HTTPResponse:
-        # The cached payload is frozen: it is shared by every caller of the
-        # batch path, and freezing keeps one caller's mutation from
+        # The cached payload is frozen: it is shared by every caller of
+        # metadata_round, and freezing keeps one caller's mutation from
         # corrupting what the others (and later rounds) see.
         fingerprint = instance.metadata_fingerprint()
         cached = self._metadata_cache.get(instance.domain)
@@ -419,31 +370,6 @@ class FediverseAPIServer:
         response = HTTPResponse.json_ok(freeze_json(instance.to_api_dict()))
         self._metadata_cache[instance.domain] = (fingerprint, response)
         return response
-
-    def _serve_peers(self, instance: Instance) -> HTTPResponse:
-        return HTTPResponse.json_ok(sorted(instance.peers))
-
-    def _serve_nodeinfo(self, instance: Instance) -> HTTPResponse:
-        if not instance.expose_nodeinfo:
-            return HTTPResponse.error(HTTPStatus.NOT_FOUND, "nodeinfo not published")
-        return HTTPResponse.json_ok(
-            {
-                "version": "2.0",
-                "software": {
-                    "name": instance.software.value,
-                    "version": instance.version,
-                },
-                "protocols": ["activitypub"],
-                "openRegistrations": instance.registrations_open,
-                "usage": {
-                    "users": {"total": instance.user_count},
-                    "localPosts": instance.local_post_count,
-                },
-                "metadata": {
-                    "federation": instance.describe_mrf() if instance.is_pleroma else {},
-                },
-            }
-        )
 
     def _instance_for(self, request: HTTPRequest) -> Instance:
         return self.registry.get(request.domain)
@@ -455,7 +381,7 @@ class FediverseAPIServer:
 
     def _peers_endpoint(self, request: HTTPRequest) -> HTTPResponse:
         """``/api/v1/instance/peers``: every domain ever federated with."""
-        return self._serve_peers(self._instance_for(request))
+        return HTTPResponse.json_ok(sorted(self._instance_for(request).peers))
 
     def _public_timeline_endpoint(self, request: HTTPRequest) -> HTTPResponse:
         """``/api/v1/timelines/public``: the public (or whole-known-network) timeline."""
@@ -483,7 +409,27 @@ class FediverseAPIServer:
 
     def _nodeinfo_endpoint(self, request: HTTPRequest) -> HTTPResponse:
         """``/nodeinfo/2.0``: software name/version and usage counts."""
-        return self._serve_nodeinfo(self._instance_for(request))
+        instance = self._instance_for(request)
+        if not instance.expose_nodeinfo:
+            return HTTPResponse.error(HTTPStatus.NOT_FOUND, "nodeinfo not published")
+        return HTTPResponse.json_ok(
+            {
+                "version": "2.0",
+                "software": {
+                    "name": instance.software.value,
+                    "version": instance.version,
+                },
+                "protocols": ["activitypub"],
+                "openRegistrations": instance.registrations_open,
+                "usage": {
+                    "users": {"total": instance.user_count},
+                    "localPosts": instance.local_post_count,
+                },
+                "metadata": {
+                    "federation": instance.describe_mrf() if instance.is_pleroma else {},
+                },
+            }
+        )
 
     def _account_endpoint(self, request: HTTPRequest, username: str) -> HTTPResponse:
         """``/api/v1/accounts/{username}``: a single local account."""

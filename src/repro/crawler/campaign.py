@@ -5,12 +5,15 @@ through the Peers API, snapshots every Pleroma instance's metadata on a
 fixed interval over the campaign window (four hours in the paper), collects
 public timelines, and finally assembles the analysis dataset.
 
-Discovery, the first snapshot round and timeline collection send every
-request through the API layer's batch entry points (fused snapshot
-follow-ups, server-side timeline streams).  Later rounds send requests only
-for the domains whose outcome can change in that round; every other
-domain-round is answered from the instance's availability at the round time
-and the domain's earlier snapshot, with identical results and counters.
+Discovery sends one peers request per listed domain.  The first snapshot
+round sends every domain's metadata request in one batch, and each
+snapshot's follow-ups one request at a time; timelines come as server-side
+streams.  Later rounds send requests only for the domains whose outcome can
+change in that round; every other domain-round is answered from the
+instance's availability at the round time and the domain's earlier
+snapshot, with identical results and counters.  Given a
+:class:`~repro.faults.retry.RetryPolicy`, the client retries transient
+failures and each round re-snapshots its fault-stricken domains once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.crawler.directory import InstanceDirectory
 from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineCollection
 from repro.datasets.store import Dataset
 from repro.faults.plan import FaultPlan, FaultSpec, compile_for_campaign
-from repro.faults.retry import ResilienceConfig
+from repro.faults.retry import RetryPolicy
 from repro.fediverse.registry import FediverseRegistry
 
 
@@ -62,6 +65,14 @@ class CampaignConfig:
         cap = self.max_posts_per_instance
         if cap is not None and cap < 0:
             raise ValueError(f"max_posts_per_instance must be non-negative, got {cap}")
+        if self.timeline_page_size < 1:
+            raise ValueError(
+                f"timeline_page_size must be at least 1, got {self.timeline_page_size}"
+            )
+        if not 0.0 < self.directory_coverage <= 1.0:
+            raise ValueError(
+                f"directory_coverage must be within (0, 1], got {self.directory_coverage}"
+            )
 
     @property
     def snapshot_rounds(self) -> int:
@@ -148,7 +159,7 @@ class MeasurementCampaign:
         server: FediverseAPIServer | None = None,
         directory: InstanceDirectory | None = None,
         faults: FaultSpec | FaultPlan | None = None,
-        resilience: ResilienceConfig | None = None,
+        retry: RetryPolicy | None = None,
     ) -> None:
         self.registry = registry
         self.config = config or CampaignConfig()
@@ -161,9 +172,7 @@ class MeasurementCampaign:
         #: transport object), a :class:`~repro.faults.injector.FaultInjector`
         #: otherwise.
         self.transport = faults.wrap(self.server) if faults is not None else self.server
-        self.resilience = resilience
-        retry_policy = resilience.retry_policy if resilience is not None else None
-        self.client = APIClient(self.transport, retry=retry_policy)
+        self.client = APIClient(self.transport, retry=retry)
         self.directory = directory or InstanceDirectory(
             registry, coverage=self.config.directory_coverage
         )
@@ -190,7 +199,7 @@ class MeasurementCampaign:
         all_domains: set[str] = set(pleroma_domains)
         client = self.client
         for domain in sorted(pleroma_domains):
-            response = client.get_many(domain, (PEERS_PATH,))[0]
+            response = client.get(domain, PEERS_PATH)
             if response.ok:
                 all_domains.update(response.body)
         return pleroma_domains, all_domains
@@ -408,13 +417,14 @@ class MeasurementCampaign:
     ) -> None:
         """Give a round's fault-stricken domains one more snapshot pass.
 
-        The retry queue holds exactly the domains whose metadata failure
-        this round was *fault-attributed* (non-empty ``fault_kind``) — an
-        injected outage, not the instance's own permanent error — and that
-        produced no snapshot.  With a zero-fault transport no failure
-        carries an attribution, so the queue is provably always empty.
+        Only a campaign with a retry policy salvages.  The retry queue
+        holds exactly the domains whose metadata failure this round was
+        *fault-attributed* (non-empty ``fault_kind``) — an injected outage,
+        not the instance's own permanent error — and that produced no
+        snapshot.  With a zero-fault transport no failure carries an
+        attribution, so the queue is provably always empty.
         """
-        if self.resilience is None or not self.resilience.round_retry:
+        if self.client.retry is None:
             return
         round_failures = self.instance_crawler.failures[failures_before:]
         queue = sorted(

@@ -8,12 +8,15 @@ because the campaign must keep going when individual instances are down.
 
 Both crawlers also expose batched entry points — :meth:`InstanceCrawler.snapshot_many`
 and :meth:`TimelineCrawler.collect_many` — that route through the API
-layer's batch engine (:meth:`~repro.api.client.APIClient.get_many` /
+layer's batch engine (:meth:`~repro.api.client.APIClient.metadata_many` /
 :meth:`~repro.api.client.APIClient.stream_timeline`).  Without retries the
 batched paths produce bit-identical snapshots, collections, failures and
 request accounting; they only eliminate per-request transport overhead and
 reuse parsed metadata across snapshot rounds (validated by payload
-identity, so a changed payload is always re-parsed).
+identity, so a changed payload is always re-parsed).  A single snapshot and
+a batched one turn their metadata response into a snapshot, and send its
+nodeinfo and peers follow-ups, through the same
+:meth:`InstanceCrawler.snapshot_from`.
 """
 
 from __future__ import annotations
@@ -77,28 +80,15 @@ def _failure_from_response(
     )
 
 
-def _failure_from_error(
-    domain: str, now: float, error: APIError, prefix: str = ""
-) -> CrawlFailure:
-    """Build a :class:`CrawlFailure` from an :class:`APIError` (same fields)."""
-    return CrawlFailure(
-        domain=domain,
-        timestamp=now,
-        status_code=int(error.status),
-        reason=f"{prefix}{error.message}",
-        attempts=error.attempts,
-        fault_kind=error.fault_kind,
-    )
-
-
 @dataclass
 class SnapshotTemplate:
     """Metadata parsed once per distinct payload, reused across rounds.
 
-    ``payload`` is the exact object the parse ran on: the batch server
-    returns the *same* cached dict while the instance's metadata
-    fingerprint is unchanged, so an ``is`` check is a sound (and free)
-    validity test — any rebuilt payload triggers a fresh parse.
+    ``payload`` is the exact object the parse ran on: the server's
+    metadata round returns the *same* cached dict while the instance's
+    metadata fingerprint is unchanged, so an ``is`` check is a sound (and
+    free) validity test — any rebuilt payload, such as the fresh one each
+    single request gets, triggers a fresh parse.
 
     ``proto`` is a prototype ``__dict__`` for :class:`InstanceSnapshot`;
     each round copies it and stamps the timestamp, which skips re-parsing
@@ -136,33 +126,8 @@ class InstanceCrawler:
 
     def snapshot(self, domain: str, now: float, fetch_peers: bool = True) -> InstanceSnapshot | None:
         """Snapshot one instance; return ``None`` (and record) on failure."""
-        try:
-            payload = self.client.instance_metadata(domain)
-        except APIError as error:
-            self.failures.append(_failure_from_error(domain, now, error))
-            return None
-
-        stats = payload.get("stats", {})
-        software = _parse_software(payload)
-        if software == "unknown":
-            # Mastodon-style instances expose their software name only
-            # through nodeinfo, which is how the paper's crawler classified
-            # non-Pleroma servers.
-            software = self._software_from_nodeinfo(domain, now)
-        snapshot = InstanceSnapshot(
-            domain=domain,
-            timestamp=now,
-            software=software,
-            version=_parse_pleroma_version(payload),
-            user_count=int(stats.get("user_count", 0)),
-            status_count=int(stats.get("status_count", 0)),
-            peer_count=int(stats.get("domain_count", 0)),
-            registrations_open=bool(payload.get("registrations", False)),
-        )
-        self._attach_mrf(snapshot, payload)
-        if fetch_peers:
-            snapshot.peers = self._fetch_peers(domain, now)
-        return snapshot
+        response = self.client.get(domain, INSTANCE_PATH)
+        return self.snapshot_from(domain, response, now, fetch_peers)
 
     # ------------------------------------------------------------------ #
     # Batched snapshots
@@ -173,13 +138,12 @@ class InstanceCrawler:
         """Snapshot many instances through the API layer's batch engine.
 
         The whole round's metadata requests are served in one batch call;
-        the conditional follow-ups (nodeinfo for unclassifiable software,
-        peers on the first round) ride in one fused group per snapshot.
+        each snapshot's follow-ups are sent as :meth:`snapshot` sends them.
         Without retries, snapshots, recorded failures (contents *and*
         order) and request accounting are identical to calling
         :meth:`snapshot` once per domain in the given order.  A retrying
-        client retries the batch in rounds, each advancing the clock once,
-        where sequential calls would wait per request.
+        client retries the metadata requests in rounds, each advancing the
+        clock once, where sequential calls would wait per request.
         """
         domains = list(domains)
         responses = self.client.metadata_many(domains)
@@ -196,44 +160,37 @@ class InstanceCrawler:
         """Turn one metadata response into a snapshot, or record its failure.
 
         A successful response's payload is parsed once per distinct payload
-        object; the nodeinfo and peers follow-ups it needs are sent as one
-        group, and their failures are recorded after it.
+        object.  Software the payload does not name is resolved through
+        nodeinfo, which is how the paper's crawler classified Mastodon-style
+        servers; with ``fetch_peers`` the peer list is requested too.  A
+        failed follow-up is recorded (reason-prefixed ``nodeinfo:`` or
+        ``peers:``) and the snapshot is kept.
         """
+        failures = self.failures
         if not response.ok:
-            self.failures.append(_failure_from_response(domain, now, response))
+            failures.append(_failure_from_response(domain, now, response))
             return None
         payload = response.body
         template = self.templates.get(domain)
         if template is None or template.payload is not payload:
             template = self.templates[domain] = self._parse_template(payload)
-
-        nodeinfo_response: HTTPResponse | None = None
-        peers_response: HTTPResponse | None = None
-        if template.needs_nodeinfo or fetch_peers:
-            follow_paths = []
-            if template.needs_nodeinfo:
-                follow_paths.append(NODEINFO_PATH)
-            if fetch_peers:
-                follow_paths.append(PEERS_PATH)
-            follow = self.client.get_many(domain, follow_paths)
-            if template.needs_nodeinfo:
-                nodeinfo_response = follow[0]
-            if fetch_peers:
-                peers_response = follow[-1]
-
         snapshot = template.snapshot(domain, now)
-        if nodeinfo_response is not None:
-            snapshot.software = self._software_from_nodeinfo_response(
-                domain, now, nodeinfo_response
-            )
-        if peers_response is not None:
-            if peers_response.ok:
-                snapshot.peers = tuple(peers_response.body)
+        if template.needs_nodeinfo:
+            nodeinfo = self.client.get(domain, NODEINFO_PATH)
+            if nodeinfo.ok:
+                software = nodeinfo.body.get("software", {}).get("name", "unknown")
+                snapshot.software = str(software) or "unknown"
             else:
-                self.failures.append(
-                    _failure_from_response(
-                        domain, now, peers_response, prefix="peers: "
-                    )
+                failures.append(
+                    _failure_from_response(domain, now, nodeinfo, prefix="nodeinfo: ")
+                )
+        if fetch_peers:
+            peers = self.client.get(domain, PEERS_PATH)
+            if peers.ok:
+                snapshot.peers = tuple(peers.body)
+            else:
+                failures.append(
+                    _failure_from_response(domain, now, peers, prefix="peers: ")
                 )
         return snapshot
 
@@ -276,64 +233,6 @@ class InstanceCrawler:
             proto=proto,
             needs_nodeinfo=software == "unknown",
         )
-
-    # ------------------------------------------------------------------ #
-    # Shared parsing helpers
-    # ------------------------------------------------------------------ #
-    def _software_from_nodeinfo(self, domain: str, now: float) -> str:
-        """Resolve the server software through nodeinfo.
-
-        A failed nodeinfo probe is recorded as a :class:`CrawlFailure`
-        (reason-prefixed ``nodeinfo:``) — a real crawler logs the probe it
-        could not complete rather than silently classifying the instance as
-        unknown software.
-        """
-        try:
-            payload = self.client.nodeinfo(domain)
-        except APIError as error:
-            self.failures.append(
-                _failure_from_error(domain, now, error, prefix="nodeinfo: ")
-            )
-            return "unknown"
-        return str(payload.get("software", {}).get("name", "unknown")) or "unknown"
-
-    def _software_from_nodeinfo_response(
-        self, domain: str, now: float, response: HTTPResponse
-    ) -> str:
-        """Batched twin of :meth:`_software_from_nodeinfo`."""
-        if not response.ok:
-            self.failures.append(
-                _failure_from_response(domain, now, response, prefix="nodeinfo: ")
-            )
-            return "unknown"
-        payload = response.body
-        return str(payload.get("software", {}).get("name", "unknown")) or "unknown"
-
-    def _attach_mrf(self, snapshot: InstanceSnapshot, payload: dict[str, Any]) -> None:
-        """Populate the snapshot's MRF fields from the metadata payload."""
-        federation = (
-            payload.get("pleroma", {}).get("metadata", {}).get("federation", {})
-        )
-        if not federation or not federation.get("exposable", False):
-            snapshot.policies_exposed = False
-            return
-        snapshot.policies_exposed = True
-        snapshot.enabled_policies = tuple(federation.get("mrf_policies", ()))
-        snapshot.mrf_simple = {
-            action: list(targets)
-            for action, targets in federation.get("mrf_simple", {}).items()
-        }
-        snapshot.mrf_object_age = dict(federation.get("mrf_object_age", {}))
-
-    def _fetch_peers(self, domain: str, now: float) -> tuple[str, ...]:
-        """Fetch the peer list, tolerating failures."""
-        try:
-            return tuple(self.client.instance_peers(domain))
-        except APIError as error:
-            self.failures.append(
-                _failure_from_error(domain, now, error, prefix="peers: ")
-            )
-            return ()
 
 
 class TimelineCrawler:

@@ -21,7 +21,7 @@ from repro.core.simplepolicy_analysis import SimplePolicyAnalyzer
 from repro.core.solutions import SolutionEvaluator
 from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 from repro.datasets.store import Dataset
-from repro.faults import ResilienceConfig
+from repro.faults import RetryPolicy
 from repro.perspective.client import PerspectiveClient
 from repro.synth.generator import GeneratedFediverse
 from repro.synth.scenario import build_scenario, scenario_config
@@ -69,7 +69,7 @@ class ReproPipeline:
                 snapshot_interval_hours=self._config.snapshot_interval_hours,
             ),
             faults=None if faults.inert else faults,
-            resilience=None if faults.inert else ResilienceConfig.default(),
+            retry=None if faults.inert else RetryPolicy(),
         )
         return campaign.run()
 

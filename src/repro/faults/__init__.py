@@ -17,12 +17,13 @@ The pieces:
   schedules plus per-request fault streams.
 - :class:`~repro.faults.injector.FaultInjector` — wraps the
   client→server transport (:class:`~repro.api.server.FediverseAPIServer`'s
-  single-request and batch entry points) and injects the plan's faults.
-- :class:`~repro.faults.retry.RetryPolicy` /
-  :class:`~repro.faults.retry.ResilienceConfig` — the crawl side:
-  capped exponential backoff with deterministic jitter, per-domain retry
-  budgets, ``Retry-After`` honoured, and a per-domain circuit breaker
-  (wired into :class:`~repro.api.client.APIClient`).
+  single-request, metadata-round and timeline-stream entry points) and
+  injects the plan's faults.
+- :class:`~repro.faults.retry.RetryPolicy` — the crawl side: capped
+  exponential backoff with deterministic jitter, per-domain retry budgets,
+  ``Retry-After`` honoured, and a per-domain circuit breaker (wired into
+  :class:`~repro.api.client.APIClient`); a campaign given one also
+  re-snapshots each round's fault-stricken domains once.
 
 Determinism contract
 --------------------
@@ -52,7 +53,7 @@ the crawl is byte-for-byte the engine of PR 4.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_PROFILES, FaultKind, FaultPlan, FaultSpec
-from repro.faults.retry import ResilienceConfig, RetryPolicy
+from repro.faults.retry import RetryPolicy
 
 __all__ = [
     "FAULT_PROFILES",
@@ -60,6 +61,5 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "ResilienceConfig",
     "RetryPolicy",
 ]

@@ -1,16 +1,16 @@
 """The fault injector: a misbehaving twin of the API server transport.
 
 :class:`FaultInjector` exposes the exact transport surface
-:class:`~repro.api.client.APIClient` consumes — ``get``, ``handle_batch``,
-``metadata_round``, ``stream_timeline`` — and decides, per logical request,
-whether the plan injects a fault or the inner server answers.  Batch calls
-keep the engine's single-instant contract: faults are decided for the whole
-group at the group's timestamp, the clean subset is served by one inner
-batch call, and the responses are spliced back in request order.  Timeout
-costs are charged to the simulated clock *after* the batch is served, so a
-batch still models one instant.  A snapshot round's first attempts can be
-decided before they are sent (:meth:`FaultInjector.decide_round`), so the
-crawl sends only the domains whose outcome can change.
+:class:`~repro.api.client.APIClient` consumes — ``get``, ``metadata_round``,
+``stream_timeline`` — and decides, per logical request, whether the plan
+injects a fault or the inner server answers.  A metadata round keeps the
+engine's single-instant contract: faults are decided for the whole round at
+its timestamp, the clean subset is served by one inner call, and the
+responses are spliced back in request order.  Timeout costs are charged to
+the simulated clock *after* the request or round is served, so a round
+still models one instant.  A snapshot round's first attempts can be decided
+before they are sent (:meth:`FaultInjector.decide_round`), so the crawl
+sends only the domains whose outcome can change.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Any, Sequence
 from repro.api.http import (
     FAULT_HEADER,
     RETRY_AFTER_HEADER,
-    HTTPRequest,
     HTTPResponse,
     HTTPStatus,
 )
@@ -180,41 +179,6 @@ class FaultInjector:
             return self.server.get(domain, url, user_agent=user_agent)
         self._charge_timeouts(before)
         return injected
-
-    def handle_batch(
-        self,
-        domain: str,
-        requests: Sequence[HTTPRequest | str],
-        *,
-        user_agent: str = "",
-    ) -> list[HTTPResponse]:
-        """Serve a one-domain request group, splicing injected faults in."""
-        schedule = self.plan.schedule_for(domain)
-        if schedule is None:
-            return self.server.handle_batch(domain, requests, user_agent=user_agent)
-        now = self.server.registry.clock.now()
-        before = self.stats.timeout_seconds
-        injected: dict[int, HTTPResponse] = {}
-        clean: list[HTTPRequest | str] = []
-        for index, request in enumerate(requests):
-            fault = self._decide(schedule, now, True)
-            if fault is None:
-                clean.append(request)
-            else:
-                injected[index] = fault
-        if not injected:
-            return self.server.handle_batch(domain, requests, user_agent=user_agent)
-        served = (
-            iter(self.server.handle_batch(domain, clean, user_agent=user_agent))
-            if clean
-            else iter(())
-        )
-        responses = [
-            injected[index] if index in injected else next(served)
-            for index in range(len(requests))
-        ]
-        self._charge_timeouts(before)
-        return responses
 
     def decide_round(self, domains: Sequence[str]) -> set[str]:
         """Decide a snapshot round's first metadata attempts, once.

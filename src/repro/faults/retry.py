@@ -2,20 +2,18 @@
 
 The policy side of the fault story: :class:`RetryPolicy` describes when a
 failed request is worth re-issuing and how long the client backs off
-between attempts; :class:`ResilienceConfig` bundles the policy with the
-campaign-level degradation knobs.  All delays are *simulated* seconds —
-the client charges them to the registry's :class:`SimulationClock`, never
-to wall-clock time — and jitter draws from per-domain RNG streams keyed
-by the policy's own seed, so retry timing is as reproducible as the
-faults that trigger it.
+between attempts; a campaign given one also re-snapshots, once per round,
+the domains an injected fault kept from a snapshot.  All delays are
+*simulated* seconds — the client charges them to the registry's
+:class:`SimulationClock`, never to wall-clock time — and jitter draws from
+per-domain RNG streams keyed by the policy's own seed, so retry timing is
+as reproducible as the faults that trigger it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-
-from repro.api.http import HTTPResponse
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,6 @@ class RetryPolicy:
         if self.breaker_cooldown_seconds < 0:
             raise ValueError("breaker_cooldown_seconds must be non-negative")
 
-    def transient(self, response: HTTPResponse) -> bool:
-        """Return ``True`` when ``response`` is worth retrying.
-
-        The classification is stored on the response when it is built
-        (:attr:`HTTPResponse.transient`).  A malformed 200 body is
-        normalised to a 502 before it reaches this check, tagged with its
-        fault kind; the base server never sets the fault header, so this
-        too is injector-only.
-        """
-        return response.transient
-
     def jitter_stream(self, domain: str) -> random.Random:
         """Return a fresh dedicated jitter stream for ``domain``."""
         return random.Random(f"{self.seed}:jitter:{domain}")
@@ -102,22 +89,3 @@ class RetryPolicy:
         )
         return delay * (1.0 + self.jitter * jitter_draw)
 
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Campaign-level resilience: the retry policy plus degradation knobs."""
-
-    retry_policy: RetryPolicy | None = field(default_factory=RetryPolicy)
-    #: Re-snapshot domains whose snapshot-round failure was fault-attributed
-    #: (one extra pass at the end of the round).
-    round_retry: bool = True
-
-    @classmethod
-    def default(cls) -> "ResilienceConfig":
-        """The stock resilient configuration."""
-        return cls()
-
-    @classmethod
-    def disabled(cls) -> "ResilienceConfig":
-        """No retries, no round salvage — the plain PR 4 engine behaviour."""
-        return cls(retry_policy=None, round_retry=False)

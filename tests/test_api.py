@@ -259,26 +259,13 @@ class TestClientStats:
         assert stats.by_domain == {"down.example": 1}
 
 
-#: Every endpoint the crawler touches, with known-good and failing targets.
-ACCOUNTING_PROBES = [
-    ("alpha.example", "/api/v1/instance"),
-    ("alpha.example", "/api/v1/instance/peers"),
-    ("alpha.example", "/nodeinfo/2.0"),
-    ("alpha.example", "/api/v1/timelines/public?local=true&limit=5"),
-    ("masto.example", "/api/v1/instance"),
-    ("masto.example", "/api/v1/timelines/public?local=true&limit=5"),
-    ("ghost.example", "/api/v1/instance"),  # unknown -> 404
-    ("ghost.example", "/nodeinfo/2.0"),
-]
-
-
 def _stats_tuple(client: APIClient):
     stats = client.stats
     return (stats.requests, stats.ok, stats.failed, stats.by_status, stats.by_domain)
 
 
 class TestBatchedAccounting:
-    """``get`` and ``get_many`` must agree on every counter, per endpoint."""
+    """``get`` and the batch paths must agree on every counter."""
 
     def _fresh_client(self) -> APIClient:
         registry = FediverseRegistry()
@@ -293,45 +280,6 @@ class TestBatchedAccounting:
         registry.create_instance("down.example", install_default_policies=False)
         registry.set_availability("down.example", 502, "bad gateway")
         return APIClient(FediverseAPIServer(registry))
-
-    def test_get_many_counts_match_sequential_gets(self):
-        sequential = self._fresh_client()
-        for domain, path in ACCOUNTING_PROBES:
-            sequential.get(domain, path)
-
-        batched = self._fresh_client()
-        by_domain: dict[str, list[str]] = {}
-        for domain, path in ACCOUNTING_PROBES:
-            by_domain.setdefault(domain, []).append(path)
-        for domain, paths in by_domain.items():
-            batched.get_many(domain, paths)
-
-        assert _stats_tuple(batched) == _stats_tuple(sequential)
-
-    def test_get_many_responses_match_get(self):
-        sequential = self._fresh_client()
-        batched = self._fresh_client()
-        for domain, path in ACCOUNTING_PROBES:
-            single = sequential.get(domain, path)
-            grouped = batched.get_many(domain, [path])[0]
-            assert single.status is grouped.status
-            assert single.body == grouped.body
-
-    def test_error_statuses_recorded_identically(self):
-        """APIError statuses (403/404/502) land in by_status the same way."""
-        sequential = self._fresh_client()
-        sequential.get("down.example", "/api/v1/instance")
-        sequential.get("ghost.example", "/api/v1/instance")
-        with pytest.raises(APIError):
-            sequential.get_json("down.example", "/api/v1/instance/peers")
-
-        batched = self._fresh_client()
-        batched.get_many("down.example", ["/api/v1/instance", "/api/v1/instance/peers"])
-        batched.get_many("ghost.example", ["/api/v1/instance"])
-
-        assert _stats_tuple(batched) == _stats_tuple(sequential)
-        assert batched.stats.by_status[502] == 2
-        assert batched.stats.by_status[404] == 1
 
     def test_metadata_many_counts_like_sequential_metadata(self):
         domains = ["alpha.example", "down.example", "ghost.example", "masto.example"]
@@ -419,12 +367,12 @@ class TestFrozenCaches:
             if instance.availability.ok
         )[0]
 
-        batched = server.handle_batch(domain, [INSTANCE_PATH])[0]
+        batched = server.metadata_round([domain])[0]
         single = server.get(domain, INSTANCE_PATH)
         # Frozen cached payload stays == to the stateless path's fresh dict.
         assert batched.body == single.body
         # The cache hands the same frozen object to every batch caller.
-        again = server.handle_batch(domain, [INSTANCE_PATH])[0]
+        again = server.metadata_round([domain])[0]
         assert again.body is batched.body
         # No caller can corrupt what the others see.
         with pytest.raises(TypeError):
@@ -439,7 +387,7 @@ class TestFrozenCaches:
             for instance in registry.instances()
             if instance.availability.ok
         ):
-            body = server.handle_batch(candidate, [INSTANCE_PATH])[0].body
+            body = server.metadata_round([candidate])[0].body
             nested_list = _find_frozen_list(body)
             if nested_list is not None:
                 break
@@ -459,9 +407,6 @@ class TestFrozenCaches:
         assert int(first.status) == 502
         with pytest.raises(TypeError):
             first.body["error"] = "defaced"
-        # The batch path shares the same cache.
-        batched = server.handle_batch("down1.example", [INSTANCE_PATH])[0]
-        assert batched is first
 
 
 class TestErrorCacheChurn:
@@ -492,8 +437,6 @@ class TestErrorCacheChurn:
         # The post-flip error is itself cached and shared, frozen.
         repeat = server.metadata_round(["flappy.example"])[0]
         assert repeat is after
-        batched = server.handle_batch("flappy.example", [INSTANCE_PATH])[0]
-        assert batched is after
 
     def test_metadata_cache_survives_the_flip_window(self):
         """Pre-flip 200 payloads come from the cache; post-flip they must not."""

@@ -1,7 +1,7 @@
 """Tests for the batched crawl engine.
 
 The engine's contract is strict: a campaign crawled through the batch
-paths (grouped requests, cached metadata payloads, server-side timeline
+paths (metadata rounds, cached metadata payloads, server-side timeline
 streams) must be *indistinguishable* from the seed's one-request-at-a-time
 loop — every :class:`CrawlResult` field, the failure ordering, the request
 accounting and the assembled dataset.  The twin-campaign fuzz below pins
@@ -234,51 +234,33 @@ class TestTwinCampaignEquivalence:
 
 
 class TestBatchAPI:
-    def test_handle_batch_unknown_domain(self):
+    def test_metadata_round_unknown_domain(self):
         registry = FediverseRegistry()
         server = FediverseAPIServer(registry)
-        responses = server.handle_batch(
-            "ghost.example", ["/api/v1/instance", "/nodeinfo/2.0"]
-        )
+        responses = server.metadata_round(["ghost.example", "phantom.example"])
         assert [int(r.status) for r in responses] == [404, 404]
         assert server.requests_served == 2
 
-    def test_handle_batch_unavailable_domain(self):
+    def test_metadata_round_unavailable_domain(self):
         registry = FediverseRegistry()
         registry.create_instance("flaky.example", install_default_policies=False)
         registry.set_availability("flaky.example", 503, "overloaded")
         server = FediverseAPIServer(registry)
-        responses = server.handle_batch(
-            "flaky.example", ["/api/v1/instance", "/api/v1/instance/peers"]
-        )
+        responses = server.metadata_round(["flaky.example", "flaky.example"])
         assert [int(r.status) for r in responses] == [503, 503]
         assert responses[0].body == {"error": "overloaded"}
-
-    def test_handle_batch_falls_back_to_router(self):
-        registry = FediverseRegistry()
-        instance = registry.create_instance("alpha.example", install_default_policies=False)
-        instance.register_user("alice")
-        server = FediverseAPIServer(registry)
-        responses = server.handle_batch(
-            "alpha.example",
-            ["/api/v1/instance", "/api/v1/accounts/alice", "/nope"],
-        )
-        assert responses[0].ok
-        assert responses[1].ok
-        assert responses[1].body["acct"] == "alice@alpha.example"
-        assert int(responses[2].status) == 404
 
     def test_metadata_cache_invalidates_on_mutation(self):
         registry = FediverseRegistry()
         instance = registry.create_instance("alpha.example", install_default_policies=False)
         instance.register_user("alice")
         server = FediverseAPIServer(registry)
-        first = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
-        again = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
+        first = server.metadata_round(["alpha.example"])[0]
+        again = server.metadata_round(["alpha.example"])[0]
         # Unchanged instance: the exact same payload object is served.
         assert again.body is first.body
         instance.publish("alice", "new post")
-        after = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
+        after = server.metadata_round(["alpha.example"])[0]
         assert after.body is not first.body
         assert after.body["stats"]["status_count"] == first.body["stats"]["status_count"] + 1
 
@@ -293,7 +275,7 @@ class TestBatchAPI:
         for iteration in range(50):
             instance.mrf.remove_policy("SimplePolicy")
             instance.mrf.add_policy(SimplePolicy(reject=[f"new{iteration}.example"]))
-            payload = server.handle_batch("alpha.example", ["/api/v1/instance"])[0].body
+            payload = server.metadata_round(["alpha.example"])[0].body
             federation = payload["pleroma"]["metadata"]["federation"]
             assert federation["mrf_simple"] == {"reject": [f"new{iteration}.example"]}
 
@@ -304,21 +286,21 @@ class TestBatchAPI:
         policy = SimplePolicy(reject=["old.example"])
         instance.mrf.add_policy(policy)
         server = FediverseAPIServer(registry)
-        before = server.handle_batch("alpha.example", ["/api/v1/instance"])[0].body
+        before = server.metadata_round(["alpha.example"])[0].body
         assert before["pleroma"]["metadata"]["federation"]["mrf_simple"] == {
             "reject": ["old.example"]
         }
         instance.mrf.invalidate_config()
-        after = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
+        after = server.metadata_round(["alpha.example"])[0]
         assert after.body is not before
 
     def test_metadata_cache_invalidates_on_policy_change(self):
         registry = FediverseRegistry()
         instance = registry.create_instance("alpha.example", install_default_policies=False)
         server = FediverseAPIServer(registry)
-        before = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
+        before = server.metadata_round(["alpha.example"])[0]
         instance.mrf.add_policy(SimplePolicy(reject=["bad.example"]))
-        after = server.handle_batch("alpha.example", ["/api/v1/instance"])[0]
+        after = server.metadata_round(["alpha.example"])[0]
         federation = after.body["pleroma"]["metadata"]["federation"]
         assert "SimplePolicy" in federation["mrf_policies"]
         assert before.body is not after.body
@@ -328,7 +310,7 @@ class TestBatchAPI:
         server = FediverseAPIServer(registry)
         for domain in MIXED_DOMAINS:
             single = server.get(domain, "/api/v1/instance")
-            batched = server.handle_batch(domain, ["/api/v1/instance"])[0]
+            batched = server.metadata_round([domain])[0]
             assert single.status is batched.status
             assert single.body == batched.body
 

@@ -27,7 +27,7 @@ from typing import Any
 
 from perf.harness import crawl_state
 from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
-from repro.faults import FaultSpec, ResilienceConfig
+from repro.faults import FaultSpec, RetryPolicy
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import scenario_config
 
@@ -150,7 +150,7 @@ def faulted_crawl(golden: GoldenCrawl) -> tuple[MeasurementCampaign, dict[str, A
             snapshot_interval_hours=config.snapshot_interval_hours,
         ),
         faults=spec,
-        resilience=ResilienceConfig.default(),
+        retry=RetryPolicy(),
     )
     state = crawl_state(campaign.assemble(campaign.crawl()))
     stats = campaign.client.stats

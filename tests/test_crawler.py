@@ -149,6 +149,16 @@ class TestCampaign:
         # A negative cap would slice [:-1] off every instance's posts.
         with pytest.raises(ValueError, match="max_posts_per_instance must be non-negative"):
             CampaignConfig(max_posts_per_instance=-1)
+        # Rejected by the config: a bad page size used to surface later from
+        # TimelineCrawler, and a bad coverage went unchecked whenever the
+        # campaign was handed its own directory.
+        with pytest.raises(ValueError, match="timeline_page_size must be at least 1, got 0"):
+            CampaignConfig(timeline_page_size=0)
+        for coverage in (0.0, 1.5):
+            with pytest.raises(
+                ValueError, match=rf"directory_coverage must be within \(0, 1\], got {coverage}"
+            ):
+                CampaignConfig(directory_coverage=coverage)
 
     def test_snapshot_rounds(self):
         assert CampaignConfig(duration_days=1.0, snapshot_interval_hours=4.0).snapshot_rounds == 6

@@ -32,12 +32,12 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ResilienceConfig,
     RetryPolicy,
 )
 from repro.faults.plan import DomainFaultSchedule, compile_for_campaign
 from repro.fediverse.clock import SimulationClock
 from repro.fediverse.registry import FediverseRegistry
+from repro.fediverse.software import SoftwareKind
 from repro.synth.scenario import scenario_config
 from repro.synth.generator import FediverseGenerator
 
@@ -395,12 +395,11 @@ class TestFrozenErrorResponses:
             response.headers[FAULT_HEADER] = "mutated"
 
     def test_shared_batch_error_cannot_corrupt_siblings(self):
-        registry = build_registry(("alpha.example",))
+        registry = build_registry()
         registry.set_availability("alpha.example", 502, "bad gateway")
+        registry.set_availability("beta.example", 502, "bad gateway")
         server = FediverseAPIServer(registry)
-        first, second = server.handle_batch(
-            "alpha.example", ("/api/v1/instance", "/nodeinfo/2.0")
-        )
+        first, second = server.metadata_round(["alpha.example", "beta.example"])
         assert first is second  # the cache shares one frozen object
         with pytest.raises(TypeError):
             first.body["error"] = "corrupted"
@@ -420,19 +419,6 @@ class TestRouterBoundary:
         assert int(response.status) == 400
         assert "limit" in response.body["error"]
 
-    def test_bad_int_param_in_batch_returns_400(self):
-        registry = build_registry(("alpha.example",))
-        server = FediverseAPIServer(registry)
-        good, bad = server.handle_batch(
-            "alpha.example",
-            (
-                "/api/v1/timelines/public?limit=5",
-                "/api/v1/timelines/public?limit=oops",
-            ),
-        )
-        assert good.ok
-        assert int(bad.status) == 400
-
 
 # --------------------------------------------------------------------- #
 # Satellite: accounting parity under retries, across transport paths
@@ -450,21 +436,22 @@ class TestRetryAccounting:
         return (stats.requests, stats.ok, stats.failed, stats.by_status,
                 stats.by_domain, stats.retries)
 
-    def test_each_attempt_counted_once_get_vs_get_many(self):
-        paths = ("/api/v1/instance", "/nodeinfo/2.0")
-
+    def test_each_attempt_counted_once_get_vs_metadata_many(self):
         sequential = self._faulted_client()
-        for path in paths:
-            sequential.get("alpha.example", path)
-        batched = self._faulted_client()
-        batched.get_many("alpha.example", paths)
+        singles = [sequential.get("alpha.example", "/api/v1/instance") for _ in range(2)]
+        rounded = self._faulted_client()
+        batched = rounded.metadata_many(["alpha.example", "alpha.example"])
 
         # 2 logical requests x 3 attempts each, identically on both paths.
-        assert self._stats_tuple(sequential) == self._stats_tuple(batched)
+        assert self._stats_tuple(sequential) == self._stats_tuple(rounded)
         assert sequential.stats.requests == 6
         assert sequential.stats.by_domain == {"alpha.example": 6}
         assert sequential.stats.by_status == {500: 6}
         assert sequential.stats.retries == 4
+        assert [(r.status, r.attempts, r.fault_kind) for r in batched] == [
+            (r.status, r.attempts, r.fault_kind) for r in singles
+        ]
+        assert rounded._breakers == sequential._breakers
 
     def test_each_attempt_counted_once_stream_vs_get(self):
         sequential = self._faulted_client()
@@ -500,6 +487,66 @@ class TestRetryAccounting:
         (failure,) = crawler.failures
         assert failure.attempts == 3
         assert failure.fault_kind == "transient"
+
+    def test_snapshot_follow_ups_retry_alike_single_and_batched(self):
+        """A Mastodon-style snapshot's follow-ups, retried, on both paths.
+
+        Its software is named only by nodeinfo, and with ``fetch_peers`` its
+        peers are requested too.  Under per-request faults and a retrying
+        client, ``snapshot_many([d])`` and ``snapshot(d)`` land the same
+        snapshots, failures (in order), counters and clock.
+        """
+        from repro.crawler.crawler import INSTANCE_PATH, InstanceCrawler
+
+        spec = FaultSpec(timeout_rate=0.3, malformed_rate=0.3, seed=5)
+
+        def crawl(batched: bool):
+            registry = FediverseRegistry()
+            masto = registry.create_instance(
+                "masto.example",
+                software=SoftwareKind.MASTODON,
+                version="3.3.0",
+                install_default_policies=False,
+            )
+            masto.add_peer("alpha.example")
+            plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
+            injector = plan.wrap(FediverseAPIServer(registry))
+            follow_ups = []
+            get = injector.get
+
+            def logged_get(domain, url, *, user_agent=""):
+                if url != INSTANCE_PATH:
+                    follow_ups.append(url)
+                return get(domain, url, user_agent=user_agent)
+
+            injector.get = logged_get
+            client = APIClient(injector, retry=RetryPolicy(retry_budget_per_domain=200))
+            crawler = InstanceCrawler(client)
+            snapshots = []
+            for _ in range(12):
+                now = registry.clock.now()
+                if batched:
+                    snapshot = crawler.snapshot_many(["masto.example"], now)
+                    snapshots.append(snapshot.get("masto.example"))
+                else:
+                    snapshots.append(crawler.snapshot("masto.example", now))
+                registry.clock.advance(3600.0)
+            # Each snapshot asks nodeinfo and peers once; more is a retry.
+            answered = sum(snapshot is not None for snapshot in snapshots)
+            assert len(follow_ups) > 2 * answered
+            return (
+                snapshots,
+                crawler.failures,
+                client.stats,
+                injector.stats,
+                registry.clock.now(),
+            )
+
+        single, batched = crawl(False), crawl(True)
+        assert batched == single
+        snapshots = [snapshot for snapshot in single[0] if snapshot is not None]
+        assert any(snapshot.software == "mastodon" for snapshot in snapshots)
+        assert any(snapshot.peers == ("alpha.example",) for snapshot in snapshots)
 
 
 class ScriptedTransport:
@@ -621,13 +668,13 @@ def _campaign_config(config) -> CampaignConfig:
     )
 
 
-def _run(config, faults=None, resilience=None):
+def _run(config, faults=None, retry=None):
     registry = FediverseGenerator(config).generate().registry
     campaign = MeasurementCampaign(
         registry,
         _campaign_config(config),
         faults=faults,
-        resilience=resilience,
+        retry=retry,
     )
     return campaign, campaign.assemble(campaign.crawl())
 
@@ -639,7 +686,7 @@ class TestZeroFaultInertness:
         campaign, resilient = _run(
             config,
             faults=FaultSpec.none(),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         assert campaign.transport is campaign.server
         assert crawl_state(resilient) == crawl_state(plain)
@@ -652,7 +699,7 @@ class TestZeroFaultInertness:
         _, resilient = _run(
             config,
             faults=FaultSpec.none(),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         assert crawl_state(resilient) == crawl_state(plain)
 
@@ -678,7 +725,7 @@ class TestChurnFaultFuzz:
                 campaign, result = _run(
                     config,
                     faults=FaultSpec.profile(profile, seed=fault_seed),
-                    resilience=ResilienceConfig.default(),
+                    retry=RetryPolicy(),
                 )
                 assert isinstance(campaign.transport, FaultInjector)
                 states.append(crawl_state(result))
@@ -694,12 +741,12 @@ class TestChurnFaultFuzz:
         _, a = _run(
             config,
             faults=FaultSpec.profile("mixed", seed=1),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         _, b = _run(
             config,
             faults=FaultSpec.profile("mixed", seed=2),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         assert crawl_state(a) != crawl_state(b)
 
@@ -710,14 +757,14 @@ class TestGracefulDegradation:
         campaign, _ = _run(
             config,
             faults=FaultSpec.none(),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         assert campaign.round_retried == 0
 
         faulted, _ = _run(
             config,
             faults=FaultSpec.profile("heavy", seed=3),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         assert faulted.round_retried > 0
 
@@ -726,7 +773,7 @@ class TestGracefulDegradation:
         _, result = _run(
             config,
             faults=FaultSpec.profile("mixed", seed=3),
-            resilience=ResilienceConfig.default(),
+            retry=RetryPolicy(),
         )
         for domain in result.degraded_domains:
             assert domain in result.latest_snapshots

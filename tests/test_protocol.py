@@ -213,11 +213,6 @@ class TestUserAgentBlocking:
         assert int(response.status) == 403
         assert response.body["error"] == UA_BLOCKED_REASON
 
-        batched = server.handle_batch(
-            "walled.example", [INSTANCE_PATH], user_agent=DEFAULT_USER_AGENT
-        )[0]
-        assert int(batched.status) == 403
-
         meta = server.metadata_round(
             ["walled.example", "open.example"], user_agent=DEFAULT_USER_AGENT
         )
@@ -232,7 +227,7 @@ class TestUserAgentBlocking:
 
         # UA-less access (internal bookkeeping paths) stays open.
         assert server.get("walled.example", INSTANCE_PATH).ok
-        assert server.handle_batch("walled.example", [INSTANCE_PATH])[0].ok
+        assert server.metadata_round(["walled.example"])[0].ok
 
     def test_client_presents_the_crawler_ua_by_default(self):
         registry = self._registry()
