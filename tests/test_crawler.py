@@ -149,9 +149,9 @@ class TestCampaign:
         # A negative cap would slice [:-1] off every instance's posts.
         with pytest.raises(ValueError, match="max_posts_per_instance must be non-negative"):
             CampaignConfig(max_posts_per_instance=-1)
-        # Rejected by the config: a bad page size used to surface later from
-        # TimelineCrawler, and a bad coverage went unchecked whenever the
-        # campaign was handed its own directory.
+        # Checked by the config itself: TimelineCrawler would refuse the page
+        # size only once built, and a campaign handed its own directory
+        # never builds the InstanceDirectory that checks the coverage.
         with pytest.raises(ValueError, match="timeline_page_size must be at least 1, got 0"):
             CampaignConfig(timeline_page_size=0)
         for coverage in (0.0, 1.5):
