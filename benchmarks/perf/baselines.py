@@ -17,9 +17,15 @@ from repro.api.client import APIClient, APIError
 from repro.api.server import FediverseAPIServer
 from repro.core.collateral import InstanceCollateral
 from repro.core.harmfulness import UserLabel
-from repro.crawler.campaign import CampaignConfig, CrawlResult, assemble_result
+from repro.crawler.campaign import (
+    CampaignConfig,
+    CrawlResult,
+    MeasurementCampaign,
+    assemble_result,
+)
 from repro.crawler.crawler import InstanceCrawler, TimelineCrawler
 from repro.crawler.directory import InstanceDirectory
+from repro.crawler.snapshots import FailureLog
 from repro.datasets.schema import RejectEdge
 from repro.datasets.store import Dataset
 from repro.fediverse.errors import FederationError
@@ -339,8 +345,48 @@ def naive_crawl_phases(
                 max_posts=config.max_posts_per_instance,
             )
         )
-    result.failures = list(instance_crawler.failures)
+    result.failures = FailureLog(instance_crawler.failures)
     result.api_requests = client.stats.requests
+    return result
+
+
+def round_loop_crawl(campaign: MeasurementCampaign) -> CrawlResult:
+    """``campaign``'s crawl with every round sending every domain's request.
+
+    The snapshot rounds as they ran before rounds became event-driven: each
+    round sends every domain's metadata request through
+    :meth:`~repro.crawler.crawler.InstanceCrawler.snapshot_many` (peers too
+    in round 0; an open breaker answers in the client), then runs the
+    campaign's round-retry salvage.  Discovery, salvage, the round record
+    and timeline collection are the campaign's own, so this loop and
+    :meth:`MeasurementCampaign.crawl` differ only in which domain-rounds
+    they visit, and must land the same result, counters and clock.
+    """
+    clock = campaign.registry.clock
+    crawler = campaign.instance_crawler
+    result = CrawlResult(dataset=Dataset())
+    pleroma_domains, result.discovered_domains = campaign.discover()
+    result.pleroma_domains = pleroma_domains
+    round_domains = sorted(pleroma_domains)
+    interval = campaign.config.snapshot_interval_hours * 3600.0
+    for round_index in range(campaign.config.snapshot_rounds):
+        now = clock.now()
+        fetch_peers = round_index == 0
+        failures_before = len(crawler.failures)
+        snapshots = crawler.snapshot_many(round_domains, now, fetch_peers=fetch_peers)
+        campaign._retry_round(
+            snapshots, pleroma_domains, now, fetch_peers, failures_before
+        )
+        campaign._record(result, snapshots, now)
+        clock.advance(interval)
+    result.timelines = campaign.timeline_crawler.collect_many(
+        sorted(result.latest_snapshots),
+        clock.now(),
+        local_only=True,
+        max_posts=campaign.config.max_posts_per_instance,
+    )
+    result.failures = FailureLog(crawler.failures)
+    result.api_requests = campaign.client.stats.requests
     return result
 
 

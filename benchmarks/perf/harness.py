@@ -390,7 +390,7 @@ def bench_protocol(run: _Run) -> dict[str, float]:
 def crawl_state(result: CrawlResult) -> dict[str, Any]:
     """Snapshot every :class:`CrawlResult` field and the assembled dataset.
 
-    Timelines include the raw post dicts, failures their order.
+    Timelines include the raw post dicts; failures are listed in order.
     """
     dataset = result.dataset
     tables = ("instances", "users", "posts", "policy_settings", "reject_edges")
@@ -399,7 +399,7 @@ def crawl_state(result: CrawlResult) -> dict[str, Any]:
         "snapshot_counts": result.snapshot_counts,
         "all_snapshots": result.all_snapshots,
         "timelines": result.timelines,
-        "failures": result.failures,
+        "failures": list(result.failures),
         "discovered_domains": result.discovered_domains,
         "pleroma_domains": result.pleroma_domains,
         "first_seen": result.first_seen,
@@ -487,14 +487,28 @@ def _chaos_counters(
     }
 
 
+def _faulted_state(campaign: MeasurementCampaign, result: CrawlResult) -> tuple:
+    """What a faulted crawl must reproduce: its state, counters and clock."""
+    return (
+        _assembled_state(campaign, result),
+        _chaos_counters(campaign, result),
+        campaign.client.stats,
+        campaign.transport.stats,
+        campaign.registry.clock.now(),
+    )
+
+
 def bench_chaos(run: _Run, fault_seed: int = 1337) -> dict[str, float]:
     """Gate the crawl engine under injected faults and measure their cost.
 
     Gate-only races: under the zero-fault plan a resilient campaign runs on
-    the unwrapped server and matches the plain engine; two campaigns under
-    one ``mixed`` fault seed match, counters included.  Reported: recovery
-    against the fault-free crawl with and without retries (``frail``), and
-    recall of the planted reject graph per fault profile.
+    the unwrapped server and matches the plain engine; under one ``mixed``
+    fault seed the event-driven engine matches the round loop that sends
+    every domain's request every round
+    (:func:`perf.baselines.round_loop_crawl`): crawl state, client and
+    injector counters and the final clock.  Reported: recovery against the
+    fault-free crawl with and without retries (``frail``), and recall of
+    the planted reject graph per fault profile.
     """
     config = run.config()
     window = _window(config, min(config.campaign_days, 7.0))  # tractable at scale
@@ -523,16 +537,13 @@ def bench_chaos(run: _Run, fault_seed: int = 1337) -> dict[str, float]:
         state=_assembled_state,
     )
     _, clean = race("chaos inertness", inertness, 1)
-    determinism = Race(
+    rounds = Race(
         build=lambda: campaign("mixed"),
-        reference=MeasurementCampaign.crawl,
-        candidates={"repeat": MeasurementCampaign.crawl},
-        state=lambda campaign, result: (
-            _assembled_state(campaign, result),
-            _chaos_counters(campaign, result),
-        ),
+        reference=baselines.round_loop_crawl,
+        candidates={"engine": MeasurementCampaign.crawl},
+        state=_faulted_state,
     )
-    metrics, (faulted, counters) = race("chaos determinism", determinism, 1)
+    metrics, (faulted, counters, *_) = race("chaos rounds", rounds, 1)
     frail_campaign = campaign("mixed", resilient=False)
     frail = frail_campaign.crawl()
     planted = {

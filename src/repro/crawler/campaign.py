@@ -18,9 +18,10 @@ failures and each round re-snapshots its fault-stricken domains once.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Container
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 
 from repro.api.client import APIClient
 from repro.api.http import HTTPResponse
@@ -31,9 +32,15 @@ from repro.crawler.crawler import (
     InstanceCrawler,
     SnapshotTemplate,
     TimelineCrawler,
+    failure_from_response,
 )
 from repro.crawler.directory import InstanceDirectory
-from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot, TimelineCollection
+from repro.crawler.snapshots import (
+    FailureLog,
+    FailureRun,
+    InstanceSnapshot,
+    TimelineCollection,
+)
 from repro.datasets.store import Dataset
 from repro.faults.plan import FaultPlan, FaultSpec, compile_for_campaign
 from repro.faults.retry import RetryPolicy
@@ -89,7 +96,7 @@ class CrawlResult:
     snapshot_counts: dict[str, int] = field(default_factory=dict)
     all_snapshots: list[InstanceSnapshot] = field(default_factory=list)
     timelines: list[TimelineCollection] = field(default_factory=list)
-    failures: list[CrawlFailure] = field(default_factory=list)
+    failures: FailureLog = field(default_factory=FailureLog)
     discovered_domains: set[str] = field(default_factory=set)
     pleroma_domains: set[str] = field(default_factory=set)
     first_seen: dict[str, float] = field(default_factory=dict)
@@ -119,13 +126,11 @@ class CrawlResult:
     @property
     def failure_status_breakdown(self) -> dict[int, int]:
         """Return counts of the final failure status per uncrawlable domain."""
-        last: dict[str, int] = {}
-        for failure in self.failures:
-            last[failure.domain] = failure.status_code
         breakdown: dict[int, int] = {}
-        for domain, status in last.items():
+        for domain, failure in self.failures.last().items():
             if domain in self.latest_snapshots:
                 continue
+            status = failure.status_code
             breakdown[status] = breakdown.get(status, 0) + 1
         return breakdown
 
@@ -141,7 +146,7 @@ def assemble_result(result: CrawlResult) -> CrawlResult:
     result.dataset = build_dataset(
         snapshots=result.latest_snapshots,
         timelines=result.timelines,
-        failures=result.failures,
+        failures=result.failures.last().values(),
         snapshot_counts=result.snapshot_counts,
         first_seen=result.first_seen,
         discovered_domains=result.discovered_domains,
@@ -222,27 +227,13 @@ class MeasurementCampaign:
         result.pleroma_domains = pleroma_domains
         result.discovered_domains = all_domains
 
-        # Round 0 requests every domain's metadata and, the only time, its
-        # peers: peer lists are large and barely change, which mirrors how
-        # the paper's crawler was run.  Sorted once: every round snapshots
-        # the domains in this order.
-        round_domains = sorted(pleroma_domains)
-        now = clock.now()
-        failures_before = len(self.instance_crawler.failures)
-        snapshots = self.instance_crawler.snapshot_many(round_domains, now)
-        self._retry_round(snapshots, pleroma_domains, now, True, failures_before)
-        self._record(result, snapshots, now)
-        clock.advance(self.config.snapshot_interval_hours * 3600.0)
-        if self.config.snapshot_rounds > 1:
-            self._event_rounds(result, round_domains)
-
+        self._snapshot_rounds(result, sorted(pleroma_domains))
         result.timelines = self.timeline_crawler.collect_many(
             sorted(result.latest_snapshots),
             clock.now(),
             local_only=True,
             max_posts=self.config.max_posts_per_instance,
         )
-        result.failures = list(self.instance_crawler.failures)
         result.api_requests = self.client.stats.requests
         return result
 
@@ -272,21 +263,36 @@ class MeasurementCampaign:
             if keep_all:
                 result.all_snapshots.append(snapshot)
 
-    def _event_rounds(self, result: CrawlResult, round_domains: list[str]) -> None:
-        """Run snapshot rounds 1 onwards, sending only eventful requests.
+    def _snapshot_rounds(self, result: CrawlResult, round_domains: list[str]) -> None:
+        """Run every snapshot round, visiting each domain only when eventful.
 
-        A domain-round is *eventful* when the domain has breaker state, the
-        injector faults its first attempt, or a success would need a parse
-        or a nodeinfo follow-up; those requests are sent as before.  Every
-        other domain-round is *quiet*: its failure is the instance's
-        refusal at the round time, its success is served from the domain's
-        snapshot template, and its request is credited to the counters in
-        bulk, so every result field and counter is unchanged.
+        Round 0 sends every domain's metadata request and, the only time,
+        its peers request; ``round_domains`` is sorted, and every round
+        walks the domains it visits in that order.  After each round a
+        domain whose next request would get a *quiet* outcome (the
+        instance's refusal at the round time, or a success served from its
+        snapshot template) is *parked*: it is not visited again until the
+        first round whose time reaches the next instant its outcome can
+        change, which is its availability flip, the next instant a fault
+        window or flap down-interval is in force, or the round of its next
+        faulting roll.  A domain with breaker state, no usable template,
+        or (with ``keep_all_snapshots``) a success is visited every round.
+        Round times drift later as timeouts and retry waits charge the
+        clock, so wakes are instants compared with each round's time; a
+        wake may come early, since a visit is always correct, but never
+        late.
+
+        A visited domain goes through the injector's decisions, the client
+        and the crawler like any request.  Parked rounds are credited in
+        bulk: snapshot counts and the latest snapshot for quiet successes,
+        one :class:`FailureRun` per stretch of quiet refusals, the rolls
+        their requests would have drawn, and the request counters, so every
+        result field and counter is what sending each request would have
+        produced.
         """
         registry, clock = self.registry, self.registry.clock
         client, crawler, server = self.client, self.instance_crawler, self.server
         injector = self.transport if self.transport is not server else None
-        schedules = injector.plan.schedules if injector is not None else {}
         keep_all = self.config.keep_all_snapshots
         counts = result.snapshot_counts
         templates = crawler.templates
@@ -295,100 +301,193 @@ class MeasurementCampaign:
             domain: registry.get_normalised(domain) if domain in registry else None
             for domain in round_domains
         }
+        # The instant each instance's availability changes (inf: never).
+        flips = {
+            domain: inf if instance is None else instance.availability.changes_at
+            for domain, instance in instances.items()
+        }
+        interval = self.config.snapshot_interval_hours * 3600.0
+        rounds = self.config.snapshot_rounds
+        round_times: list[float] = []
+        bounds: list[tuple[int, int]] = []
+        runs: list[FailureRun] = []
+        # Each domain's latest run and the refusal it repeats.
+        open_runs: dict[str, tuple[FailureRun, HTTPResponse]] = {}
+        # Quiet requests by domain and (failures only, until the end) by
+        # status; the latest quiet success of each domain.
+        quiet_requests = dict.fromkeys(round_domains, 0)
+        quiet_statuses: dict[int, int] = {}
+        quiet_last: dict[str, float] = {}
+        # Each parked domain's first parked round and quiet outcome, and the
+        # wake instants of those that wake before the last round.
+        parked: dict[str, tuple[int, HTTPResponse | None, SnapshotTemplate | None]] = {}
+        wakes: list[tuple[float, str]] = []
 
-        def classify(
-            domains: list[str], now: float, must_send: Container[str]
-        ) -> list[tuple[str, HTTPResponse | None, SnapshotTemplate | None]]:
-            """Pair each domain with what a quiet request would get at ``now``.
+        def quiet_outcome(
+            domain: str, now: float, must_send: Container[str]
+        ) -> tuple[HTTPResponse | None, SnapshotTemplate | None]:
+            """Return what a quiet request of ``domain`` at ``now`` would get.
 
             That is the instance's refusal, or else the template of its
             success; both are ``None`` when the request must be sent (the
             domain is in ``must_send``, unknown, or has no usable template).
             """
-            plan = []
-            for domain in domains:
-                refused = template = None
-                instance = instances[domain]
-                if instance is not None and domain not in must_send:
-                    refused = refusal(instance, now, user_agent)
-                    if refused is None and domain in templates:
-                        template = templates[domain]
-                        if template.needs_nodeinfo:
-                            template = None
-                plan.append((domain, refused, template))
-            return plan
+            instance = instances[domain]
+            if instance is None or domain in must_send:
+                return None, None
+            refused = refusal(instance, now, user_agent)
+            if refused is not None:
+                return refused, None
+            template = templates.get(domain)
+            if template is None or template.needs_nodeinfo:
+                return None, None
+            return None, template
 
-        # An unscheduled domain that is up with a template answers every
-        # round alike until its availability flips, so it is parked (not
-        # visited) before then.  Flip times are fixed: sort them once.
-        # Keeping every snapshot materialises each quiet one in its round,
-        # so then nothing is parked.
-        parked = [] if keep_all else sorted(
-            (instances[domain].availability.changes_at, domain)
-            for domain, _, template in classify(
-                [d for d in round_domains if d not in schedules],
-                clock.now(),
-                client.breakers(),
-            )
-            if template is not None
-        )
-        flips = [flip for flip, _ in parked]
-        unparked = None
-        # Quiet requests by domain and (failures only, until the end) by
-        # status; the latest quiet success of each domain; every round time.
-        quiet_requests = dict.fromkeys(round_domains, 0)
-        quiet_statuses: dict[int, int] = {}
-        quiet_last: dict[str, float] = {}
-        round_times: list[float] = []
-        interval = self.config.snapshot_interval_hours * 3600.0
-        for _ in range(1, self.config.snapshot_rounds):
-            now = clock.now()
-            round_times.append(now)
-            # The visited domains change only when a parked domain flips.
-            flipped = bisect_right(flips, now)
-            if flipped != unparked:
-                unparked = flipped
-                still_parked = {domain for _, domain in parked[unparked:]}
-                active = [d for d in round_domains if d not in still_parked]
+        def credit(
+            domain: str,
+            refused: HTTPResponse | None,
+            template: SnapshotTemplate | None,
+            first: int,
+            last: int,
+        ) -> None:
+            """Credit ``domain``'s quiet rounds ``first`` to ``last``.
 
+            Each was refused with ``refused`` or, when that is ``None``,
+            served from ``template``.
+            """
+            count = last - first + 1
+            quiet_requests[domain] += count
+            if refused is None:
+                quiet_last[domain] = round_times[last]
+                if not keep_all:
+                    counts[domain] += count
+                return
+            code = int(refused.status)
+            quiet_statuses[code] = quiet_statuses.get(code, 0) + count
+            run, repeated = open_runs.get(domain, (None, None))
+            if repeated is refused and run.last == first - 1:
+                run.last = last
+                return
+            failure = failure_from_response(domain, round_times[first], refused)
+            run = FailureRun(failure, first, last)
+            runs.append(run)
+            open_runs[domain] = (run, refused)
+
+        def park(
+            domain: str,
+            refused: HTTPResponse | None,
+            template: SnapshotTemplate | None,
+            number: int,
+            now: float,
+        ) -> bool:
+            """Park ``domain`` after round ``number`` on its quiet outcome.
+
+            Returns ``False``, parking nothing, when the next round may be
+            eventful anyway.
+            """
+            if keep_all and template is not None:
+                return False
+            # No later round starts before ``after``.
+            after = now + interval
+            wake = flips[domain]
+            if wake <= now:
+                wake = inf
+            if injector is not None:
+                left = rounds - 1 - number
+                window, requests = injector.next_fault(domain, after, left)
+                if window < wake:
+                    wake = window
+                if requests < left:
+                    # Round ``number + requests + 1`` starts at least that
+                    # many intervals after this one; half an interval less
+                    # absorbs the clock's rounding.
+                    faulting = now + (requests + 0.5) * interval
+                    if faulting < wake:
+                        wake = faulting
+            if wake <= after:
+                return False
+            parked[domain] = (number + 1, refused, template)
+            if wake < inf:
+                heappush(wakes, (wake, domain))
+            return True
+
+        def unpark(domain: str, number: int) -> None:
+            """Credit ``domain``'s parked rounds before round ``number``."""
+            first, refused, template = parked.pop(domain)
+            if first < number:
+                credit(domain, refused, template, first, number - 1)
+                if injector is not None:
+                    injector.skip_requests(domain, number - first)
+
+        def visit_round(
+            domains: list[str], now: float, number: int
+        ) -> tuple[dict[str, InstanceSnapshot], list]:
+            """Snapshot the visited ``domains`` in round ``number``.
+
+            A domain-round is *eventful* when the domain has breaker state,
+            the injector faults its first attempt, or a success would need a
+            parse or a nodeinfo follow-up; those requests are sent.  Every
+            other visited domain-round is quiet and credited.  Returns the
+            snapshots and each domain's quiet outcome (``(None, None)`` when
+            eventful).
+            """
             breakers = client.breakers()
-            sent = [d for d in active if d not in breakers or not breakers[d]]
+            sent = [d for d in domains if not breakers.get(d)]
             faulted = injector.decide_round(sent) if injector is not None else set()
-            plan = classify(active, now, breakers.keys() | faulted)
-            eventful = [d for d, r, t in plan if r is None and t is None]
-            failures_before = len(crawler.failures)
+            must_send = breakers.keys() | faulted
+            plan = [(d, *quiet_outcome(d, now, must_send)) for d in domains]
+            eventful = [d for d, refused, template in plan if refused is template]
             responses = iter(client.metadata_many(eventful) if eventful else ())
             snapshots: dict[str, InstanceSnapshot] = {}
             for domain, refused, template in plan:
-                if template is not None:
-                    quiet_requests[domain] += 1
-                    quiet_last[domain] = now
-                    if keep_all:
-                        snapshots[domain] = template.snapshot(domain, now)
-                    else:
-                        counts[domain] += 1
-                elif refused is not None:
-                    quiet_requests[domain] += 1
-                    crawler.snapshot_from(domain, refused, now, False)
-                    code = int(refused.status)
-                    quiet_statuses[code] = quiet_statuses.get(code, 0) + 1
-                else:
-                    response = next(responses)
-                    snapshot = crawler.snapshot_from(domain, response, now, False)
+                if refused is template:
+                    snapshot = crawler.snapshot_from(domain, next(responses), now, False)
                     if snapshot is not None:
                         snapshots[domain] = snapshot
+                    continue
+                credit(domain, refused, template, number, number)
+                if keep_all and template is not None:
+                    snapshots[domain] = template.snapshot(domain, now)
+            return snapshots, plan
+
+        visit = round_domains
+        for number in range(rounds):
+            now = clock.now()
+            round_times.append(now)
+            if wakes and wakes[0][0] <= now:
+                woken = []
+                while wakes and wakes[0][0] <= now:
+                    domain = heappop(wakes)[1]
+                    unpark(domain, number)
+                    woken.append(domain)
+                visit = sorted(visit + woken)
+
+            failures_before = len(crawler.failures)
+            if number == 0:
+                snapshots = crawler.snapshot_many(visit, now)
+                plan = [(domain, None, None) for domain in visit]
+            else:
+                snapshots, plan = visit_round(visit, now, number)
+            salvage_from = len(crawler.failures)
             self._retry_round(
-                snapshots, result.pleroma_domains, now, False, failures_before
+                snapshots, result.pleroma_domains, now, number == 0, failures_before
             )
+            bounds.append((failures_before, salvage_from))
             self._record(result, snapshots, now)
+
+            breakers = client.breakers()
+            visit = []
+            for domain, refused, template in plan:
+                if refused is template:  # sent: its outcome may have changed
+                    refused, template = quiet_outcome(domain, now, breakers)
+                if refused is template or not park(
+                    domain, refused, template, number, now
+                ):
+                    visit.append(domain)
             clock.advance(interval)
 
-        for flip, domain in parked:
-            rounds = bisect_left(round_times, flip)
-            if rounds:
-                quiet_requests[domain] += rounds
-                counts[domain] += rounds
-                quiet_last[domain] = round_times[rounds - 1]
+        for domain in list(parked):
+            unpark(domain, rounds)
         latest = result.latest_snapshots
         for domain, last in quiet_last.items():
             # Quiet successes reuse the template served before them, which
@@ -402,10 +501,11 @@ class MeasurementCampaign:
             if last > previous.timestamp:
                 latest[domain] = snapshot = template.snapshot(domain, last)
                 snapshot.peers = previous.peers
-        quiet = sum(quiet_requests.values())
-        quiet_statuses[200] = quiet - sum(quiet_statuses.values())
+        quiet_total = sum(quiet_requests.values())
+        quiet_statuses[200] = quiet_total - sum(quiet_statuses.values())
         client.credit(quiet_statuses, quiet_requests)
-        server.credit(quiet)
+        server.credit(quiet_total)
+        result.failures = FailureLog(crawler.failures, round_times, bounds, runs)
 
     def _retry_round(
         self,

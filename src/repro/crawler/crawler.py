@@ -59,7 +59,7 @@ def _parse_pleroma_version(payload: dict[str, Any]) -> str:
     return ""
 
 
-def _failure_from_response(
+def failure_from_response(
     domain: str, now: float, response: HTTPResponse, prefix: str = ""
 ) -> CrawlFailure:
     """Build a :class:`CrawlFailure` from a failed response.
@@ -168,7 +168,7 @@ class InstanceCrawler:
         """
         failures = self.failures
         if not response.ok:
-            failures.append(_failure_from_response(domain, now, response))
+            failures.append(failure_from_response(domain, now, response))
             return None
         payload = response.body
         template = self.templates.get(domain)
@@ -182,7 +182,7 @@ class InstanceCrawler:
                 snapshot.software = str(software) or "unknown"
             else:
                 failures.append(
-                    _failure_from_response(domain, now, nodeinfo, prefix="nodeinfo: ")
+                    failure_from_response(domain, now, nodeinfo, prefix="nodeinfo: ")
                 )
         if fetch_peers:
             peers = self.client.get(domain, PEERS_PATH)
@@ -190,7 +190,7 @@ class InstanceCrawler:
                 snapshot.peers = tuple(peers.body)
             else:
                 failures.append(
-                    _failure_from_response(domain, now, peers, prefix="peers: ")
+                    failure_from_response(domain, now, peers, prefix="peers: ")
                 )
         return snapshot
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Any, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,110 @@ class CrawlFailure:
     reason: str = ""
     attempts: int = 1
     fault_kind: str = ""
+
+
+@dataclass
+class FailureRun:
+    """One domain failing alike in consecutive snapshot rounds.
+
+    ``failure`` is the record of round ``first``; the record of each later
+    round up to ``last`` (inclusive) differs from it only in its timestamp.
+    """
+
+    failure: CrawlFailure
+    first: int
+    last: int
+
+
+class FailureLog:
+    """A crawl's failures in crawl order, with repeated refusals kept as runs.
+
+    ``records`` holds the failures recorded one at a time, in order.  A log
+    built by snapshot rounds also has each round's time (``round_times``)
+    and, per round, the record indices where its first pass and its
+    salvage pass begin (``bounds``).  Each :class:`FailureRun` stands for
+    one domain's records at its place in the first pass of every round it
+    covers: a round's first pass walks domains in sorted order, its salvage
+    pass comes after.
+
+    Iterating yields every failure in that order, runs expanded;
+    :meth:`last` reads each domain's last failure without expanding them.
+    """
+
+    def __init__(
+        self,
+        records: Iterable[CrawlFailure] = (),
+        round_times: Iterable[float] = (),
+        bounds: Iterable[tuple[int, int]] = (),
+        runs: Iterable[FailureRun] = (),
+    ) -> None:
+        self.records = list(records)
+        self.round_times = list(round_times)
+        self.bounds = list(bounds)
+        self.runs = list(runs)
+
+    def _keyed_records(self) -> Iterator[tuple[tuple, CrawlFailure]]:
+        """Yield each record with its order key, in order.
+
+        A first-pass record of round ``r`` is keyed ``(r, 0, domain, i)``,
+        which places it among the runs of that round (keyed ``(r, 0,
+        domain, -1)``); any other record ``(r, 1, i)``, with ``r = -1``
+        before the first round.
+        """
+        records = self.records
+        starts = [start for start, _ in self.bounds]
+        ends = starts[1:] + [len(records)]
+        for index in range(starts[0] if starts else len(records)):
+            yield (-1, 1, index), records[index]
+        for number, ((start, salvage), end) in enumerate(zip(self.bounds, ends)):
+            for index in range(start, salvage):
+                record = records[index]
+                yield (number, 0, record.domain, index), record
+            for index in range(salvage, end):
+                yield (number, 1, index), records[index]
+
+    def _at(self, run: FailureRun, number: int) -> CrawlFailure:
+        return replace(run.failure, timestamp=self.round_times[number])
+
+    def __iter__(self) -> Iterator[CrawlFailure]:
+        if not self.runs:
+            return iter(self.records)
+        entries = list(self._keyed_records())
+        for run in self.runs:
+            domain = run.failure.domain
+            entries.extend(
+                ((number, 0, domain, -1), self._at(run, number))
+                for number in range(run.first, run.last + 1)
+            )
+        entries.sort(key=itemgetter(0))
+        return (failure for _, failure in entries)
+
+    def last(self) -> dict[str, CrawlFailure]:
+        """Return each failing domain's last failure.
+
+        Domains come in the order of their first failure, as a dict filled
+        by iterating the log would hold them.
+        """
+        first: dict[str, tuple] = {}
+        last: dict[str, tuple[tuple, CrawlFailure | FailureRun]] = {}
+        for key, record in self._keyed_records():
+            first.setdefault(record.domain, key)
+            last[record.domain] = (key, record)
+        for run in self.runs:
+            domain = run.failure.domain
+            start = (run.first, 0, domain, -1)
+            if domain not in first or start < first[domain]:
+                first[domain] = start
+            end = (run.last, 0, domain, -1)
+            if domain not in last or end > last[domain][0]:
+                last[domain] = (end, run)
+        failures = {}
+        for domain in sorted(first, key=first.__getitem__):
+            found = last[domain][1]
+            if isinstance(found, FailureRun):
+                found = self._at(found, found.last)
+            failures[domain] = found
+        return failures
 
 
 @dataclass

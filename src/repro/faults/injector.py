@@ -8,14 +8,23 @@ engine's single-instant contract: faults are decided for the whole round at
 its timestamp, the clean subset is served by one inner call, and the
 responses are spliced back in request order.  Timeout costs are charged to
 the simulated clock *after* the request or round is served, so a round
-still models one instant.  A snapshot round's first attempts can be decided
-before they are sent (:meth:`FaultInjector.decide_round`), so the crawl
-sends only the domains whose outcome can change.
+still models one instant.
+
+Every per-request roll is the next value of the domain's roll buffer
+(:meth:`~repro.faults.plan.DomainFaultSchedule.roll`).  That lets a crawl
+plan its rounds ahead: :meth:`FaultInjector.next_fault` tells when a
+domain's metadata requests may next be faulted, by a window, a flap or a
+roll, and :meth:`FaultInjector.skip_requests` moves its rolls past the
+requests a crawl answered without sending.  A snapshot round's first
+attempts can be decided before they are sent
+(:meth:`FaultInjector.decide_round`), so the crawl sends only the domains
+whose outcome can change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import Any, Sequence
 
 from repro.api.http import (
@@ -66,6 +75,13 @@ class FaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self._spec = plan.spec
+        #: The thresholds of a clean metadata request's rolls, in the order
+        #: :meth:`_decide` draws them.
+        self._document_draws = tuple(
+            rate
+            for rate in (plan.spec.timeout_rate, plan.spec.malformed_rate)
+            if rate
+        )
         #: One frozen response per fault kind, shared by every injection.
         self._responses: dict[FaultKind, HTTPResponse] = {}
         #: The last :meth:`decide_round` pass: its decisions (``None`` for a
@@ -132,9 +148,9 @@ class FaultInjector:
         Scheduled (window) faults are checked first — they are functions of
         time only and draw no randomness, and a schedule with no windows
         and no flap (one kept for its per-request draws alone) skips them.
-        Per-request faults then advance the domain's dedicated stream once
-        per enabled kind, in a fixed order, so the domain's fault sequence
-        is reproducible.  ``document`` selects JSON-document endpoints (the
+        Per-request faults then take one roll from the domain's buffer per
+        enabled kind, in a fixed order, so the domain's fault sequence is
+        reproducible.  ``document`` selects JSON-document endpoints (the
         only ones that can return a malformed body).
         """
         spec = self._spec
@@ -149,13 +165,9 @@ class FaultInjector:
                 return self._fault_response(FaultKind.RATE_LIMIT)
             if schedule.flapping_down_at(now):
                 return self._fault_response(FaultKind.FLAP)
-        if spec.timeout_rate and schedule.rng.random() < spec.timeout_rate:
+        if spec.timeout_rate and schedule.roll() < spec.timeout_rate:
             return self._fault_response(FaultKind.TIMEOUT)
-        if (
-            document
-            and spec.malformed_rate
-            and schedule.rng.random() < spec.malformed_rate
-        ):
+        if document and spec.malformed_rate and schedule.roll() < spec.malformed_rate:
             return self._fault_response(FaultKind.MALFORMED)
         return None
 
@@ -179,6 +191,33 @@ class FaultInjector:
             return self.server.get(domain, url, user_agent=user_agent)
         self._charge_timeouts(before)
         return injected
+
+    def next_fault(self, domain: str, now: float, requests: int) -> tuple[float, int]:
+        """Tell when ``domain``'s metadata requests may next be faulted.
+
+        Returns the first instant from ``now`` at which one of its windows
+        or flap down-intervals may be in force (``inf`` for none), and how
+        many of its next ``requests`` metadata requests no roll faults.
+        Nothing is served: the domain's stream is only read ahead.
+        """
+        schedule = self.plan.schedules.get(domain)
+        if schedule is None:
+            return inf, requests
+        return (
+            schedule.next_fault_at(now),
+            schedule.quiet_requests(self._document_draws, requests),
+        )
+
+    def skip_requests(self, domain: str, count: int) -> None:
+        """Take the rolls of ``count`` unfaulted metadata requests of ``domain``.
+
+        For requests a crawl answered without sending, outside the domain's
+        windows and flap down-intervals: each would have drawn one roll per
+        per-request fault kind and faulted on none.
+        """
+        schedule = self.plan.schedules.get(domain)
+        if schedule is not None:
+            schedule.skip(len(self._document_draws) * count)
 
     def decide_round(self, domains: Sequence[str]) -> set[str]:
         """Decide a snapshot round's first metadata attempts, once.
@@ -293,7 +332,7 @@ class FaultInjector:
             stream.ok
             and stream.statuses
             and spec.truncate_rate
-            and schedule.rng.random() < spec.truncate_rate
+            and schedule.roll() < spec.truncate_rate
         ):
             kept = max(1, int(len(stream.statuses) * spec.truncate_keep_share))
             if kept < len(stream.statuses):

@@ -1,11 +1,22 @@
-"""Fault specifications and their compiled per-scenario plans."""
+"""Fault specifications and their compiled per-scenario plans.
+
+A :class:`FaultSpec` names a fault mix; :class:`FaultPlan` compiles it
+against a domain population and a campaign window into one
+:class:`DomainFaultSchedule` per afflicted domain.  A schedule holds the
+domain's time-only faults (outage and rate-limit windows, flap geometry)
+and serves its per-request rolls through a look-ahead buffer filled in
+order from the domain's own stream, so a crawl can ask when the domain's
+requests may next be faulted without drawing anything out of order.
+"""
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat, starmap
+from math import inf
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checking
@@ -174,15 +185,20 @@ FAULT_PROFILES: dict[str, dict] = {
 }
 
 
+#: Rolls a schedule draws from its stream at a time.
+ROLL_CHUNK = 64
+
+
 @dataclass
 class DomainFaultSchedule:
     """Everything one domain's requests can run into.
 
     Window lists hold ``(start, end)`` pairs in campaign time, sorted and
     non-overlapping within each kind.  ``rng`` is this domain's dedicated
-    per-request stream: timeout/malformed/truncate rolls advance it once
-    per opportunity, so the fault sequence a domain sees depends only on
-    its own request history.
+    per-request stream, read only through a look-ahead buffer: each
+    timeout/malformed/truncate roll is the next value :meth:`roll` serves,
+    so the fault sequence a domain sees depends only on its own request
+    history, and :meth:`quiet_requests` can read ahead without serving.
     """
 
     domain: str
@@ -191,6 +207,15 @@ class DomainFaultSchedule:
     rate_limit_windows: list[tuple[float, float]] = field(default_factory=list)
     #: Flap geometry: ``(phase_offset, period, down_seconds)`` or ``None``.
     flap: tuple[float, float, float] | None = None
+    #: How many rolls have been served: the stream position of the next one.
+    cursor: int = field(default=0, compare=False)
+    #: Rolls drawn ahead of the cursor; ``_rolls[0]`` is stream position
+    #: ``_base``.
+    _rolls: list[float] = field(default_factory=list, compare=False, repr=False)
+    _base: int = field(default=0, compare=False, repr=False)
+    #: ``(draws, since, until)``: from stream position ``since``, requests
+    #: of ``draws`` rolls fault on no roll before position ``until``.
+    _quiet: tuple = field(default=((), 0, 0), compare=False, repr=False)
 
     @staticmethod
     def _in_windows(windows: list[tuple[float, float]], now: float) -> bool:
@@ -213,6 +238,106 @@ class DomainFaultSchedule:
             return False
         offset, period, down_seconds = self.flap
         return (now + offset) % period < down_seconds
+
+    def next_fault_at(self, after: float) -> float:
+        """Return the first instant from ``after`` that a window or flap faults.
+
+        That is ``after`` itself when a window or a flap down-interval is in
+        force then, else the next window start or down-interval start
+        (``inf`` when none is left).  A down-interval start is computed in
+        floating point, so it is moved a millionth of a period earlier: the
+        answer may be early, never late.
+        """
+        wake = inf
+        for windows in (self.transient_windows, self.rate_limit_windows):
+            if windows:
+                index = bisect_right(windows, (after, inf))
+                if index and after < windows[index - 1][1]:
+                    return after
+                if index < len(windows) and windows[index][0] < wake:
+                    wake = windows[index][0]
+        if self.flap is not None:
+            offset, period, down_seconds = self.flap
+            phase = (after + offset) % period
+            if phase < down_seconds:
+                return after
+            start = after + (period - phase) - period * 1e-6
+            if start < wake:
+                wake = start
+        return wake
+
+    # ------------------------------------------------------------------ #
+    # The roll buffer
+    # ------------------------------------------------------------------ #
+    def _draw(self, end: int) -> None:
+        """Hold the stream up to position ``end`` in the buffer.
+
+        Served rolls are dropped first; new ones are drawn in order, whole
+        chunks at a time.
+        """
+        rolls = self._rolls
+        served = self.cursor - self._base
+        if served:
+            del rolls[:served]
+            self._base = self.cursor
+        missing = end - self._base - len(rolls)
+        if missing > 0:
+            count = -(-missing // ROLL_CHUNK) * ROLL_CHUNK
+            # ``rng.random()`` called ``count`` times, in a C loop.
+            rolls.extend(starmap(self.rng.random, repeat((), count)))
+
+    def roll(self) -> float:
+        """Serve the stream's next roll."""
+        index = self.cursor - self._base
+        if index >= len(self._rolls):
+            self._draw(self.cursor + 1)
+            index = 0
+        self.cursor += 1
+        return self._rolls[index]
+
+    def skip(self, count: int) -> None:
+        """Serve the next ``count`` rolls unread."""
+        if self.cursor + count > self._base + len(self._rolls):
+            self._draw(self.cursor + count)
+        self.cursor += count
+
+    def quiet_requests(self, draws: tuple[float, ...], limit: int) -> int:
+        """Return how many of the next ``limit`` requests no roll faults.
+
+        Each request takes one roll per threshold in ``draws``, in order,
+        and is faulted by the first roll below its threshold.  So the
+        answer is ``n`` when the first ``n`` requests take ``len(draws)``
+        rolls each and fault on none, and request ``n + 1`` faults (or
+        ``limit`` when none does).  Rolls are read ahead, not served.  The
+        stretch found quiet is remembered, so asking again from a later
+        cursor at the same request boundary reads no roll twice.
+        """
+        per = len(draws)
+        if not per:
+            return limit
+        start = self.cursor
+        end = start + per * limit
+        position = start
+        known, since, until = self._quiet
+        if known == draws and since <= start <= until and (start - since) % per == 0:
+            position = until
+        low = max(draws)
+        while position < end:
+            rolls, base = self._rolls, self._base
+            stop = base + len(rolls)
+            if position >= stop:
+                self._draw(position + ROLL_CHUNK)
+                continue
+            if stop > end:
+                stop = end
+            for index in range(position - base, stop - base):
+                value = rolls[index]
+                if value < low and value < draws[(base + index - start) % per]:
+                    self._quiet = (draws, start, base + index)
+                    return (base + index - start) // per
+            position = stop
+        self._quiet = (draws, start, end)
+        return limit
 
 
 class FaultPlan:
@@ -331,15 +456,6 @@ class FaultPlan:
         from repro.faults.injector import FaultInjector
 
         return FaultInjector(server, self)
-
-    def rescoped(self, seed: int) -> "FaultPlan":
-        """Return an *uncompiled* twin spec with a different seed.
-
-        Convenience for determinism experiments: compile the returned
-        spec against the same population to get an independent fault
-        universe.
-        """
-        return replace(self.spec, seed=seed)
 
 
 def compile_for_campaign(

@@ -13,6 +13,7 @@ lives in :mod:`perf.baselines`.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -21,6 +22,8 @@ from perf.harness import crawl_state
 from repro.api.client import APIClient
 from repro.api.server import UA_BLOCKED_REASON, FediverseAPIServer, serialise_status
 from repro.crawler.campaign import CampaignConfig, MeasurementCampaign
+from repro.faults import FaultSpec, RetryPolicy
+from repro.faults.plan import DomainFaultSchedule
 from repro.fediverse.post import MediaAttachment, Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
@@ -231,6 +234,74 @@ class TestTwinCampaignEquivalence:
         clock.advance = advance_then_register
         with pytest.raises(RuntimeError, match="moderator.example"):
             campaign.crawl()
+
+
+def fault_edges(schedule: DomainFaultSchedule, start: float, end: float) -> list[float]:
+    """The window starts and flap edges of ``schedule`` within ``[start, end]``."""
+    edges = [
+        lo
+        for lo, _ in schedule.transient_windows + schedule.rate_limit_windows
+        if start <= lo <= end
+    ]
+    if schedule.flap is not None:
+        offset, period, down_seconds = schedule.flap
+        cycle = int((start + offset) // period)
+        while cycle * period - offset <= end:
+            down = cycle * period - offset
+            edges += [edge for edge in (down, down + down_seconds) if start <= edge <= end]
+            cycle += 1
+    return edges
+
+
+class TestEventRounds:
+    """Event-driven rounds against the round loop that sends every request."""
+
+    @pytest.mark.parametrize("fault_seed", [1337, 7])
+    def test_heavy_faulted_crawl_matches_round_loop(self, fault_seed):
+        """A month of ``heavy`` faults on 60 ``chaos`` instances, both ways.
+
+        The crawl state (failures in order), the client's and the
+        injector's counters and the final clock must be equal.  Timeouts and
+        retry waits start rounds late, and some window start or flap edge
+        falls between a round's nominal and actual start: a wake schedule
+        built from nominal round times would visit that domain a round late.
+        """
+        config = scenario_config("chaos", seed=42, n_pleroma_instances=60)
+        window = CampaignConfig(
+            duration_days=30.0,
+            snapshot_interval_hours=config.snapshot_interval_hours,
+        )
+
+        def crawled(crawl):
+            campaign = MeasurementCampaign(
+                FediverseGenerator(config).generate().registry,
+                window,
+                faults=FaultSpec.profile("heavy", seed=fault_seed),
+                retry=RetryPolicy(),
+            )
+            return campaign, campaign.assemble(crawl(campaign))
+
+        engine, result = crawled(MeasurementCampaign.crawl)
+        loop, reference = crawled(baselines.round_loop_crawl)
+        assert crawl_state(result) == crawl_state(reference)
+        assert engine.client.stats == loop.client.stats
+        assert engine.transport.stats == loop.transport.stats
+        assert engine.registry.clock.now() == loop.registry.clock.now()
+        assert result.failures.runs  # quiet refusals were parked
+
+        times = result.failures.round_times
+        interval = window.snapshot_interval_hours * 3600.0
+        schedules = engine.fault_plan.schedules
+        edges = sorted(
+            edge
+            for domain in result.pleroma_domains
+            if domain in schedules
+            for edge in fault_edges(schedules[domain], times[0], times[-1])
+        )
+        assert any(
+            bisect_right(edges, times[0] + number * interval) < bisect_right(edges, now)
+            for number, now in enumerate(times)
+        )
 
 
 class TestBatchAPI:

@@ -10,7 +10,7 @@ from repro.crawler.builder import build_dataset
 from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 from repro.crawler.crawler import InstanceCrawler, TimelineCrawler
 from repro.crawler.directory import InstanceDirectory
-from repro.crawler.snapshots import CrawlFailure, InstanceSnapshot
+from repro.crawler.snapshots import CrawlFailure, FailureLog, InstanceSnapshot
 from repro.datasets.store import Dataset
 from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
@@ -258,31 +258,37 @@ class TestFailureStatusBreakdown:
     def test_fail_then_succeed_is_excluded(self):
         """A domain that failed early but was snapshotted later is crawlable."""
         result = CrawlResult(dataset=Dataset())
-        result.failures = [
-            CrawlFailure(domain="recovered.example", timestamp=1.0, status_code=503),
-            CrawlFailure(domain="gone.example", timestamp=1.0, status_code=404),
-        ]
+        result.failures = FailureLog(
+            [
+                CrawlFailure(domain="recovered.example", timestamp=1.0, status_code=503),
+                CrawlFailure(domain="gone.example", timestamp=1.0, status_code=404),
+            ]
+        )
         result.latest_snapshots["recovered.example"] = self._snapshot("recovered.example")
         assert result.failure_status_breakdown == {404: 1}
 
     def test_repeated_distinct_statuses_keep_the_last(self):
         """Per domain, only the *final* failure status is counted."""
         result = CrawlResult(dataset=Dataset())
-        result.failures = [
-            CrawlFailure(domain="flappy.example", timestamp=1.0, status_code=502),
-            CrawlFailure(domain="flappy.example", timestamp=2.0, status_code=503),
-            CrawlFailure(domain="flappy.example", timestamp=3.0, status_code=410),
-        ]
+        result.failures = FailureLog(
+            [
+                CrawlFailure(domain="flappy.example", timestamp=1.0, status_code=502),
+                CrawlFailure(domain="flappy.example", timestamp=2.0, status_code=503),
+                CrawlFailure(domain="flappy.example", timestamp=3.0, status_code=410),
+            ]
+        )
         assert result.failure_status_breakdown == {410: 1}
 
     def test_multiple_domains_aggregate_by_final_status(self):
         result = CrawlResult(dataset=Dataset())
-        result.failures = [
-            CrawlFailure(domain="a.example", timestamp=1.0, status_code=502),
-            CrawlFailure(domain="b.example", timestamp=1.0, status_code=503),
-            CrawlFailure(domain="a.example", timestamp=2.0, status_code=503),
-            CrawlFailure(domain="c.example", timestamp=1.0, status_code=404),
-        ]
+        result.failures = FailureLog(
+            [
+                CrawlFailure(domain="a.example", timestamp=1.0, status_code=502),
+                CrawlFailure(domain="b.example", timestamp=1.0, status_code=503),
+                CrawlFailure(domain="a.example", timestamp=2.0, status_code=503),
+                CrawlFailure(domain="c.example", timestamp=1.0, status_code=404),
+            ]
+        )
         assert result.failure_status_breakdown == {503: 2, 404: 1}
 
     def test_churned_domain_excluded_when_snapshotted_early(self):

@@ -34,7 +34,7 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
-from repro.faults.plan import DomainFaultSchedule, compile_for_campaign
+from repro.faults.plan import ROLL_CHUNK, DomainFaultSchedule, compile_for_campaign
 from repro.fediverse.clock import SimulationClock
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
@@ -136,6 +136,63 @@ class TestFaultPlan:
             d: s.transient_windows for d, s in plan.schedules.items()
         }
         assert windows(plan_a) != windows(plan_b)
+
+    def test_quiet_requests_reads_ahead_to_the_first_faulting_roll(self):
+        """The read-ahead count equals a replay of the rolls, serving none.
+
+        Each asked-for request takes a timeout roll, then a malformed roll;
+        one extra roll served between questions moves the request boundary
+        off the stretch found quiet before.
+        """
+        draws = (0.3, 0.2)
+        schedule = DomainFaultSchedule(domain="x", rng=random.Random(5))
+        replay = random.Random(5)
+        stream = [replay.random() for _ in range(6000)]
+
+        def replayed(cursor: int, limit: int) -> int:
+            for request in range(limit):
+                timeout, malformed = stream[cursor + 2 * request : cursor + 2 * request + 2]
+                if timeout < draws[0] or malformed < draws[1]:
+                    return request
+            return limit
+
+        for question in range(300):
+            limit = 2 if question % 2 else 25
+            cursor = schedule.cursor
+            quiet = schedule.quiet_requests(draws, limit)
+            assert quiet == replayed(cursor, limit)
+            assert schedule.quiet_requests(draws, limit) == quiet
+            assert schedule.cursor == cursor
+            schedule.skip(2 * (quiet // 2))
+            if question % 3 == 0:
+                assert schedule.roll() == stream[schedule.cursor - 1]
+
+    def test_next_fault_at_is_never_late(self):
+        """No instant before the answer is faulted by a window or the flap."""
+        schedule = DomainFaultSchedule(
+            domain="x",
+            rng=random.Random(0),
+            transient_windows=[(5_000.0, 9_000.0), (40_000.0, 41_000.0)],
+            rate_limit_windows=[(20_000.0, 20_500.0)],
+            flap=(1_234.5, 7_200.0, 1_800.0),
+        )
+
+        def faulted(now: float) -> bool:
+            return (
+                schedule.transient_at(now)
+                or schedule.rate_limited_at(now)
+                or schedule.flapping_down_at(now)
+            )
+
+        grid = [step * 25.0 for step in range(2_400)]
+        for after in grid[::7]:
+            wake = schedule.next_fault_at(after)
+            assert wake >= after
+            assert (wake == after) == faulted(after)
+            assert not any(faulted(now) for now in grid if after <= now < wake)
+            first = next((now for now in grid if now >= after and faulted(now)), None)
+            assert first is None or wake <= first
+        assert DomainFaultSchedule(domain="y", rng=random.Random(0)).next_fault_at(1.0) == float("inf")
 
     def test_window_membership(self):
         schedule = DomainFaultSchedule(
@@ -262,6 +319,42 @@ class TestInjectedFaults:
 
         assert statuses(False) == statuses(True)
 
+    def test_served_rolls_follow_the_domain_stream(self):
+        """Every roll a request takes is the next value of its domain's stream.
+
+        Rolls are served through ``get``, a decided and an undecided
+        metadata round and timeline streams (truncation rolls included),
+        over several buffer refills; reading ahead serves nothing.
+        """
+        spec = FaultSpec(
+            timeout_rate=0.2, malformed_rate=0.2, truncate_rate=0.5, seed=9
+        )
+        registry = build_registry(("alpha.example",))
+        plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
+        injector = plan.wrap(FediverseAPIServer(registry))
+        schedule = plan.schedules["alpha.example"]
+        served: list[float] = []
+        roll = schedule.roll
+
+        def logged_roll() -> float:
+            served.append(roll())
+            return served[-1]
+
+        schedule.roll = logged_roll
+        domains = ["alpha.example"]
+        while len(served) < 4 * ROLL_CHUNK:
+            injector.get("alpha.example", "/api/v1/instance")
+            injector.decide_round(domains)
+            injector.metadata_round(domains)
+            injector.metadata_round(domains)
+            injector.stream_timeline("alpha.example", page_size=2)
+            injector.next_fault("alpha.example", registry.clock.now(), 40)
+            registry.clock.advance(60.0)
+        assert injector.stats.injected["truncate"]
+        reference = random.Random(f"{spec.seed}:alpha.example")
+        assert served == [reference.random() for _ in served]
+        assert schedule.cursor == len(served)
+
     def test_decided_round_is_served_once_without_drawing_again(self):
         """A round decided ahead of serving replays the undecided round."""
         domains = ["alpha.example", "beta.example"]
@@ -283,7 +376,10 @@ class TestInjectedFaults:
                     }
                 outcomes.append([(int(r.status), r.fault_kind) for r in responses])
                 registry.clock.advance(3600.0)
-            streams = [plan.schedules[domain].rng.random() for domain in domains]
+            streams = [
+                (plan.schedules[domain].cursor, plan.schedules[domain].roll())
+                for domain in domains
+            ]
             return outcomes, injector.stats, registry.clock.now(), streams
 
         assert rounds(True) == rounds(False)
@@ -292,18 +388,18 @@ class TestInjectedFaults:
         registry = build_registry(tuple(domains))
         plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
         injector = plan.wrap(FediverseAPIServer(registry))
-        stream = plan.schedules["alpha.example"].rng
+        schedule = plan.schedules["alpha.example"]
         injector.decide_round(domains)
-        drawn = stream.getstate()
+        drawn = schedule.cursor
         injector.metadata_round(domains)
-        assert stream.getstate() == drawn
+        assert schedule.cursor == drawn
         injector.metadata_round(domains)
-        assert stream.getstate() != drawn
+        assert schedule.cursor != drawn
         injector.decide_round(domains)
         registry.clock.advance(60.0)
-        drawn = stream.getstate()
+        drawn = schedule.cursor
         injector.metadata_round(domains)
-        assert stream.getstate() != drawn
+        assert schedule.cursor != drawn
 
 
 # --------------------------------------------------------------------- #

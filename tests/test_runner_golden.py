@@ -11,6 +11,10 @@ through the MRF policy walk, and its file is the output perfbench pins for
 ``hellthread-crawl-129d`` (runner output does not depend on the crawl
 window).
 
+Those goldens crawl the default two days.  One more case runs perfbench's
+``chaos-crawl-129d`` workload, the paper's 129-day crawl under faults, and
+compares its output's sha256 with the digest ``perfbench/run.py`` pins.
+
 To refresh a reference after an intended output change, for S in
 ``tiny``, ``small``, ``chaos`` or ``hellthread``::
 
@@ -20,7 +24,10 @@ To refresh a reference after an intended output change, for S in
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +37,20 @@ from repro.experiments.runner import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCENARIOS = ("tiny", "small", "chaos", "hellthread")
+PERFBENCH_RUN = Path(__file__).parent.parent / "perfbench" / "run.py"
+
+
+def perfbench_run_module():
+    """Load ``perfbench/run.py``, which pins each workload's output digest."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the file executes.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def _label(item: Any, index: int) -> str:
@@ -81,6 +102,19 @@ def test_runner_output_matches_golden(scenario, tmp_path, capsys):
     difference = first_difference(want, got)
     assert difference is None, difference
     assert output.read_bytes() == golden.read_bytes()
+
+
+def test_129_day_chaos_crawl_matches_the_perfbench_pin(tmp_path, capsys):
+    perfbench = perfbench_run_module()
+    workload = perfbench.WORKLOADS["chaos-crawl-129d"]
+    assert workload.runner_args == (
+        "--scenario", "chaos", "--campaign-days", "129", "--experiment", "dataset_stats",
+    )
+    output = tmp_path / "chaos-129d.json"
+    seed = str(perfbench.REFERENCE_SEED)
+    assert main([*workload.runner_args, "--seed", seed, "--json", str(output)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == workload.reference
 
 
 class TestFirstDifference:
