@@ -8,10 +8,14 @@ public timelines, and finally assembles the analysis dataset.
 Discovery sends one peers request per listed domain.  The first snapshot
 round sends every domain's metadata request in one batch, and each
 snapshot's follow-ups one request at a time; timelines come as server-side
-streams.  Later rounds send requests only for the domains whose outcome can
-change in that round; every other domain-round is answered from the
-instance's availability at the round time and the domain's earlier
-snapshot, with identical results and counters.  Given a
+streams.  After that a domain is visited only in the rounds where its
+outcome can change: it has breaker state, its next fault roll fires, a
+fault window or flap down-interval is in force, or its availability flips.
+A wake heap keyed by instants, checked against each round's actual start
+time, brings parked domains back.  Every other domain-round is answered
+from the instance's availability and the domain's earlier snapshot and
+credited in bulk, with identical results and counters; repeated refusals
+are kept as runs in the result's :class:`FailureLog`.  Given a
 :class:`~repro.faults.retry.RetryPolicy`, the client retries transient
 failures and each round re-snapshots its fault-stricken domains once.
 """
@@ -45,6 +49,14 @@ from repro.datasets.store import Dataset
 from repro.faults.plan import FaultPlan, FaultSpec, compile_for_campaign
 from repro.faults.retry import RetryPolicy
 from repro.fediverse.registry import FediverseRegistry
+
+
+#: A quiet request's outcome: ``(refusal, None)`` for an instance refusing
+#: it, ``(None, template)`` for a success served from the domain's snapshot
+#: template.
+Outcome = tuple[HTTPResponse | None, SnapshotTemplate | None]
+#: The outcome of a request that must be sent.
+SEND: Outcome = (None, None)
 
 
 @dataclass
@@ -320,27 +332,26 @@ class MeasurementCampaign:
         quiet_last: dict[str, float] = {}
         # Each parked domain's first parked round and quiet outcome, and the
         # wake instants of those that wake before the last round.
-        parked: dict[str, tuple[int, HTTPResponse | None, SnapshotTemplate | None]] = {}
+        parked: dict[str, tuple[int, Outcome]] = {}
         wakes: list[tuple[float, str]] = []
 
-        def quiet_outcome(
-            domain: str, now: float, must_send: Container[str]
-        ) -> tuple[HTTPResponse | None, SnapshotTemplate | None]:
+        def quiet_outcome(domain: str, now: float, must_send: Container[str]) -> Outcome:
             """Return what a quiet request of ``domain`` at ``now`` would get.
 
-            That is the instance's refusal, or else the template of its
-            success; both are ``None`` when the request must be sent (the
-            domain is in ``must_send``, unknown, or has no usable template).
+            That is ``(refusal, None)`` when the instance refuses it, else
+            ``(None, template)`` for a success served from the domain's
+            template; :data:`SEND` when the request must be sent (the domain
+            is in ``must_send``, unknown, or has no usable template).
             """
             instance = instances[domain]
             if instance is None or domain in must_send:
-                return None, None
+                return SEND
             refused = refusal(instance, now, user_agent)
             if refused is not None:
                 return refused, None
             template = templates.get(domain)
             if template is None or template.needs_nodeinfo:
-                return None, None
+                return SEND
             return None, template
 
         def credit(
@@ -373,19 +384,13 @@ class MeasurementCampaign:
             runs.append(run)
             open_runs[domain] = (run, refused)
 
-        def park(
-            domain: str,
-            refused: HTTPResponse | None,
-            template: SnapshotTemplate | None,
-            number: int,
-            now: float,
-        ) -> bool:
-            """Park ``domain`` after round ``number`` on its quiet outcome.
+        def park(domain: str, outcome: Outcome, number: int, now: float) -> bool:
+            """Park ``domain`` after round ``number`` on its quiet ``outcome``.
 
             Returns ``False``, parking nothing, when the next round may be
             eventful anyway.
             """
-            if keep_all and template is not None:
+            if keep_all and outcome[1] is not None:  # a success, kept each round
                 return False
             # No later round starts before ``after``.
             after = now + interval
@@ -406,45 +411,45 @@ class MeasurementCampaign:
                         wake = faulting
             if wake <= after:
                 return False
-            parked[domain] = (number + 1, refused, template)
+            parked[domain] = (number + 1, outcome)
             if wake < inf:
                 heappush(wakes, (wake, domain))
             return True
 
         def unpark(domain: str, number: int) -> None:
             """Credit ``domain``'s parked rounds before round ``number``."""
-            first, refused, template = parked.pop(domain)
+            first, outcome = parked.pop(domain)
             if first < number:
-                credit(domain, refused, template, first, number - 1)
+                credit(domain, *outcome, first, number - 1)
                 if injector is not None:
                     injector.skip_requests(domain, number - first)
 
         def visit_round(
             domains: list[str], now: float, number: int
-        ) -> tuple[dict[str, InstanceSnapshot], list]:
+        ) -> tuple[dict[str, InstanceSnapshot], list[tuple[str, Outcome]]]:
             """Snapshot the visited ``domains`` in round ``number``.
 
             A domain-round is *eventful* when the domain has breaker state,
             the injector faults its first attempt, or a success would need a
             parse or a nodeinfo follow-up; those requests are sent.  Every
             other visited domain-round is quiet and credited.  Returns the
-            snapshots and each domain's quiet outcome (``(None, None)`` when
-            eventful).
+            snapshots and each domain's quiet outcome.
             """
             breakers = client.breakers()
-            sent = [d for d in domains if not breakers.get(d)]
+            sent = [d for d in domains if d not in breakers or not breakers[d]]
             faulted = injector.decide_round(sent) if injector is not None else set()
             must_send = breakers.keys() | faulted
-            plan = [(d, *quiet_outcome(d, now, must_send)) for d in domains]
-            eventful = [d for d, refused, template in plan if refused is template]
+            plan = [(d, quiet_outcome(d, now, must_send)) for d in domains]
+            eventful = [d for d, outcome in plan if outcome is SEND]
             responses = iter(client.metadata_many(eventful) if eventful else ())
             snapshots: dict[str, InstanceSnapshot] = {}
-            for domain, refused, template in plan:
-                if refused is template:
+            for domain, outcome in plan:
+                if outcome is SEND:
                     snapshot = crawler.snapshot_from(domain, next(responses), now, False)
                     if snapshot is not None:
                         snapshots[domain] = snapshot
                     continue
+                refused, template = outcome
                 credit(domain, refused, template, number, number)
                 if keep_all and template is not None:
                     snapshots[domain] = template.snapshot(domain, now)
@@ -465,7 +470,7 @@ class MeasurementCampaign:
             failures_before = len(crawler.failures)
             if number == 0:
                 snapshots = crawler.snapshot_many(visit, now)
-                plan = [(domain, None, None) for domain in visit]
+                plan = [(domain, SEND) for domain in visit]
             else:
                 snapshots, plan = visit_round(visit, now, number)
             salvage_from = len(crawler.failures)
@@ -477,12 +482,10 @@ class MeasurementCampaign:
 
             breakers = client.breakers()
             visit = []
-            for domain, refused, template in plan:
-                if refused is template:  # sent: its outcome may have changed
-                    refused, template = quiet_outcome(domain, now, breakers)
-                if refused is template or not park(
-                    domain, refused, template, number, now
-                ):
+            for domain, outcome in plan:
+                if outcome is SEND:  # sent: its next outcome may differ
+                    outcome = quiet_outcome(domain, now, breakers)
+                if outcome is SEND or not park(domain, outcome, number, now):
                     visit.append(domain)
             clock.advance(interval)
 

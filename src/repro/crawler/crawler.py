@@ -17,6 +17,10 @@ identity, so a changed payload is always re-parsed).  A single snapshot and
 a batched one turn their metadata response into a snapshot, and send its
 nodeinfo and peers follow-ups, through the same
 :meth:`InstanceCrawler.snapshot_from`.
+
+:attr:`InstanceCrawler.failures` holds every failure recorded one at a
+time; the campaign wraps it, with the refusals it answers without a
+request, in a :class:`~repro.crawler.snapshots.FailureLog`.
 """
 
 from __future__ import annotations

@@ -192,10 +192,10 @@ class FaultInjector:
         self._charge_timeouts(before)
         return injected
 
-    def next_fault(self, domain: str, now: float, requests: int) -> tuple[float, int]:
+    def next_fault(self, domain: str, after: float, requests: int) -> tuple[float, int]:
         """Tell when ``domain``'s metadata requests may next be faulted.
 
-        Returns the first instant from ``now`` at which one of its windows
+        Returns the first instant from ``after`` at which one of its windows
         or flap down-intervals may be in force (``inf`` for none), and how
         many of its next ``requests`` metadata requests no roll faults.
         Nothing is served: the domain's stream is only read ahead.
@@ -204,7 +204,7 @@ class FaultInjector:
         if schedule is None:
             return inf, requests
         return (
-            schedule.next_fault_at(now),
+            schedule.next_fault_at(after),
             schedule.quiet_requests(self._document_draws, requests),
         )
 

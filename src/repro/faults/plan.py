@@ -209,8 +209,10 @@ class DomainFaultSchedule:
     flap: tuple[float, float, float] | None = None
     #: How many rolls have been served: the stream position of the next one.
     cursor: int = field(default=0, compare=False)
-    #: Rolls drawn ahead of the cursor; ``_rolls[0]`` is stream position
-    #: ``_base``.
+    #: Rolls drawn from ``rng`` so far; the buffer holds those from stream
+    #: position ``_base`` on (``_rolls[0]``), the unserved ones and maybe a
+    #: few served ones.
+    _drawn: int = field(default=0, compare=False, repr=False)
     _rolls: list[float] = field(default_factory=list, compare=False, repr=False)
     _base: int = field(default=0, compare=False, repr=False)
     #: ``(draws, since, until)``: from stream position ``since``, requests
@@ -270,34 +272,31 @@ class DomainFaultSchedule:
     # The roll buffer
     # ------------------------------------------------------------------ #
     def _draw(self, end: int) -> None:
-        """Hold the stream up to position ``end`` in the buffer.
+        """Draw the stream up to position ``end``, whole chunks at a time.
 
-        Served rolls are dropped first; new ones are drawn in order, whole
-        chunks at a time.
+        Served rolls are dropped from the buffer first.
         """
-        rolls = self._rolls
         served = self.cursor - self._base
         if served:
-            del rolls[:served]
+            del self._rolls[:served]
             self._base = self.cursor
-        missing = end - self._base - len(rolls)
-        if missing > 0:
-            count = -(-missing // ROLL_CHUNK) * ROLL_CHUNK
+        count = -(-(end - self._drawn) // ROLL_CHUNK) * ROLL_CHUNK
+        if count > 0:
             # ``rng.random()`` called ``count`` times, in a C loop.
-            rolls.extend(starmap(self.rng.random, repeat((), count)))
+            self._rolls.extend(starmap(self.rng.random, repeat((), count)))
+            self._drawn += count
 
     def roll(self) -> float:
         """Serve the stream's next roll."""
-        index = self.cursor - self._base
-        if index >= len(self._rolls):
+        if self.cursor >= self._drawn:
             self._draw(self.cursor + 1)
-            index = 0
+        value = self._rolls[self.cursor - self._base]
         self.cursor += 1
-        return self._rolls[index]
+        return value
 
     def skip(self, count: int) -> None:
         """Serve the next ``count`` rolls unread."""
-        if self.cursor + count > self._base + len(self._rolls):
+        if self.cursor + count > self._drawn:
             self._draw(self.cursor + count)
         self.cursor += count
 
@@ -323,13 +322,10 @@ class DomainFaultSchedule:
             position = until
         low = max(draws)
         while position < end:
-            rolls, base = self._rolls, self._base
-            stop = base + len(rolls)
-            if position >= stop:
+            if position >= self._drawn:
                 self._draw(position + ROLL_CHUNK)
-                continue
-            if stop > end:
-                stop = end
+            rolls, base = self._rolls, self._base
+            stop = self._drawn if self._drawn < end else end
             for index in range(position - base, stop - base):
                 value = rolls[index]
                 if value < low and value < draws[(base + index - start) % per]:
