@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
@@ -64,26 +65,20 @@ class FailureLog:
         self.round_times = list(round_times)
         self.bounds = list(bounds)
         self.runs = list(runs)
+        self._starts = [start for start, _ in self.bounds]
 
-    def _keyed_records(self) -> Iterator[tuple[tuple, CrawlFailure]]:
-        """Yield each record with its order key, in order.
+    def _key(self, index: int) -> tuple:
+        """Return the order key of record ``index``.
 
-        A first-pass record of round ``r`` is keyed ``(r, 0, domain, i)``,
-        which places it among the runs of that round (keyed ``(r, 0,
-        domain, -1)``); any other record ``(r, 1, i)``, with ``r = -1``
-        before the first round.
+        A first-pass record of round ``r`` is keyed ``(r, 0, domain,
+        index)``, which places it among the runs of that round (keyed ``(r,
+        0, domain, -1)``); any other record ``(r, 1, index)``, with ``r =
+        -1`` before the first round.
         """
-        records = self.records
-        starts = [start for start, _ in self.bounds]
-        ends = starts[1:] + [len(records)]
-        for index in range(starts[0] if starts else len(records)):
-            yield (-1, 1, index), records[index]
-        for number, ((start, salvage), end) in enumerate(zip(self.bounds, ends)):
-            for index in range(start, salvage):
-                record = records[index]
-                yield (number, 0, record.domain, index), record
-            for index in range(salvage, end):
-                yield (number, 1, index), records[index]
+        number = bisect_right(self._starts, index) - 1
+        if number >= 0 and index < self.bounds[number][1]:
+            return (number, 0, self.records[index].domain, index)
+        return (number, 1, index)
 
     def _at(self, run: FailureRun, number: int) -> CrawlFailure:
         return replace(run.failure, timestamp=self.round_times[number])
@@ -91,7 +86,8 @@ class FailureLog:
     def __iter__(self) -> Iterator[CrawlFailure]:
         if not self.runs:
             return iter(self.records)
-        entries = list(self._keyed_records())
+        key = self._key
+        entries = [(key(index), record) for index, record in enumerate(self.records)]
         for run in self.runs:
             domain = run.failure.domain
             entries.extend(
@@ -107,11 +103,18 @@ class FailureLog:
         Domains come in the order of their first failure, as a dict filled
         by iterating the log would hold them.
         """
-        first: dict[str, tuple] = {}
-        last: dict[str, tuple[tuple, CrawlFailure | FailureRun]] = {}
-        for key, record in self._keyed_records():
-            first.setdefault(record.domain, key)
-            last[record.domain] = (key, record)
+        records = self.records
+        first_index: dict[str, int] = {}
+        last_index: dict[str, int] = {}
+        for index, record in enumerate(records):
+            if record.domain not in first_index:
+                first_index[record.domain] = index
+            last_index[record.domain] = index
+        key = self._key
+        first = {domain: key(index) for domain, index in first_index.items()}
+        last: dict[str, tuple[tuple, CrawlFailure | FailureRun]] = {
+            domain: (key(index), records[index]) for domain, index in last_index.items()
+        }
         for run in self.runs:
             domain = run.failure.domain
             start = (run.first, 0, domain, -1)

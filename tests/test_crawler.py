@@ -10,7 +10,7 @@ from repro.crawler.builder import build_dataset
 from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 from repro.crawler.crawler import InstanceCrawler, TimelineCrawler
 from repro.crawler.directory import InstanceDirectory
-from repro.crawler.snapshots import CrawlFailure, FailureLog, InstanceSnapshot
+from repro.crawler.snapshots import CrawlFailure, FailureLog, FailureRun, InstanceSnapshot
 from repro.datasets.store import Dataset
 from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
@@ -309,6 +309,43 @@ class TestFailureStatusBreakdown:
         assert result.failure_status_breakdown == {}
         # The timeline phase also found it down by then.
         assert not result.timelines[0].reachable
+
+
+class TestFailureLog:
+    def test_runs_take_their_domains_place_in_each_first_pass(self):
+        """Records and runs merge in crawl order; ``last`` agrees with it."""
+
+        def failure(domain: str, timestamp: float, status: int) -> CrawlFailure:
+            return CrawlFailure(domain=domain, timestamp=timestamp, status_code=status)
+
+        # Round 0: a and c fail in the first pass, c again in the salvage
+        # pass; round 1: c fails in the first pass; round 2: d fails in the
+        # salvage pass.  a's refusal repeats in round 1, b's in rounds 1-2.
+        records = [
+            failure("a.example", 0.0, 404),
+            failure("c.example", 0.0, 504),
+            failure("c.example", 0.0, 502),
+            failure("c.example", 10.0, 500),
+            failure("d.example", 20.0, 429),
+        ]
+        runs = [
+            FailureRun(failure("b.example", 10.0, 403), first=1, last=2),
+            FailureRun(failure("a.example", 10.0, 404), first=1, last=1),
+        ]
+        log = FailureLog(records, [0.0, 10.0, 20.0], [(0, 2), (3, 4), (4, 4)], runs)
+        assert [(f.domain, f.timestamp, f.status_code) for f in log] == [
+            ("a.example", 0.0, 404),
+            ("c.example", 0.0, 504),
+            ("c.example", 0.0, 502),
+            ("a.example", 10.0, 404),
+            ("b.example", 10.0, 403),
+            ("c.example", 10.0, 500),
+            ("b.example", 20.0, 403),
+            ("d.example", 20.0, 429),
+        ]
+        expanded = {failure.domain: failure for failure in log}
+        assert log.last() == expanded
+        assert list(log.last()) == ["a.example", "c.example", "b.example", "d.example"]
 
 
 class TestBuilder:
