@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat, starmap
 from math import inf
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checking
     from repro.faults.injector import FaultInjector

@@ -151,7 +151,8 @@ class TestFaultPlan:
 
         def replayed(cursor: int, limit: int) -> int:
             for request in range(limit):
-                timeout, malformed = stream[cursor + 2 * request : cursor + 2 * request + 2]
+                position = cursor + 2 * request
+                timeout, malformed = stream[position : position + 2]
                 if timeout < draws[0] or malformed < draws[1]:
                     return request
             return limit
@@ -192,7 +193,8 @@ class TestFaultPlan:
             assert not any(faulted(now) for now in grid if after <= now < wake)
             first = next((now for now in grid if now >= after and faulted(now)), None)
             assert first is None or wake <= first
-        assert DomainFaultSchedule(domain="y", rng=random.Random(0)).next_fault_at(1.0) == float("inf")
+        unafflicted = DomainFaultSchedule(domain="y", rng=random.Random(0))
+        assert unafflicted.next_fault_at(1.0) == float("inf")
 
     def test_window_membership(self):
         schedule = DomainFaultSchedule(
