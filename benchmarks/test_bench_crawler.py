@@ -34,7 +34,7 @@ def test_bench_campaign_vs_fediverse_size(benchmark, scenario):
         ).run()
 
     result = benchmark(run)
-    assert result.crawlable_pleroma > 0
+    assert len(result.latest_snapshots) > 0
     assert result.dataset.stats()["collected_posts"] > 0
 
 

@@ -1,8 +1,7 @@
 """E-IMPACT benchmark: regenerate the Section 4.1 impact scalars.
 
-This doubles as the end-to-end correctness check called out in DESIGN.md:
-the impact numbers come from executed policy configurations, not tabulated
-constants.
+This doubles as an end-to-end correctness check: the impact numbers come
+from executed policy configurations, not tabulated constants.
 """
 
 from __future__ import annotations

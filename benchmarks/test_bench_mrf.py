@@ -1,8 +1,8 @@
 """E-MRF ablation benchmark: per-policy filtering throughput.
 
-DESIGN.md calls for an ablation of the moderation engine itself: how fast
-does each in-built policy (and a representative full pipeline) filter
-activities?  This is the cost an instance pays per inbound federated post.
+An ablation of the moderation engine itself: how fast does each in-built
+policy (and a representative full pipeline) filter activities?  This is the
+cost an instance pays per inbound federated post.
 """
 
 from __future__ import annotations

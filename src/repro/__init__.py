@@ -26,7 +26,7 @@ Quickstart::
         print(result.to_text())
 """
 
-from repro.experiments.pipeline import ReproPipeline, get_pipeline
+from repro.experiments.pipeline import ReproPipeline
 from repro.experiments.registry import run_all, run_experiment
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator, GeneratedFediverse
@@ -38,7 +38,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReproPipeline",
-    "get_pipeline",
     "run_all",
     "run_experiment",
     "SynthConfig",

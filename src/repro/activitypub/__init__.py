@@ -12,9 +12,6 @@ from repro.activitypub.activities import (
     Activity,
     ActivityType,
     create_activity,
-    delete_activity,
-    flag_activity,
-    follow_activity,
 )
 from repro.activitypub.actors import Actor
 from repro.activitypub.delivery import (
@@ -27,9 +24,6 @@ __all__ = [
     "Activity",
     "ActivityType",
     "create_activity",
-    "delete_activity",
-    "flag_activity",
-    "follow_activity",
     "Actor",
     "DeliveryReport",
     "FederationDelivery",

@@ -125,18 +125,6 @@ def create_activity(post: Post, actor: Actor | None = None) -> Activity:
     )
 
 
-def delete_activity(post_uri: str, actor: Actor, published: float) -> Activity:
-    """Build a ``Delete`` activity for a previously federated post."""
-    return Activity(
-        activity_id=_next_id(actor.domain),
-        activity_type=ActivityType.DELETE,
-        actor=actor,
-        origin_domain=actor.domain,
-        published=published,
-        obj=post_uri,
-    )
-
-
 def announce_activity(post_uri: str, actor: Actor, published: float) -> Activity:
     """Build an ``Announce`` (boost) of a previously federated post."""
     return Activity(
@@ -159,38 +147,4 @@ def like_activity(post_uri: str, actor: Actor, published: float) -> Activity:
         origin_domain=actor.domain,
         published=published,
         obj=post_uri,
-    )
-
-
-def follow_activity(follower: Actor, followee_handle: str, published: float) -> Activity:
-    """Build a ``Follow`` request from ``follower`` towards ``followee_handle``."""
-    return Activity(
-        activity_id=_next_id(follower.domain),
-        activity_type=ActivityType.FOLLOW,
-        actor=follower,
-        origin_domain=follower.domain,
-        published=published,
-        obj=followee_handle,
-    )
-
-
-def flag_activity(
-    reporter: Actor,
-    target_handle: str,
-    post_uris: tuple[str, ...],
-    comment: str,
-    published: float,
-) -> Activity:
-    """Build a ``Flag`` (report) activity against a remote user."""
-    return Activity(
-        activity_id=_next_id(reporter.domain),
-        activity_type=ActivityType.FLAG,
-        actor=reporter,
-        origin_domain=reporter.domain,
-        published=published,
-        obj={
-            "target": target_handle,
-            "posts": list(post_uris),
-            "comment": comment,
-        },
     )

@@ -37,16 +37,6 @@ class Actor:
         """Return the canonical actor URI."""
         return make_actor_uri(self.domain, self.username)
 
-    @property
-    def inbox(self) -> str:
-        """Return the actor inbox endpoint."""
-        return f"{self.uri}/inbox"
-
-    @property
-    def outbox(self) -> str:
-        """Return the actor outbox endpoint."""
-        return f"{self.uri}/outbox"
-
     @classmethod
     def from_user(cls, user: User) -> "Actor":
         """Build the actor advertised by a :class:`~repro.fediverse.user.User`."""

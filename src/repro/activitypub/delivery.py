@@ -3,8 +3,8 @@
 Deliveries are batched per target instance: one delivery loop resolves the
 target once per batch, validates the batch once per origin, and then filters
 each activity through the target's MRF pipeline.
-:meth:`FederationDelivery.deliver_batch` returns one :class:`DeliveryReport`
-per activity; :meth:`FederationDelivery.deliver_batch_counted` runs the same
+:meth:`FederationDelivery.broadcast` returns one :class:`DeliveryReport`
+per target; :meth:`FederationDelivery.deliver_batch_counted` runs the same
 loop without building reports, which is how the generator federates.
 """
 
@@ -117,18 +117,6 @@ class FederationDelivery:
         # Always 0: no batch shares a decision; perfbench/layers.py reads both.
         self.batch_rejects = 0
         self.batch_rewrites = 0
-
-    def deliver(self, activity: Activity, target_domain: str) -> DeliveryReport:
-        """Deliver one activity to ``target_domain`` and return the outcome."""
-        return self.deliver_batch((activity,), target_domain)[0]
-
-    def deliver_batch(
-        self, activities: Iterable[Activity], target_domain: str
-    ) -> list[DeliveryReport]:
-        """Deliver several activities to one target and return the outcomes."""
-        reports: list[DeliveryReport] = []
-        self._deliver(activities, target_domain, reports)
-        return reports
 
     def deliver_batch_counted(
         self, activities: Iterable[Activity], target_domain: str

@@ -509,9 +509,6 @@ class APIClient:
     # ------------------------------------------------------------------ #
     # Endpoint convenience wrappers (the three APIs the paper crawls)
     # ------------------------------------------------------------------ #
-    def instance_metadata(self, domain: str) -> dict[str, Any]:
-        """Fetch ``/api/v1/instance``."""
-        return self.get_json(domain, "/api/v1/instance")
 
     def instance_peers(self, domain: str) -> list[str]:
         """Fetch ``/api/v1/instance/peers``."""

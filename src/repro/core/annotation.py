@@ -28,11 +28,6 @@ class InstanceAnnotation:
     dominant_score: float
     annotatable: bool
 
-    @property
-    def is_harmful_category(self) -> bool:
-        """Return ``True`` for toxic / sexually explicit / profane."""
-        return self.category in ("toxic", "sexually_explicit", "profane")
-
 
 @dataclass
 class AnnotationSummary:
@@ -61,17 +56,14 @@ class InstanceAnnotator:
     def __init__(
         self,
         dataset: Dataset,
-        labeller: HarmfulnessLabeller | None = None,
+        labeller: HarmfulnessLabeller,
         dominance_threshold: float = 0.03,
         min_posts: int = 3,
     ) -> None:
         if dominance_threshold < 0:
             raise ValueError("dominance_threshold must be non-negative")
         self.dataset = dataset
-        # The shared default routes annotation through the dataset's one
-        # interned corpus-column store instead of re-scanning every post
-        # through a private client; labels are bitwise identical.
-        self.labeller = labeller or HarmfulnessLabeller.shared(dataset)
+        self.labeller = labeller
         #: Minimum mean attribute score for an instance to be put into that
         #: attribute's category rather than "general".
         self.dominance_threshold = dominance_threshold

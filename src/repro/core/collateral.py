@@ -72,10 +72,10 @@ class CollateralAnalyzer:
     def __init__(
         self,
         dataset: Dataset,
-        labeller: HarmfulnessLabeller | None = None,
+        labeller: HarmfulnessLabeller,
     ) -> None:
         self.dataset = dataset
-        self.labeller = labeller or HarmfulnessLabeller.shared(dataset)
+        self.labeller = labeller
         self._pleroma_domains = {
             record.domain for record in dataset.pleroma_instances()
         }
@@ -259,22 +259,3 @@ class CollateralAnalyzer:
             else:
                 sweep[threshold] = 0.0
         return sweep
-
-    def invalidate_caches(self) -> None:
-        """Drop every derived cache (after the dataset or labeller changed).
-
-        Also drops the labeller's memoized user labels and re-snapshots the
-        Pleroma domain set, so the next computation sees the dataset as it
-        is now rather than as it was at construction time.
-        """
-        self.labeller.invalidate_labels()
-        self._pleroma_domains = {
-            record.domain for record in self.dataset.pleroma_instances()
-        }
-        self._label_cache.clear()
-        self._breakdown_cache.clear()
-        self._rejected_cache = None
-        self._with_posts_cache = None
-        self._analysed_cache = None
-        self._analysed_labels_cache = None
-        self._analysed_max_scores_cache = None

@@ -99,23 +99,6 @@ class FederationGraphAnalyzer:
                     graph.setdefault(peer, set()).add(record.domain)
         return graph
 
-    def reject_graph(self) -> Adjacency:
-        """Return the directed reject graph: each source maps to the targets it
-        rejects, and every endpoint is a key, in edge order."""
-        graph: Adjacency = {}
-        for edge in self.dataset.edges_by_action("reject"):
-            graph.setdefault(edge.source, set()).add(edge.target)
-            graph.setdefault(edge.target, set())
-        return graph
-
-    def graph_without_rejected_links(self) -> Adjacency:
-        """Return the federation graph with rejected federation links removed.
-
-        A reject severs the link between the rejecting and the rejected
-        instance: content no longer flows between them.
-        """
-        return self._sever_rejected_links(self.federation_graph())
-
     def _sever_rejected_links(self, graph: Adjacency) -> Adjacency:
         """Return a copy of ``graph`` without the links that rejects sever."""
         severed = {node: set(peers) for node, peers in graph.items()}
@@ -164,11 +147,3 @@ class FederationGraphAnalyzer:
                     (reachable_before - reachable_after) / reachable_before
                 )
         return impact
-
-    def most_rejecting_instances(self, top: int = 10) -> list[tuple[str, int]]:
-        """Return the instances applying the most rejects."""
-        ranked = sorted(
-            ((domain, len(targets)) for domain, targets in self.reject_graph().items()),
-            key=lambda item: -item[1],
-        )
-        return ranked[:top]

@@ -10,12 +10,11 @@ Figures 4 and 6 and Table 1.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
-from repro.perspective.attributes import ATTRIBUTES, Attribute, AttributeScores, HARMFUL_THRESHOLD
+from repro.perspective.attributes import Attribute, AttributeScores, HARMFUL_THRESHOLD
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.corpus import CorpusColumns
 
@@ -50,22 +49,6 @@ class InstanceScores:
     harmful_post_count: int = 0
     user_labels: list[UserLabel] = field(default_factory=list)
 
-    def harmful_user_count(self, threshold: float = HARMFUL_THRESHOLD) -> int:
-        """Return how many of the instance's labelled users are harmful."""
-        return sum(1 for label in self.user_labels if label.is_harmful(threshold))
-
-    def attribute_mean(self, attribute: Attribute) -> float:
-        """Return the instance's mean score for one attribute."""
-        return self.mean_scores.get(attribute)
-
-
-#: dataset -> interned default labeller (see :meth:`HarmfulnessLabeller.shared`).
-#: Weakly keyed so a discarded campaign dataset releases its labeller, its
-#: client and the materialised corpus columns with it.
-_SHARED_LABELLERS: "weakref.WeakKeyDictionary[Dataset, HarmfulnessLabeller]" = (
-    weakref.WeakKeyDictionary()
-)
-
 
 class HarmfulnessLabeller:
     """Score posts, users and instances with the Perspective substitute."""
@@ -83,27 +66,6 @@ class HarmfulnessLabeller:
         self.threshold = threshold
         self._user_labels: dict[tuple[str, float], UserLabel | None] = {}
 
-    @classmethod
-    def shared(cls, dataset: Dataset) -> "HarmfulnessLabeller":
-        """Return the interned default labeller of ``dataset``.
-
-        Every analysis component that is not handed an explicit labeller
-        (annotation, collateral, reject analysis, solution evaluation)
-        shares this one — and with it one Perspective client and one
-        materialised :class:`~repro.perspective.corpus.CorpusColumns` —
-        instead of each re-scanning the whole post corpus through a
-        private client.  Scoring is deterministic, so the shared labels
-        are bitwise identical to privately computed ones.  Callers that
-        need an isolated configuration (own threshold, own request counters
-        or a mutable lexicon) should construct their own labeller and pass
-        it explicitly.
-        """
-        labeller = _SHARED_LABELLERS.get(dataset)
-        if labeller is None:
-            labeller = cls(dataset)
-            _SHARED_LABELLERS[dataset] = labeller
-        return labeller
-
     # ------------------------------------------------------------------ #
     # Corpus materialisation
     # ------------------------------------------------------------------ #
@@ -118,11 +80,8 @@ class HarmfulnessLabeller:
         The first scoring call scans the whole corpus in one batched
         compiled-matcher pass and sets the resulting
         :class:`~repro.perspective.corpus.CorpusColumns` as the client's
-        corpus; every later label — and every re-label after
-        :meth:`invalidate_labels` — is arithmetic on the cached columns.
-        Lexicon mutations bump the version stamp the columns check, so
-        they transparently re-scan rather than serve stale hits.  Client
-        request accounting and caching are unaffected.
+        corpus; every later label is arithmetic on the cached columns.
+        Client request accounting and caching are unaffected.
         """
         client = self.client
         if client.corpus is None:
@@ -143,10 +102,6 @@ class HarmfulnessLabeller:
         self._ensure_corpus()
         results = self.client.analyze_many([post.content for post in posts])
         return [result.scores for result in results]
-
-    def is_harmful_post(self, post: PostRecord, threshold: float | None = None) -> bool:
-        """Return ``True`` when any attribute of the post reaches the threshold."""
-        return self.score_post(post).is_harmful(threshold or self.threshold)
 
     # ------------------------------------------------------------------ #
     # User-level labelling
@@ -182,10 +137,6 @@ class HarmfulnessLabeller:
             harmful_post_count=harmful_posts,
         )
 
-    def invalidate_labels(self) -> None:
-        """Drop memoized user labels (after the dataset or lexicon changed)."""
-        self._user_labels.clear()
-
     def label_users_on(self, domain: str) -> list[UserLabel]:
         """Label every user (with collected posts) registered on ``domain``."""
         labels = []
@@ -213,15 +164,3 @@ class HarmfulnessLabeller:
         result.user_labels = self.label_users_on(domain)
         result.user_count = len(result.user_labels)
         return result
-
-    def score_instances(self, domains: list[str]) -> dict[str, InstanceScores]:
-        """Aggregate scores for several instances."""
-        return {domain: self.score_instance(domain) for domain in domains}
-
-    # ------------------------------------------------------------------ #
-    # Attribute helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def attribute_names() -> tuple[str, ...]:
-        """Return the scored attribute names in report order."""
-        return tuple(attribute.value for attribute in ATTRIBUTES)

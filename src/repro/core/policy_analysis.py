@@ -152,10 +152,6 @@ class PolicyAnalyzer:
         rows.sort(key=lambda row: (-row.instance_count, row.policy))
         return rows
 
-    def top_policies(self, limit: int = 15) -> list[PolicyPrevalence]:
-        """Return the ``limit`` most-enabled policies (Figure 1)."""
-        return self.prevalence()[:limit]
-
     def policy_type_counts(self) -> dict[str, int]:
         """Return how many distinct policy types were observed, by origin."""
         names = {

@@ -73,10 +73,10 @@ class RejectAnalyzer:
     def __init__(
         self,
         dataset: Dataset,
-        labeller: HarmfulnessLabeller | None = None,
+        labeller: HarmfulnessLabeller,
     ) -> None:
         self.dataset = dataset
-        self.labeller = labeller or HarmfulnessLabeller.shared(dataset)
+        self.labeller = labeller
         self._pleroma_domains = {
             record.domain for record in dataset.pleroma_instances()
         }

@@ -101,13 +101,6 @@ class SolutionComparison:
                 return outcome
         raise KeyError(strategy)
 
-    def best_tradeoff(self) -> StrategyOutcome:
-        """Return the strategy with the best harm-coverage minus collateral."""
-        return max(
-            self.outcomes,
-            key=lambda o: o.harmful_post_suppression - o.innocent_block_share,
-        )
-
 
 class SolutionEvaluator:
     """Evaluate the strawman strategies over the collateral-analysis scope."""
@@ -115,14 +108,14 @@ class SolutionEvaluator:
     def __init__(
         self,
         dataset: Dataset,
-        labeller: HarmfulnessLabeller | None = None,
+        labeller: HarmfulnessLabeller,
         threshold: float = HARMFUL_THRESHOLD,
         media_harm_share: float = 0.6,
         curated_harmful_post_share: float = 0.25,
         repeat_offender_limit: int = 3,
     ) -> None:
         self.dataset = dataset
-        self.labeller = labeller or HarmfulnessLabeller.shared(dataset)
+        self.labeller = labeller
         self.threshold = threshold
         #: Share of a sexually-explicit instance's harm carried by media (the
         #: paper notes most of that material is in media form, so media

@@ -115,11 +115,6 @@ class CrawlResult:
     api_requests: int = 0
 
     @property
-    def crawlable_pleroma(self) -> int:
-        """Return how many Pleroma instances answered the metadata API."""
-        return len(self.latest_snapshots)
-
-    @property
     def degraded_domains(self) -> set[str]:
         """Domains whose metadata was snapshotted but whose timeline failed.
 

@@ -47,9 +47,3 @@ class InstanceDirectory:
         if self._listing is None:
             self._listing = self._build_listing()
         return list(self._listing)
-
-    def __len__(self) -> int:
-        return len(self.pleroma_instances())
-
-    def __contains__(self, domain: str) -> bool:
-        return domain in set(self.pleroma_instances())

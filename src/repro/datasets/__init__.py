@@ -4,8 +4,7 @@ The paper's analysis works on a crawled dataset: instance metadata snapshots
 (including MRF policy settings), the peer graph, user accounts and public
 posts.  This package defines flat record types for each of those, a
 :class:`~repro.datasets.store.Dataset` container with the lookups the
-analysis needs, and JSON/CSV import/export so a crawl can be saved and
-reloaded.
+analysis needs, and JSON/CSV export so a crawl can be saved.
 """
 
 from repro.datasets.schema import (
@@ -17,11 +16,8 @@ from repro.datasets.schema import (
 )
 from repro.datasets.store import Dataset
 from repro.datasets.export import (
-    dataset_from_dict,
-    dataset_from_json,
     dataset_to_dict,
     dataset_to_json,
-    load_dataset,
     save_dataset,
     write_csv_tables,
 )
@@ -33,11 +29,8 @@ __all__ = [
     "RejectEdge",
     "UserRecord",
     "Dataset",
-    "dataset_from_dict",
-    "dataset_from_json",
     "dataset_to_dict",
     "dataset_to_json",
-    "load_dataset",
     "save_dataset",
     "write_csv_tables",
 ]

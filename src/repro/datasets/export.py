@@ -7,13 +7,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.datasets.schema import (
-    InstanceRecord,
-    PolicySettingRecord,
-    PostRecord,
-    RejectEdge,
-    UserRecord,
-)
 from repro.datasets.store import Dataset
 
 #: Schema version written into exported files.
@@ -32,34 +25,9 @@ def dataset_to_dict(dataset: Dataset) -> dict[str, Any]:
     }
 
 
-def dataset_from_dict(payload: dict[str, Any]) -> Dataset:
-    """Rebuild a dataset from its dictionary form."""
-    version = payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported dataset schema version: {version}")
-    dataset = Dataset()
-    for item in payload.get("instances", []):
-        dataset.add_instance(InstanceRecord.from_dict(item))
-    for item in payload.get("policy_settings", []):
-        dataset.add_policy_setting(PolicySettingRecord.from_dict(item))
-    dataset.add_reject_edges(
-        RejectEdge.from_dict(item) for item in payload.get("reject_edges", [])
-    )
-    for item in payload.get("users", []):
-        dataset.add_user(UserRecord.from_dict(item))
-    for item in payload.get("posts", []):
-        dataset.add_post(PostRecord.from_dict(item))
-    return dataset
-
-
 def dataset_to_json(dataset: Dataset, indent: int | None = None) -> str:
     """Serialise a dataset to a JSON string."""
     return json.dumps(dataset_to_dict(dataset), indent=indent)
-
-
-def dataset_from_json(text: str) -> Dataset:
-    """Rebuild a dataset from its JSON form."""
-    return dataset_from_dict(json.loads(text))
 
 
 def save_dataset(dataset: Dataset, path: str | Path, indent: int | None = None) -> Path:
@@ -68,11 +36,6 @@ def save_dataset(dataset: Dataset, path: str | Path, indent: int | None = None) 
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dataset_to_json(dataset, indent=indent), encoding="utf-8")
     return path
-
-
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset back from a JSON file."""
-    return dataset_from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def write_csv_tables(dataset: Dataset, directory: str | Path) -> dict[str, Path]:

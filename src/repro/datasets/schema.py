@@ -66,14 +66,6 @@ class InstanceRecord:
             "snapshots": self.snapshots,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "InstanceRecord":
-        """Deserialise a record."""
-        data = dict(payload)
-        data["enabled_policies"] = tuple(data.get("enabled_policies", ()))
-        data["peers"] = tuple(data.get("peers", ()))
-        return cls(**data)
-
 
 @dataclass
 class PolicySettingRecord:
@@ -91,25 +83,9 @@ class PolicySettingRecord:
     def __post_init__(self) -> None:
         self.domain = normalise_domain(self.domain)
 
-    def simple_targets(self, action: str) -> tuple[str, ...]:
-        """Return the SimplePolicy target list for ``action`` (empty otherwise)."""
-        targets = self.config.get(action, [])
-        if isinstance(targets, (list, tuple)):
-            return tuple(targets)
-        return ()
-
     def to_dict(self) -> dict[str, Any]:
         """Serialise the record."""
         return {"domain": self.domain, "policy": self.policy, "config": self.config}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "PolicySettingRecord":
-        """Deserialise a record."""
-        return cls(
-            domain=payload["domain"],
-            policy=payload["policy"],
-            config=dict(payload.get("config", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -127,11 +103,6 @@ class RejectEdge:
     def to_dict(self) -> dict[str, Any]:
         """Serialise the edge."""
         return {"source": self.source, "target": self.target, "action": self.action}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RejectEdge":
-        """Deserialise an edge."""
-        return cls(source=payload["source"], target=payload["target"], action=payload["action"])
 
 
 @dataclass
@@ -160,11 +131,6 @@ class UserRecord:
             "following_count": self.following_count,
             "created_at": self.created_at,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "UserRecord":
-        """Deserialise a record."""
-        return cls(**payload)
 
 
 @dataclass
@@ -204,8 +170,3 @@ class PostRecord:
             "has_media": self.has_media,
             "visibility": self.visibility,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "PostRecord":
-        """Deserialise a record."""
-        return cls(**payload)

@@ -20,8 +20,8 @@ class Dataset:
 
     The container offers the indexed lookups the analysis layer needs
     (instances by domain, posts by author/origin, policy settings by policy
-    name, moderation edges by source/target) while keeping the underlying
-    data as flat record lists that can be exported and reloaded.
+    name, moderation edges by action) while keeping the underlying
+    data as flat record lists that can be exported.
 
     Every secondary index is maintained incrementally at ingestion time, so
     all lookups are O(result) instead of O(records).  The flat lists remain
@@ -42,15 +42,12 @@ class Dataset:
         self._local_post_count = 0
         # Moderation-edge indices.
         self._edge_set: set[RejectEdge] = set()
-        self._edges_by_source: dict[str, list[RejectEdge]] = defaultdict(list)
-        self._edges_by_target: dict[str, list[RejectEdge]] = defaultdict(list)
         self._edges_by_action: dict[str, list[RejectEdge]] = defaultdict(list)
         self._rejects_received: dict[str, int] = defaultdict(int)
         self._rejects_applied: dict[str, int] = defaultdict(int)
         self._moderated_targets: set[str] = set()
         self._reject_targets: set[str] = set()
         # Policy-setting indices.
-        self._policies_by_domain: dict[str, list[PolicySettingRecord]] = defaultdict(list)
         self._policies_by_name: dict[str, list[PolicySettingRecord]] = defaultdict(list)
         # User index (bucket order mirrors ``users`` dict insertion order).
         self._users_by_domain: dict[str, list[UserRecord]] = defaultdict(list)
@@ -65,7 +62,6 @@ class Dataset:
     def add_policy_setting(self, record: PolicySettingRecord) -> None:
         """Add one policy-setting record."""
         self.policy_settings.append(record)
-        self._policies_by_domain[record.domain].append(record)
         self._policies_by_name[record.policy].append(record)
 
     def add_reject_edge(self, edge: RejectEdge) -> None:
@@ -74,8 +70,6 @@ class Dataset:
             return
         self._edge_set.add(edge)
         self.reject_edges.append(edge)
-        self._edges_by_source[edge.source].append(edge)
-        self._edges_by_target[edge.target].append(edge)
         self._edges_by_action[edge.action].append(edge)
         self._moderated_targets.add(edge.target)
         if edge.action == "reject":
@@ -157,10 +151,6 @@ class Dataset:
     # ------------------------------------------------------------------ #
     # Policy lookups
     # ------------------------------------------------------------------ #
-    def policy_settings_for(self, domain: str) -> list[PolicySettingRecord]:
-        """Return the policy settings observed on ``domain``."""
-        domain = normalise_domain(domain)
-        return list(self._policies_by_domain.get(domain, ()))
 
     def instances_with_policy(self, policy: str) -> list[str]:
         """Return the domains that enable ``policy``."""
@@ -172,26 +162,12 @@ class Dataset:
         """Return every distinct policy name observed."""
         return sorted(self._policies_by_name)
 
-    def simple_policy_settings(self) -> list[PolicySettingRecord]:
-        """Return only the SimplePolicy settings."""
-        return list(self._policies_by_name.get("SimplePolicy", ()))
-
     # ------------------------------------------------------------------ #
     # Moderation-edge lookups
     # ------------------------------------------------------------------ #
     def edges_by_action(self, action: str) -> list[RejectEdge]:
         """Return the moderation edges carrying ``action``."""
         return list(self._edges_by_action.get(action, ()))
-
-    def edges_targeting(self, domain: str) -> list[RejectEdge]:
-        """Return the moderation edges whose target is ``domain``."""
-        domain = normalise_domain(domain)
-        return list(self._edges_by_target.get(domain, ()))
-
-    def edges_from(self, domain: str) -> list[RejectEdge]:
-        """Return the moderation edges applied by ``domain``."""
-        domain = normalise_domain(domain)
-        return list(self._edges_by_source.get(domain, ()))
 
     def rejects_received(self, domain: str) -> int:
         """Return how many reject actions target ``domain``."""
@@ -273,9 +249,3 @@ class Dataset:
             "reject_edges": len(self._edges_by_action.get("reject", ())),
             "moderation_edges": len(self.reject_edges),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Dataset(instances={len(self.instances)}, users={len(self.users)}, "
-            f"posts={len(self.posts)}, edges={len(self.reject_edges)})"
-        )

@@ -12,7 +12,7 @@ functions directly.
 """
 
 from repro.experiments.base import Comparison, ExperimentResult
-from repro.experiments.pipeline import ReproPipeline, get_pipeline
+from repro.experiments.pipeline import ReproPipeline
 from repro.experiments import paper_values
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_all, run_experiment
 
@@ -20,7 +20,6 @@ __all__ = [
     "Comparison",
     "ExperimentResult",
     "ReproPipeline",
-    "get_pipeline",
     "paper_values",
     "EXPERIMENTS",
     "get_experiment",

@@ -16,20 +16,6 @@ class Comparison:
     unit: str = ""
     note: str = ""
 
-    @property
-    def absolute_difference(self) -> float | None:
-        """Return ``|measured - paper|`` when both values are known."""
-        if self.measured is None or self.paper is None:
-            return None
-        return abs(self.measured - self.paper)
-
-    @property
-    def relative_difference(self) -> float | None:
-        """Return the relative difference when both values are known."""
-        if self.measured is None or self.paper is None or self.paper == 0:
-            return None
-        return abs(self.measured - self.paper) / abs(self.paper)
-
     def format(self) -> str:
         """Return a one-line human-readable rendering."""
         def fmt(value: float | None) -> str:

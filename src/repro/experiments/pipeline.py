@@ -2,9 +2,9 @@
 
 One :class:`ReproPipeline` owns the full chain — synthetic fediverse →
 measurement campaign → dataset → analyzers — for one scenario and seed.
-Because generating and crawling a fediverse is the expensive part, pipelines
-are cached per (scenario, seed) through :func:`get_pipeline`, so running all
-experiments (or all benchmarks) reuses one crawl per scenario.
+Because generating and crawling a fediverse is the expensive part, every
+stage is built once, on first use, and shared by all experiments run on the
+pipeline.
 """
 
 from __future__ import annotations
@@ -125,27 +125,3 @@ class ReproPipeline:
     def solution_evaluator(self) -> SolutionEvaluator:
         """Strawman-solution evaluator."""
         return SolutionEvaluator(self.dataset, labeller=self.labeller)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ReproPipeline(scenario={self.scenario!r}, seed={self.seed})"
-
-
-#: Cache of pipelines keyed by (scenario, seed, campaign_days).
-_PIPELINES: dict[tuple[str, int, float], ReproPipeline] = {}
-
-
-def get_pipeline(
-    scenario: str = "small", seed: int = 42, campaign_days: float = 2.0
-) -> ReproPipeline:
-    """Return a cached pipeline for (scenario, seed, campaign_days)."""
-    key = (scenario, seed, campaign_days)
-    if key not in _PIPELINES:
-        _PIPELINES[key] = ReproPipeline(
-            scenario=scenario, seed=seed, campaign_days=campaign_days
-        )
-    return _PIPELINES[key]
-
-
-def clear_pipeline_cache() -> None:
-    """Drop every cached pipeline (used by tests that need isolation)."""
-    _PIPELINES.clear()

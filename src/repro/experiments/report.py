@@ -27,9 +27,11 @@ paper reports.  It is generated with::
 Absolute counts (numbers of instances, users, posts) scale with the chosen
 scenario and are *not* expected to match the paper; shares, orderings,
 correlations and threshold sweeps are the quantities whose shape should
-hold.  See DESIGN.md for the substitutions (synthetic fediverse instead of
-the 2020-21 live crawl, lexicon scorer instead of the Perspective API) and
-why they preserve these shapes.
+hold.  Two substitutions stand in for the paper's inputs: a synthetic
+fediverse calibrated to the paper's population statistics instead of the
+2020-21 live crawl, and an offline lexicon scorer instead of the Perspective
+API, applied with the paper's three attributes and its 0.8 threshold.
+ROADMAP.md item 6 lists the comparisons that still fall outside tolerance.
 
 Scenario: `{scenario}` (seed {seed}, campaign {days} simulated days).
 """

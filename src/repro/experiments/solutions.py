@@ -3,8 +3,9 @@
 For each alternative to the blanket instance-level reject — media removal,
 NSFW tagging, curated block-lists, per-user tagging, repeat-offender
 escalation — how much harmful content is suppressed and how many innocent
-users are hit.  The paper proposes these qualitatively; this experiment is
-the quantitative ablation DESIGN.md calls for.
+users are hit.  The paper proposes these qualitatively; this experiment
+evaluates each one over the crawled dataset, so they can be compared by
+number.
 """
 
 from __future__ import annotations

@@ -49,14 +49,3 @@ class SimulationClock:
             )
         self._now = float(timestamp)
         return self._now
-
-    def elapsed(self) -> float:
-        """Return seconds elapsed since the clock epoch."""
-        return self._now - self._start
-
-    def elapsed_days(self) -> float:
-        """Return days elapsed since the clock epoch."""
-        return self.elapsed() / SECONDS_PER_DAY
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"SimulationClock(now={self._now:.0f}s, elapsed={self.elapsed_days():.2f}d)"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 
 _HANDLE_RE = re.compile(r"^@?(?P<username>[A-Za-z0-9_.\-]+)@(?P<domain>[A-Za-z0-9_.\-]+)$")
-_DOMAIN_RE = re.compile(r"^[a-z0-9]([a-z0-9\-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9\-]*[a-z0-9])?)+$")
 
 
 def normalise_domain(domain: str) -> str:
@@ -29,15 +28,6 @@ def normalise_domain(domain: str) -> str:
     return cleaned
 
 
-def is_valid_domain(domain: str) -> bool:
-    """Return ``True`` when ``domain`` looks like a valid hostname."""
-    try:
-        cleaned = normalise_domain(domain)
-    except ValueError:
-        return False
-    return bool(_DOMAIN_RE.match(cleaned))
-
-
 def make_handle(username: str, domain: str) -> str:
     """Build a ``username@domain`` handle."""
     if not username:
@@ -54,11 +44,6 @@ def parse_handle(handle: str) -> tuple[str, str]:
     if not match:
         raise ValueError(f"invalid handle: {handle!r}")
     return match.group("username"), normalise_domain(match.group("domain"))
-
-
-def handle_domain(handle: str) -> str:
-    """Return only the domain part of a handle."""
-    return parse_handle(handle)[1]
 
 
 def make_post_uri(domain: str, post_id: str) -> str:

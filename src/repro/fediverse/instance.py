@@ -177,11 +177,6 @@ class Instance:
         """Return the number of instances this one has ever federated with."""
         return len(self.peers)
 
-    @property
-    def enabled_policy_names(self) -> list[str]:
-        """Return the names of MRF policies enabled on this instance."""
-        return self.mrf.policy_names
-
     # ------------------------------------------------------------------ #
     # Users
     # ------------------------------------------------------------------ #
@@ -298,10 +293,6 @@ class Instance:
         """Return all local posts."""
         return list(self.posts.values())
 
-    def all_known_posts(self) -> list[Post]:
-        """Return all posts known to the instance (local and federated)."""
-        return list(self.posts.values()) + list(self.remote_posts.values())
-
     # ------------------------------------------------------------------ #
     # Federation
     # ------------------------------------------------------------------ #
@@ -380,9 +371,3 @@ class Instance:
         if self.is_pleroma:
             return f"2.7.2 (compatible; Pleroma {self.version})"
         return self.version
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Instance({self.domain!r}, software={self.software.value}, "
-            f"users={self.user_count}, posts={self.local_post_count})"
-        )

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Any
 
 from repro.fediverse.clock import SimulationClock
 from repro.fediverse.errors import UnknownInstanceError, UnknownUserError
 from repro.fediverse.identifiers import normalise_domain, parse_handle
-from repro.fediverse.instance import Instance, InstanceAvailability
+from repro.fediverse.instance import Instance
 from repro.fediverse.software import SoftwareKind
 from repro.fediverse.user import User
 
@@ -73,12 +72,6 @@ class FediverseRegistry:
     def __contains__(self, domain: str) -> bool:
         return normalise_domain(domain) in self._instances
 
-    def __len__(self) -> int:
-        return len(self._instances)
-
-    def __iter__(self) -> Iterator[Instance]:
-        return iter(self._instances.values())
-
     @property
     def domains(self) -> list[str]:
         """Return all registered domains."""
@@ -123,19 +116,6 @@ class FediverseRegistry:
             inst_a.peers.add(domain_b)
             inst_b.peers.add(domain_a)
 
-    def follow(self, follower_handle: str, followee_handle: str) -> None:
-        """Create a follow relationship between two users (possibly remote).
-
-        The instances involved federate as a side effect, mirroring how a
-        subscription causes two instances to learn about each other.
-        """
-        follower = self.find_user(follower_handle)
-        followee = self.find_user(followee_handle)
-        follower.add_following(followee.handle)
-        followee.add_follower(follower.handle)
-        if follower.domain != followee.domain:
-            self.federate(follower.domain, followee.domain)
-
     def find_user(self, handle: str) -> User:
         """Resolve a ``user@domain`` handle to a :class:`User`."""
         username, domain = parse_handle(handle)
@@ -169,7 +149,3 @@ class FediverseRegistry:
             "local_posts": self.total_local_posts(),
             "pleroma_local_posts": self.total_local_posts(pleroma_only=True),
         }
-
-    def set_availability(self, domain: str, status_code: int, reason: str = "") -> None:
-        """Mark an instance as (un)available to crawler requests."""
-        self.get(domain).availability = InstanceAvailability(status_code, reason)

@@ -27,11 +27,6 @@ class SoftwareKind(str, Enum):
         """Return ``True`` for Pleroma instances."""
         return self is SoftwareKind.PLEROMA
 
-    @property
-    def exposes_mrf(self) -> bool:
-        """Return ``True`` when the software exposes MRF policies publicly."""
-        return self is SoftwareKind.PLEROMA
-
     @classmethod
     def from_string(cls, value: str) -> "SoftwareKind":
         """Parse a software name leniently, defaulting to ``OTHER``."""

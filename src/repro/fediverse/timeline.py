@@ -13,8 +13,6 @@ the ones exposed through the public Timeline API that the paper crawls.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 
 class Timeline:
     """An ordered collection of post ids (newest last)."""
@@ -39,15 +37,6 @@ class Timeline:
         self._seen.remove(post_id)
         self._post_ids.remove(post_id)
         return True
-
-    def __contains__(self, post_id: str) -> bool:
-        return post_id in self._seen
-
-    def __len__(self) -> int:
-        return len(self._post_ids)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._post_ids)
 
     def latest(self, limit: int = 20, max_id: str | None = None) -> list[str]:
         """Return up to ``limit`` post ids, newest first.
@@ -81,10 +70,6 @@ class InstanceTimelines:
     def add_local(self, post_id: str) -> None:
         """Record a locally published post on both instance timelines."""
         self.public.add(post_id)
-        self.whole_known_network.add(post_id)
-
-    def add_remote(self, post_id: str) -> None:
-        """Record a federated (remote) post on the whole-known-network timeline."""
         self.whole_known_network.add(post_id)
 
     def remove_everywhere(self, post_id: str) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.fediverse.identifiers import make_actor_uri, make_handle, normalise_domain
+from repro.fediverse.identifiers import make_handle, normalise_domain
 
 
 @dataclass
@@ -39,11 +39,6 @@ class User:
     def handle(self) -> str:
         """Return the fully qualified ``username@domain`` handle."""
         return make_handle(self.username, self.domain)
-
-    @property
-    def actor_uri(self) -> str:
-        """Return the ActivityPub actor URI."""
-        return make_actor_uri(self.domain, self.username)
 
     @property
     def follower_count(self) -> int:

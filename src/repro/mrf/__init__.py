@@ -51,23 +51,13 @@ from repro.mrf.media import HashtagPolicy, MediaProxyWarmingPolicy, StealEmojiPo
 from repro.mrf.noop import DropPolicy, NoOpPolicy
 from repro.mrf.object_age import ObjectAgePolicy
 from repro.mrf.pipeline import MRFPipeline
-from repro.mrf.proposed import (
-    PROPOSED_POLICY_NAMES,
-    AutoTagPolicy,
-    CuratedBlocklistPolicy,
-    RepeatOffenderPolicy,
-)
+from repro.mrf.proposed import AutoTagPolicy, CuratedBlocklistPolicy, RepeatOffenderPolicy
 from repro.mrf.registry import (
     BUILTIN_POLICY_DESCRIPTIONS,
     DEFAULT_POLICY_NAMES,
-    all_known_policy_names,
-    builtin_policy_names,
     create_policy,
     default_policies,
-    describe_policy,
     is_builtin,
-    observed_custom_policy_names,
-    proposed_policy_names,
 )
 from repro.mrf.simple import SimplePolicy, SimplePolicyAction
 from repro.mrf.subchain import SubchainPolicy
@@ -88,15 +78,9 @@ __all__ = [
     "BUILTIN_POLICY_DESCRIPTIONS",
     "DEFAULT_POLICY_NAMES",
     "OBSERVED_CUSTOM_POLICY_NAMES",
-    "PROPOSED_POLICY_NAMES",
-    "all_known_policy_names",
-    "builtin_policy_names",
     "create_policy",
     "default_policies",
-    "describe_policy",
     "is_builtin",
-    "observed_custom_policy_names",
-    "proposed_policy_names",
     # Policies
     "ActivityExpirationPolicy",
     "AntiFollowbotPolicy",

@@ -62,20 +62,6 @@ class BlockPolicy(MRFPolicy):
     def __init__(self, blocked_actors: Iterable[str] = ()) -> None:
         self._blocked = {a.lower().lstrip("@") for a in blocked_actors}
 
-    def block(self, handle: str) -> None:
-        """Add ``handle`` to the block list."""
-        self._blocked.add(handle.lower().lstrip("@"))
-        self._bump_config_version()
-
-    def unblock(self, handle: str) -> bool:
-        """Remove ``handle`` from the block list; return ``True`` when present."""
-        handle = handle.lower().lstrip("@")
-        if handle in self._blocked:
-            self._blocked.discard(handle)
-            self._bump_config_version()
-            return True
-        return False
-
     def config(self) -> dict[str, Any]:
         """Return the blocked handles."""
         return {"blocked": sorted(self._blocked)}

@@ -122,13 +122,6 @@ class MRFPolicy(ABC):
         """Return the policy configuration (overridden by subclasses)."""
         return {}
 
-    def describe(self) -> dict[str, Any]:
-        """Return a serialisable description of the policy."""
-        return {"name": self.name, "config": self.config()}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 @dataclass
 class PolicyStats:

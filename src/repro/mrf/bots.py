@@ -30,10 +30,6 @@ def looks_like_followbot(activity: Activity) -> bool:
     """Return ``True`` when the activity's actor looks like a follow bot."""
     actor = activity.actor
     haystacks = (actor.username.lower(), actor.display_name.lower())
-    if actor.bot and any(
-        marker in haystack for marker in _FOLLOWBOT_MARKERS for haystack in haystacks
-    ):
-        return True
     return any(
         marker in haystack for marker in _FOLLOWBOT_MARKERS for haystack in haystacks
     )

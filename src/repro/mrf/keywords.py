@@ -24,12 +24,7 @@ _PLACEHOLDER_BODIES = {".", "-", "_", "placeholder", "​"}
 
 class KeywordPolicy(MRFPolicy):
     """A list of patterns which result in messages being rejected, unlisted
-    or having matches replaced.
-
-    Pattern lists are managed through :meth:`add_pattern` /
-    :meth:`remove_pattern` / :meth:`set_replacement`, which bump the
-    configuration version.
-    """
+    or having matches replaced."""
 
     name = "KeywordPolicy"
 
@@ -53,55 +48,6 @@ class KeywordPolicy(MRFPolicy):
     # ------------------------------------------------------------------ #
     # Configuration
     # ------------------------------------------------------------------ #
-    @property
-    def reject_patterns(self) -> tuple[re.Pattern[str], ...]:
-        """Return the compiled reject patterns."""
-        return tuple(self._reject_patterns)
-
-    @property
-    def ftl_removal_patterns(self) -> tuple[re.Pattern[str], ...]:
-        """Return the compiled federated-timeline-removal patterns."""
-        return tuple(self._ftl_removal_patterns)
-
-    @property
-    def replacements(self) -> dict[str, str]:
-        """Return the needle -> replacement mapping."""
-        return dict(self._replacements)
-
-    def add_pattern(self, kind: str, pattern: str) -> None:
-        """Add a pattern to ``"reject"`` or ``"federated_timeline_removal"``."""
-        self._pattern_list(kind).append(self._compile(pattern))
-        self._bump_config_version()
-
-    def remove_pattern(self, kind: str, pattern: str) -> bool:
-        """Remove a pattern; return ``True`` when it was configured."""
-        patterns = self._pattern_list(kind)
-        for index, compiled in enumerate(patterns):
-            if compiled.pattern == pattern:
-                del patterns[index]
-                self._bump_config_version()
-                return True
-        return False
-
-    def set_replacement(self, needle: str, replacement: str) -> None:
-        """Add (or overwrite) a needle -> replacement rewrite."""
-        self._replacements[needle] = replacement
-        self._bump_config_version()
-
-    def remove_replacement(self, needle: str) -> bool:
-        """Remove a replacement; return ``True`` when it was configured."""
-        if needle in self._replacements:
-            del self._replacements[needle]
-            self._bump_config_version()
-            return True
-        return False
-
-    def _pattern_list(self, kind: str) -> list[re.Pattern[str]]:
-        if kind == "reject":
-            return self._reject_patterns
-        if kind == "federated_timeline_removal":
-            return self._ftl_removal_patterns
-        raise ValueError(f"unknown keyword pattern kind: {kind!r}")
 
     def config(self) -> dict[str, Any]:
         """Return the configured pattern lists."""
@@ -157,11 +103,7 @@ class KeywordPolicy(MRFPolicy):
 
 
 class VocabularyPolicy(MRFPolicy):
-    """Restrict activities to a configured set of activity types.
-
-    The vocabulary is managed through :meth:`add_type`/:meth:`remove_type`,
-    which bump the configuration version.
-    """
+    """Restrict activities to a configured set of activity types."""
 
     name = "VocabularyPolicy"
 
@@ -172,38 +114,6 @@ class VocabularyPolicy(MRFPolicy):
     ) -> None:
         self._accept_types = {t.capitalize() for t in accept}
         self._reject_types = {t.capitalize() for t in reject}
-
-    @property
-    def accept_types(self) -> frozenset[str]:
-        """Return the accepted activity-type vocabulary."""
-        return frozenset(self._accept_types)
-
-    @property
-    def reject_types(self) -> frozenset[str]:
-        """Return the rejected activity-type names."""
-        return frozenset(self._reject_types)
-
-    def add_type(self, kind: str, type_name: str) -> None:
-        """Add a type name to the ``"accept"`` or ``"reject"`` vocabulary."""
-        self._type_set(kind).add(type_name.capitalize())
-        self._bump_config_version()
-
-    def remove_type(self, kind: str, type_name: str) -> bool:
-        """Remove a type name; return ``True`` when it was configured."""
-        types = self._type_set(kind)
-        type_name = type_name.capitalize()
-        if type_name in types:
-            types.discard(type_name)
-            self._bump_config_version()
-            return True
-        return False
-
-    def _type_set(self, kind: str) -> set[str]:
-        if kind == "accept":
-            return self._accept_types
-        if kind == "reject":
-            return self._reject_types
-        raise ValueError(f"unknown vocabulary kind: {kind!r}")
 
     def config(self) -> dict[str, Any]:
         """Return the configured vocabulary."""

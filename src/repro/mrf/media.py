@@ -38,20 +38,6 @@ class StealEmojiPolicy(MRFPolicy):
         #: shortcode -> origin host of every emoji stolen so far.
         self.stolen: dict[str, str] = {}
 
-    def add_host(self, host: str) -> None:
-        """Whitelist another host (bumps the configuration version)."""
-        self.hosts.add(host.strip().lower())
-        self._bump_config_version()
-
-    def remove_host(self, host: str) -> bool:
-        """Drop a host from the whitelist; return ``True`` when present."""
-        host = host.strip().lower()
-        if host in self.hosts:
-            self.hosts.discard(host)
-            self._bump_config_version()
-            return True
-        return False
-
     def config(self) -> dict[str, Any]:
         """Return the configured host whitelist."""
         return {
@@ -117,16 +103,9 @@ class MediaProxyWarmingPolicy(MRFPolicy):
 
 
 class HashtagPolicy(MRFPolicy):
-    """List of hashtags to mark activities as sensitive, de-list or reject.
-
-    Tag sets are managed through :meth:`add_tag` / :meth:`remove_tag`,
-    which bump the configuration version.
-    """
+    """List of hashtags to mark activities as sensitive, de-list or reject."""
 
     name = "HashtagPolicy"
-
-    #: The tag-set kinds understood by :meth:`add_tag`.
-    KINDS = ("sensitive", "federated_timeline_removal", "reject")
 
     def __init__(
         self,
@@ -141,44 +120,6 @@ class HashtagPolicy(MRFPolicy):
     # ------------------------------------------------------------------ #
     # Configuration
     # ------------------------------------------------------------------ #
-    @property
-    def sensitive_tags(self) -> frozenset[str]:
-        """Return the tags forcing posts to sensitive."""
-        return frozenset(self._sensitive)
-
-    @property
-    def ftl_removal_tags(self) -> frozenset[str]:
-        """Return the tags removed from the federated timeline."""
-        return frozenset(self._ftl_removal)
-
-    @property
-    def reject_tags(self) -> frozenset[str]:
-        """Return the tags causing outright rejection."""
-        return frozenset(self._reject)
-
-    def add_tag(self, kind: str, tag: str) -> None:
-        """Add a tag to one of the configured sets (see :attr:`KINDS`)."""
-        self._tag_set(kind).add(tag.lstrip("#").lower())
-        self._bump_config_version()
-
-    def remove_tag(self, kind: str, tag: str) -> bool:
-        """Remove a tag from a set; return ``True`` when it was configured."""
-        tags = self._tag_set(kind)
-        tag = tag.lstrip("#").lower()
-        if tag in tags:
-            tags.discard(tag)
-            self._bump_config_version()
-            return True
-        return False
-
-    def _tag_set(self, kind: str) -> set[str]:
-        if kind == "sensitive":
-            return self._sensitive
-        if kind == "federated_timeline_removal":
-            return self._ftl_removal
-        if kind == "reject":
-            return self._reject
-        raise ValueError(f"unknown hashtag kind: {kind!r}")
 
     def config(self) -> dict[str, Any]:
         """Return the configured hashtag lists."""

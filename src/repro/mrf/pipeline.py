@@ -66,15 +66,6 @@ class MRFPipeline:
         self._by_name[policy.name] = policy
         self._config_epoch += 1
 
-    def remove_policy(self, name: str) -> bool:
-        """Disable the policy called ``name``; return ``True`` if it existed."""
-        policy = self._by_name.pop(name, None)
-        if policy is None:
-            return False
-        self._policies.remove(policy)
-        self._config_epoch += 1
-        return True
-
     def has_policy(self, name: str) -> bool:
         """Return ``True`` when a policy with that name is enabled."""
         return name in self._by_name
@@ -86,25 +77,17 @@ class MRFPipeline:
     # ------------------------------------------------------------------ #
     # Configuration fingerprint
     # ------------------------------------------------------------------ #
-    def invalidate_config(self) -> None:
-        """Bump the configuration epoch (needed after mutating a policy in
-        place without going through a version-bumping configuration
-        method), invalidating cached metadata payloads derived from
-        :meth:`config_fingerprint`."""
-        self._config_epoch += 1
 
     def config_fingerprint(self) -> tuple:
         """Return a cheap fingerprint of the exposed MRF configuration.
 
         The API server's batch engine caches each instance's metadata
         payload against this fingerprint, so it must change whenever the
-        payload's ``federation`` block could: a policy is added or removed
-        (or :meth:`invalidate_config` is called) — tracked by the
-        pipeline's membership epoch — or an enabled policy bumps its
+        payload's ``federation`` block could: a policy is added — tracked
+        by the pipeline's membership epoch — or an enabled policy bumps its
         :attr:`~repro.mrf.base.MRFPolicy.config_version` through a mutating
         configuration method.  In-place mutations that bypass the
-        version-bumping mutators are not detected (call
-        :meth:`invalidate_config` after such a mutation).
+        version-bumping mutators are not detected.
         """
         return (
             self._config_epoch,
@@ -183,7 +166,3 @@ class MRFPipeline:
         if policy is None:
             return {}
         return policy.config()
-
-    def describe(self) -> list[dict[str, Any]]:
-        """Return the full pipeline configuration."""
-        return [policy.describe() for policy in self._policies]

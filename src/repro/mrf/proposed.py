@@ -37,13 +37,6 @@ from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 from repro.perspective.attributes import AttributeScores, HARMFUL_THRESHOLD
 from repro.perspective.scorer import LexiconScorer
 
-#: Names of the proposed (non-in-built) policies defined here.
-PROPOSED_POLICY_NAMES: tuple[str, ...] = (
-    "CuratedBlocklistPolicy",
-    "AutoTagPolicy",
-    "RepeatOffenderPolicy",
-)
-
 #: A classifier maps post text to attribute scores; the default is the
 #: offline Perspective substitute.
 Classifier = Callable[[str], AttributeScores]
@@ -76,38 +69,6 @@ class CuratedBlocklistPolicy(MRFPolicy):
         unknown = self.subscribed - set(self._lists)
         if unknown:
             raise ValueError(f"subscribed to unknown curated lists: {sorted(unknown)}")
-
-    # -- list management ------------------------------------------------- #
-    def publish_list(self, list_name: str, domains: Iterable[str]) -> None:
-        """Create or replace a curated list (the maintainers' side)."""
-        self._lists[list_name] = {domain.strip().lower() for domain in domains}
-        self._bump_config_version()
-
-    def subscribe(self, list_name: str) -> None:
-        """Subscribe the instance to a curated list (the admin's side)."""
-        if list_name not in self._lists:
-            raise ValueError(f"unknown curated list: {list_name}")
-        self.subscribed.add(list_name)
-        self._bump_config_version()
-
-    def unsubscribe(self, list_name: str) -> bool:
-        """Unsubscribe from a list; return ``True`` when it was subscribed."""
-        if list_name in self.subscribed:
-            self.subscribed.discard(list_name)
-            self._bump_config_version()
-            return True
-        return False
-
-    def list_names(self) -> tuple[str, ...]:
-        """Return the names of all published lists."""
-        return tuple(sorted(self._lists))
-
-    def blocked_domains(self) -> set[str]:
-        """Return the union of all subscribed lists."""
-        blocked: set[str] = set()
-        for list_name in self.subscribed:
-            blocked |= self._lists.get(list_name, set())
-        return blocked
 
     def config(self) -> dict[str, Any]:
         """Return the subscribed lists and their contents."""
@@ -195,23 +156,6 @@ class AutoTagPolicy(MRFPolicy):
             "strip_media": self.strip_media,
             "force_unlisted": self.force_unlisted,
         }
-
-    # -- introspection ---------------------------------------------------- #
-    def flagged_users(self) -> tuple[str, ...]:
-        """Return the handles currently above the tagging threshold."""
-        return tuple(
-            sorted(
-                handle
-                for handle, history in self._history.items()
-                if len(history.scores) >= self.min_posts
-                and history.mean_max_score() >= self.threshold
-            )
-        )
-
-    def user_score(self, handle: str) -> float:
-        """Return a user's current rolling mean score."""
-        history = self._history.get(handle.lower())
-        return history.mean_max_score() if history else 0.0
 
     # -- filtering -------------------------------------------------------- #
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:
@@ -314,14 +258,6 @@ class RepeatOffenderPolicy(MRFPolicy):
         handle = handle.lower().lstrip("@")
         self._strikes[handle] = self._strikes.get(handle, 0) + count
         return self._strikes[handle]
-
-    def pardon(self, handle: str) -> None:
-        """Reset a user's strike count."""
-        self._strikes.pop(handle.lower().lstrip("@"), None)
-
-    def offenders(self) -> dict[str, int]:
-        """Return every user with at least one strike."""
-        return dict(sorted(self._strikes.items()))
 
     # -- filtering ---------------------------------------------------------- #
     def filter(self, activity: Activity, ctx: MRFContext) -> MRFDecision:

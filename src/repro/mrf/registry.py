@@ -18,7 +18,7 @@ from repro.mrf.bots import (
     FollowBotPolicy,
     ForceBotUnlistedPolicy,
 )
-from repro.mrf.custom import OBSERVED_CUSTOM_POLICY_NAMES, CustomPolicy
+from repro.mrf.custom import CustomPolicy
 from repro.mrf.keywords import (
     KeywordPolicy,
     NoEmptyPolicy,
@@ -29,12 +29,7 @@ from repro.mrf.keywords import (
 from repro.mrf.media import HashtagPolicy, MediaProxyWarmingPolicy, StealEmojiPolicy
 from repro.mrf.noop import DropPolicy, NoOpPolicy
 from repro.mrf.object_age import ObjectAgePolicy
-from repro.mrf.proposed import (
-    PROPOSED_POLICY_NAMES,
-    AutoTagPolicy,
-    CuratedBlocklistPolicy,
-    RepeatOffenderPolicy,
-)
+from repro.mrf.proposed import AutoTagPolicy, CuratedBlocklistPolicy, RepeatOffenderPolicy
 from repro.mrf.simple import SimplePolicy
 from repro.mrf.subchain import SubchainPolicy
 from repro.mrf.tag import TagPolicy
@@ -116,44 +111,17 @@ _FACTORIES: dict[str, Callable[..., MRFPolicy]] = {
     "NoPlaceholderTextPolicy": NoPlaceholderTextPolicy,
     "UserAllowListPolicy": UserAllowListPolicy,
     "BlockPolicy": BlockPolicy,
-    # The Section 7 proposed policies: constructible by name, but reported
-    # as neither in-built nor observed-in-the-wild (see proposed_policy_names).
+    # The Section 7 proposed policies: constructible by name, but neither
+    # in-built nor observed in the wild.
     "CuratedBlocklistPolicy": CuratedBlocklistPolicy,
     "AutoTagPolicy": AutoTagPolicy,
     "RepeatOffenderPolicy": RepeatOffenderPolicy,
 }
 
 
-def builtin_policy_names() -> tuple[str, ...]:
-    """Return the names of every in-built policy, in a stable order."""
-    return tuple(BUILTIN_POLICY_DESCRIPTIONS)
-
-
-def observed_custom_policy_names() -> tuple[str, ...]:
-    """Return the names of admin-created policies observed in the wild."""
-    return OBSERVED_CUSTOM_POLICY_NAMES
-
-
-def proposed_policy_names() -> tuple[str, ...]:
-    """Return the names of the Section 7 proposed policies."""
-    return PROPOSED_POLICY_NAMES
-
-
-def all_known_policy_names() -> tuple[str, ...]:
-    """Return every policy name the study encounters (in-built + custom)."""
-    return builtin_policy_names() + observed_custom_policy_names()
-
-
 def is_builtin(name: str) -> bool:
     """Return ``True`` when ``name`` is one of the Pleroma in-built policies."""
     return name in BUILTIN_POLICY_DESCRIPTIONS
-
-
-def describe_policy(name: str) -> str:
-    """Return the one-line description of a policy name."""
-    if name in BUILTIN_POLICY_DESCRIPTIONS:
-        return BUILTIN_POLICY_DESCRIPTIONS[name]
-    return "admin-created policy (behaviour unknown to the crawler)"
 
 
 def create_policy(name: str, **kwargs: Any) -> MRFPolicy:

@@ -10,12 +10,12 @@ reports for Figures 2 and 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.activitypub.activities import Activity
-from repro.fediverse.identifiers import domain_matches, normalise_domain
+from repro.fediverse.identifiers import normalise_domain
 from repro.fediverse.post import Visibility
 from repro.mrf.base import MRFContext, MRFDecision, MRFPolicy
 
@@ -49,27 +49,6 @@ class SimplePolicyAction(str, Enum):
         if cleaned in aliases:
             return aliases[cleaned]
         return cls(cleaned)
-
-
-#: Actions that rewrite (rather than reject) the carried post.
-REWRITE_ACTIONS = frozenset(
-    {
-        SimplePolicyAction.FEDERATED_TIMELINE_REMOVAL,
-        SimplePolicyAction.MEDIA_REMOVAL,
-        SimplePolicyAction.MEDIA_NSFW,
-        SimplePolicyAction.BANNER_REMOVAL,
-        SimplePolicyAction.AVATAR_REMOVAL,
-        SimplePolicyAction.FOLLOWERS_ONLY,
-    }
-)
-
-@dataclass(frozen=True)
-class SimplePolicyMatch:
-    """A record of one action matching one activity (used for introspection)."""
-
-    action: SimplePolicyAction
-    target_domain: str
-    pattern: str
 
 
 class SimplePolicy(MRFPolicy):
@@ -132,18 +111,6 @@ class SimplePolicy(MRFPolicy):
         self._matchers = None
         self._bump_config_version()
 
-    def remove_target(self, action: SimplePolicyAction | str, domain: str) -> bool:
-        """Remove a domain pattern from an action; return ``True`` if present."""
-        if isinstance(action, str):
-            action = SimplePolicyAction.from_string(action)
-        pattern = domain.strip().lower()
-        if pattern in self._targets[action]:
-            self._targets[action].discard(pattern)
-            self._matchers = None
-            self._bump_config_version()
-            return True
-        return False
-
     def targets(self, action: SimplePolicyAction | str) -> set[str]:
         """Return the domain patterns targeted by ``action``."""
         if isinstance(action, str):
@@ -202,14 +169,6 @@ class SimplePolicy(MRFPolicy):
         return any(
             domain == suffix or domain.endswith("." + suffix) for suffix in suffixes
         )
-
-    def matching_actions(self, domain: str) -> list[SimplePolicyAction]:
-        """Return every action whose target list matches ``domain``."""
-        return [
-            action
-            for action in SimplePolicyAction
-            if self.matches(action, domain)
-        ]
 
     # ------------------------------------------------------------------ #
     # Filtering
@@ -326,21 +285,3 @@ class SimplePolicy(MRFPolicy):
     # ------------------------------------------------------------------ #
     # Introspection used by the analysis layer
     # ------------------------------------------------------------------ #
-    def describe_matches(self, domain: str) -> list[SimplePolicyMatch]:
-        """Return the (action, pattern) pairs that match ``domain``."""
-        matches = []
-        for action, patterns in self._targets.items():
-            for pattern in patterns:
-                if domain_matches(domain, pattern):
-                    matches.append(
-                        SimplePolicyMatch(
-                            action=action,
-                            target_domain=normalise_domain(domain),
-                            pattern=pattern,
-                        )
-                    )
-        return matches
-
-    def describe(self) -> dict[str, Any]:
-        """Return a serialisable description of the policy."""
-        return {"name": self.name, "config": self.config()}

@@ -33,11 +33,6 @@ class SubchainPolicy(MRFPolicy):
         self.match_patterns = [re.compile(p, re.IGNORECASE) for p in match_actor]
         self.chain = list(chain)
 
-    def add_to_chain(self, policy: MRFPolicy) -> None:
-        """Append ``policy`` to the nested chain."""
-        self.chain.append(policy)
-        self._bump_config_version()
-
     def config(self) -> dict[str, Any]:
         """Return the matching patterns and the nested chain."""
         return {

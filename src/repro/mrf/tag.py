@@ -59,17 +59,6 @@ class TagPolicy(MRFPolicy):
         self._tags.setdefault(handle.lower().lstrip("@"), set()).add(tag)
         self._bump_config_version()
 
-    def untag_user(self, handle: str, tag: str) -> bool:
-        """Remove ``tag`` from ``handle``; return ``True`` when it was set."""
-        handle = handle.lower().lstrip("@")
-        if handle in self._tags and tag in self._tags[handle]:
-            self._tags[handle].discard(tag)
-            if not self._tags[handle]:
-                del self._tags[handle]
-            self._bump_config_version()
-            return True
-        return False
-
     def tags_for(self, handle: str) -> set[str]:
         """Return the tags applied to ``handle``."""
         return set(self._tags.get(handle.lower().lstrip("@"), set()))

@@ -46,10 +46,6 @@ class AttributeScores:
             attribute = attribute.value
         return float(getattr(self, attribute))
 
-    def as_dict(self) -> dict[str, float]:
-        """Return the scores as a plain dictionary."""
-        return {attribute.value: self.get(attribute) for attribute in ATTRIBUTES}
-
     @property
     def max_score(self) -> float:
         """Return the highest score across all attributes."""

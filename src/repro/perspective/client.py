@@ -109,12 +109,3 @@ class PerspectiveClient:
             for duplicate in indices[1:]:
                 results[duplicate] = AnalysisResult(text=text, scores=scores, cached=True)
         return results
-
-    def clear_cache(self) -> None:
-        """Drop all cached scores."""
-        self._cache.clear()
-
-    @property
-    def cache_size(self) -> int:
-        """Return the number of cached texts."""
-        return len(self._cache)

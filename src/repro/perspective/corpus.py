@@ -10,10 +10,9 @@ compiled-matcher scan.  Every later score is pure arithmetic on the cached
 columns; no text is ever re-scanned.
 
 The columns are stamped with the owning lexicon's
-:attr:`~repro.perspective.lexicon.Lexicon.version`: ``add_term`` /
-``remove_term`` bump it, and the next column access transparently rebuilds
-every column from the interned texts, so stale hit vectors can never leak
-into an analysis.
+:attr:`~repro.perspective.lexicon.Lexicon.version`, and a column access
+that finds a different version rebuilds every column from the interned
+texts.
 
 Derived scores are bitwise identical to
 :meth:`~repro.perspective.scorer.LexiconScorer.score` — the hit vectors
@@ -60,9 +59,6 @@ class CorpusColumns:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._row_of)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._row_of
 
     @property
     def current(self) -> bool:

@@ -112,32 +112,13 @@ class Lexicon:
 
     @property
     def version(self) -> int:
-        """Monotonic configuration version, bumped by every term mutation.
+        """Configuration version of the term tables.
 
         Derived structures built from a lexicon snapshot (the compiled
         matcher, corpus score columns) stamp themselves with this value so
         staleness is one integer comparison.
         """
         return self._version
-
-    def _invalidate(self) -> None:
-        self._merged = None
-        self._matcher = None
-        self._version += 1
-
-    def add_term(self, attribute: Attribute, term: str, weight: float = 1.0) -> None:
-        """Add (or overwrite) a weighted term for ``attribute``."""
-        if weight <= 0:
-            raise ValueError("term weight must be positive")
-        self.terms[attribute][term.lower()] = float(weight)
-        self._invalidate()
-
-    def remove_term(self, attribute: Attribute, term: str) -> bool:
-        """Remove a term; return ``True`` when it was present."""
-        removed = self.terms[attribute].pop(term.lower(), None) is not None
-        if removed:
-            self._invalidate()
-        return removed
 
     def weight(self, attribute: Attribute, token: str) -> float:
         """Return the weight of ``token`` for ``attribute`` (0 when absent)."""
@@ -147,25 +128,14 @@ class Lexicon:
         """Return a copy of the term weights for ``attribute``."""
         return dict(self.terms[attribute])
 
-    def vocabulary(self, attribute: Attribute) -> tuple[str, ...]:
-        """Return the terms for ``attribute`` sorted by descending weight."""
-        return tuple(
-            sorted(self.terms[attribute], key=lambda t: (-self.terms[attribute][t], t))
-        )
-
-    def weighted_hits(self, attribute: Attribute, tokens: list[str]) -> float:
-        """Return the summed weight of lexicon terms appearing in ``tokens``."""
-        table = self.terms[attribute]
-        return sum(table.get(token, 0.0) for token in tokens)
-
     def merged_table(self) -> dict[str, tuple[float, ...]]:
         """Return the token -> per-attribute weight-vector lookup table.
 
         The table is the union of every attribute lexicon; vectors are
         aligned with :data:`~repro.perspective.attributes.ATTRIBUTES`.  It is
-        built lazily and invalidated by :meth:`add_term`/:meth:`remove_term`,
-        so the scorer can resolve all attributes with one dict lookup per
-        token instead of one lookup per (token, attribute) pair.
+        built lazily and cached, so the scorer can resolve all attributes
+        with one dict lookup per token instead of one lookup per (token,
+        attribute) pair.
         """
         if self._merged is None:
             merged: dict[str, list[float]] = {}
@@ -182,9 +152,7 @@ class Lexicon:
     def compiled(self) -> CompiledLexiconMatcher:
         """Return the compiled matching engine for the current lexicon.
 
-        Built lazily from :meth:`merged_table` and dropped by
-        :meth:`add_term`/:meth:`remove_term`, exactly like the merged table
-        itself — so the matcher can never observe a stale term set.
+        Built lazily from :meth:`merged_table` and cached like it.
         """
         if self._matcher is None:
             self._matcher = CompiledLexiconMatcher(

@@ -91,9 +91,8 @@ class CompiledLexiconMatcher:
     """One lexicon configuration compiled into C-level scans.
 
     Instances are immutable snapshots of a merged lexicon table; the
-    owning :class:`~repro.perspective.lexicon.Lexicon` rebuilds them on
-    demand and drops them whenever ``add_term``/``remove_term`` mutates
-    the configuration (mirroring ``merged_table`` invalidation).
+    owning :class:`~repro.perspective.lexicon.Lexicon` builds one on demand
+    and caches it, like ``merged_table``.
     """
 
     __slots__ = ("weights", "pattern", "width", "_by_key", "_term_keys")

@@ -16,7 +16,7 @@ which has two properties the reproduction relies on:
 
 from __future__ import annotations
 
-from repro.perspective.attributes import ATTRIBUTES, Attribute, AttributeScores
+from repro.perspective.attributes import ATTRIBUTES, AttributeScores
 from repro.perspective.lexicon import Lexicon, default_lexicon
 
 #: Attribute field names in vector order (for the hot construction path).
@@ -64,28 +64,6 @@ class LexiconScorer:
         self.lexicon = lexicon or default_lexicon()
         self.gain = gain
         self.ceiling = ceiling
-
-    def score_attribute(self, text: str, attribute: Attribute) -> float:
-        """Score ``text`` on a single attribute.
-
-        Routed through the compiled merged-lexicon engine like
-        :meth:`score`: one boundary-anchored alternation scan finds the
-        hits, a counting-only pass supplies the denominator, and the
-        requested attribute's component is read from the merged weight
-        vectors.  Skipping the other attributes' components (and every
-        zero-weight token) is the float identity, so the result is bitwise
-        identical to the seed's per-attribute token walk.
-        """
-        matcher = self.lexicon.compiled()
-        lowered = text.lower()
-        hits = matcher.hits(lowered)
-        if hits is None:
-            # Either no tokens at all (the seed's 0.0) or only tokens the
-            # lexicon ignores (density 0.0 -> score 0.0 either way).
-            return 0.0
-        position = ATTRIBUTES.index(attribute)
-        count = matcher.count_tokens(lowered)
-        return score_for_density(hits[position] / count, self.gain, self.ceiling)
 
     def score(self, text: str) -> AttributeScores:
         """Score ``text`` on every attribute via the compiled engine.

@@ -10,8 +10,8 @@ and ``conversation.py``:
   the planted set of posts that re-fan across origins in the ``viral``
   scenario.
 * :mod:`repro.protocol.conversation` — reply-thread (conversation)
-  helpers: conversation ids and the accumulated mention blocks that make
-  deep threads cross the Hellthread mention floors at realistic depth.
+  helpers: the conversation field and the accumulated mention blocks that
+  make deep threads cross the Hellthread mention floors at realistic depth.
 
 Everything here is inert by default: the generator only emits the new
 activity types when a scenario turns the corresponding knobs on, so
@@ -20,10 +20,9 @@ Create-only configurations stay bit-identical to the pre-protocol engine
 """
 
 from repro.protocol.announce import select_hot_posts
-from repro.protocol.conversation import conversation_id, mention_block
+from repro.protocol.conversation import mention_block
 
 __all__ = [
-    "conversation_id",
     "mention_block",
     "select_hot_posts",
 ]

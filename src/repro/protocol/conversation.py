@@ -13,15 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.fediverse.post import Post
-
 #: ``Post.extra`` key carrying the thread's conversation id (root URI).
 CONVERSATION_FIELD = "conversation"
-
-
-def conversation_id(root: Post) -> str:
-    """Return the conversation id of a thread rooted at ``root``."""
-    return root.uri
 
 
 def mention_block(participants: Iterable[str]) -> str:

@@ -462,20 +462,3 @@ class SynthConfig:
     def campaign_seconds(self) -> float:
         """Return the campaign duration in seconds."""
         return self.campaign_days * 24 * 3600.0
-
-    @property
-    def snapshot_interval_seconds(self) -> float:
-        """Return the snapshot interval in seconds."""
-        return self.snapshot_interval_hours * 3600.0
-
-    def scaled(self, factor: float) -> "SynthConfig":
-        """Return a deep copy with the instance population scaled by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        import copy as _copy
-
-        clone = _copy.deepcopy(self)
-        clone.n_pleroma_instances = max(
-            10, int(round(self.n_pleroma_instances * factor))
-        )
-        return clone

@@ -80,17 +80,6 @@ class GroundTruth:
         """Return ``True`` when ``domain`` was planted as controversial."""
         return domain in self.controversial_domains
 
-    def is_harmful_user(self, handle: str) -> bool:
-        """Return ``True`` when ``handle`` was planted as harmful."""
-        return handle in self.harmful_users
-
-    def harmful_user_count(self, domain: str | None = None) -> int:
-        """Return the number of planted harmful users (optionally per domain)."""
-        if domain is None:
-            return len(self.harmful_users)
-        suffix = f"@{domain}"
-        return sum(1 for handle in self.harmful_users if handle.endswith(suffix))
-
     def summary(self) -> dict[str, int]:
         """Return headline counts of the planted ground truth."""
         return {

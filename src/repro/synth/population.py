@@ -45,15 +45,6 @@ def geometric_count(rng: random.Random, mean: float, minimum: int = 1) -> int:
     return max(minimum, value)
 
 
-def bounded_zipf_weights(count: int, exponent: float = 1.1) -> list[float]:
-    """Return Zipf-like weights ``1/rank**exponent`` for ``count`` items."""
-    if count <= 0:
-        return []
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    return [1.0 / ((rank + 1) ** exponent) for rank in range(count)]
-
-
 def weighted_sample_without_replacement(
     rng: random.Random,
     items: list[str],
@@ -76,12 +67,3 @@ def weighted_sample_without_replacement(
         keyed.append((rng.expovariate(1.0) / weight, item))
     keyed.sort(key=lambda pair: pair[0])
     return [item for _, item in keyed[: min(k, len(keyed))]]
-
-
-def split_count(total: int, share: float) -> tuple[int, int]:
-    """Split ``total`` into ``(matching, remaining)`` by ``share`` (rounded)."""
-    if not 0 <= share <= 1:
-        raise ValueError("share must be within [0, 1]")
-    matching = int(round(total * share))
-    matching = min(total, matching)
-    return matching, total - matching

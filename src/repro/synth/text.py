@@ -130,15 +130,3 @@ class TextGenerator:
     # ------------------------------------------------------------------ #
     # Special-purpose text
     # ------------------------------------------------------------------ #
-    def spam_post(self, length: int = 12) -> str:
-        """Return a link-spam post (exercises AntiLinkSpamPolicy)."""
-        words = self.benign_words(length)
-        words.append(f"https://spam-{self._rng.randrange(10_000)}.example/offer")
-        return " ".join(words)
-
-    def hellthread_post(self, mention_count: int = 15, length: int = 10) -> str:
-        """Return a post mentioning ``mention_count`` users (a hellthread)."""
-        words = self.benign_words(length)
-        for index in range(mention_count):
-            words.append(f"@victim{index}@mentions.example")
-        return " ".join(words)

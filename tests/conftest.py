@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.activitypub.actors import Actor
-from repro.activitypub.activities import create_activity
+from repro.activitypub.activities import Activity, ActivityType, create_activity
 from repro.experiments.pipeline import ReproPipeline
 from repro.fediverse.instance import Instance
 from repro.fediverse.post import Post, Visibility
@@ -57,6 +57,29 @@ def sample_post() -> Post:
 def sample_activity(sample_post: Post):
     """The sample post wrapped in a Create activity."""
     return create_activity(sample_post)
+
+
+@pytest.fixture
+def make_activity():
+    """Build a bare ``kind`` activity from ``actor`` carrying ``obj``.
+
+    The generator only emits Create, Announce and Like; the other kinds the
+    MRF policies and delivery handle are built here.
+    """
+
+    def build(
+        kind: ActivityType, actor: Actor, obj, published: float = 0.0
+    ) -> Activity:
+        return Activity(
+            activity_id=f"https://{actor.domain}/activities/{kind.value.lower()}",
+            activity_type=kind,
+            actor=actor,
+            origin_domain=actor.domain,
+            published=published,
+            obj=obj,
+        )
+
+    return build
 
 
 @pytest.fixture

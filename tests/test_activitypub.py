@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.activitypub.activities import (
-    ActivityType,
-    create_activity,
-    delete_activity,
-    flag_activity,
-    follow_activity,
-)
+from repro.activitypub.activities import ActivityType, create_activity
 from repro.activitypub.actors import Actor
 from repro.activitypub.delivery import FederationDelivery
 from repro.fediverse.errors import FederationError
@@ -34,10 +28,6 @@ class TestActor:
         assert actor.username == "carol"
         assert actor.domain == "gamma.example"
 
-    def test_inbox_outbox(self, actor):
-        assert actor.inbox.endswith("/users/bob/inbox")
-        assert actor.outbox.endswith("/users/bob/outbox")
-
 
 class TestActivities:
     def test_create_activity_wraps_post(self, sample_post):
@@ -48,22 +38,21 @@ class TestActivities:
         assert activity.origin_domain == "beta.example"
         assert activity.to  # public addressing
 
-    def test_delete_activity(self, actor):
-        activity = delete_activity("https://beta.example/objects/1", actor, published=5.0)
-        assert activity.is_delete
-        assert activity.obj == "https://beta.example/objects/1"
+    def test_delete_activity(self, actor, make_activity):
+        activity = make_activity(ActivityType.DELETE, actor, "https://beta.example/objects/1")
+        assert activity.is_delete and not activity.is_create
+        assert activity.post is None
 
-    def test_follow_activity(self, actor):
-        activity = follow_activity(actor, "alice@alpha.example", published=5.0)
-        assert activity.is_follow
-        assert activity.obj == "alice@alpha.example"
+    def test_follow_activity(self, actor, make_activity):
+        activity = make_activity(ActivityType.FOLLOW, actor, "alice@alpha.example")
+        assert activity.is_follow and not activity.is_delete
+        assert activity.origin_domain == "beta.example"
 
-    def test_flag_activity(self, actor):
-        activity = flag_activity(
-            actor, "alice@alpha.example", ("uri1",), "spam", published=5.0
-        )
-        assert activity.is_flag
-        assert activity.obj["target"] == "alice@alpha.example"
+    def test_flag_activity(self, actor, make_activity):
+        report = {"target": "alice@alpha.example", "posts": ["uri1"], "comment": "spam"}
+        activity = make_activity(ActivityType.FLAG, actor, report)
+        assert activity.is_flag and not activity.is_follow
+        assert activity.post is None
 
     def test_with_post_keeps_extra(self, sample_activity, sample_post):
         sample_activity.extra["k"] = "v"
@@ -103,7 +92,7 @@ class TestFederationDelivery:
     def test_delivery_to_origin_raises(self, registry, two_instances, sample_activity):
         delivery = FederationDelivery(registry)
         with pytest.raises(FederationError):
-            delivery.deliver(sample_activity, "beta.example")
+            delivery.deliver_batch_counted([sample_activity], "beta.example")
 
     def test_broadcast_skips_origin(self, registry, two_instances):
         _, beta = two_instances
@@ -113,23 +102,23 @@ class TestFederationDelivery:
         assert len(reports) == 1
         assert reports[0].target_domain == "alpha.example"
 
-    def test_delete_removes_remote_copy(self, registry, two_instances):
+    def test_delete_removes_remote_copy(self, registry, two_instances, make_activity):
         alpha, beta = two_instances
         post = beta.publish("bob", "short lived")
         delivery = FederationDelivery(registry)
         delivery.federate_post(post, ["alpha.example"])
         actor = Actor.from_user(beta.get_user("bob"))
-        delete = delete_activity(post.uri, actor, published=10.0)
-        report = delivery.deliver(delete, "alpha.example")
+        delete = make_activity(ActivityType.DELETE, actor, post.uri, published=10.0)
+        report = delivery.broadcast(delete, ["alpha.example"])[0]
         assert report.accepted
         assert post.post_id not in alpha.remote_posts
 
-    def test_follow_applied_to_target_user(self, registry, two_instances):
+    def test_follow_applied_to_target_user(self, registry, two_instances, make_activity):
         alpha, beta = two_instances
         actor = Actor.from_user(beta.get_user("bob"))
-        follow = follow_activity(actor, "alice@alpha.example", published=1.0)
+        follow = make_activity(ActivityType.FOLLOW, actor, "alice@alpha.example", published=1.0)
         delivery = FederationDelivery(registry)
-        report = delivery.deliver(follow, "alpha.example")
+        report = delivery.broadcast(follow, ["alpha.example"])[0]
         assert report.accepted
         assert "bob@beta.example" in alpha.get_user("alice").followers
 

@@ -172,7 +172,7 @@ class TestRouter:
 class TestServerEndpoints:
     def test_instance_metadata(self, served_registry):
         _, _, client = served_registry
-        payload = client.instance_metadata("alpha.example")
+        payload = client.get_json("alpha.example", INSTANCE_PATH)
         assert payload["uri"] == "alpha.example"
         assert payload["stats"]["user_count"] == 1
         federation = payload["pleroma"]["metadata"]["federation"]
@@ -181,7 +181,7 @@ class TestServerEndpoints:
 
     def test_mastodon_instance_has_no_pleroma_block(self, served_registry):
         _, _, client = served_registry
-        assert "pleroma" not in client.instance_metadata("masto.example")
+        assert "pleroma" not in client.get_json("masto.example", INSTANCE_PATH)
 
     def test_peers_endpoint(self, served_registry):
         _, _, client = served_registry
@@ -212,14 +212,14 @@ class TestServerEndpoints:
     def test_unknown_instance_404(self, served_registry):
         _, _, client = served_registry
         with pytest.raises(APIError) as excinfo:
-            client.instance_metadata("ghost.example")
+            client.get_json("ghost.example", INSTANCE_PATH)
         assert excinfo.value.status is HTTPStatus.NOT_FOUND
 
     def test_unavailable_instance_returns_configured_status(self, served_registry):
         registry, _, client = served_registry
-        registry.set_availability("alpha.example", 502, "down")
+        registry.get("alpha.example").availability = InstanceAvailability(502, "down")
         with pytest.raises(APIError) as excinfo:
-            client.instance_metadata("alpha.example")
+            client.get_json("alpha.example", INSTANCE_PATH)
         assert excinfo.value.status is HTTPStatus.BAD_GATEWAY
 
     def test_nodeinfo(self, served_registry):
@@ -239,10 +239,10 @@ class TestServerEndpoints:
 
     def test_client_stats_track_failures(self, served_registry):
         registry, _, client = served_registry
-        registry.set_availability("alpha.example", 503)
+        registry.get("alpha.example").availability = InstanceAvailability(503)
         with pytest.raises(APIError):
-            client.instance_metadata("alpha.example")
-        client.instance_metadata("masto.example")
+            client.get_json("alpha.example", INSTANCE_PATH)
+        client.get_json("masto.example", INSTANCE_PATH)
         assert client.stats.requests == 2
         assert client.stats.failed == 1
         assert client.stats.by_status[503] == 1
@@ -278,7 +278,7 @@ class TestBatchedAccounting:
             "masto.example", software=SoftwareKind.MASTODON, install_default_policies=False
         )
         registry.create_instance("down.example", install_default_policies=False)
-        registry.set_availability("down.example", 502, "bad gateway")
+        registry.get("down.example").availability = InstanceAvailability(502, "bad gateway")
         return APIClient(FediverseAPIServer(registry))
 
     def test_metadata_many_counts_like_sequential_metadata(self):
@@ -399,7 +399,7 @@ class TestFrozenCaches:
         registry = FediverseRegistry()
         for domain in ("down1.example", "down2.example"):
             registry.create_instance(domain, install_default_policies=False)
-            registry.set_availability(domain, 502, "bad gateway")
+            registry.get(domain).availability = InstanceAvailability(502, "bad gateway")
         server = FediverseAPIServer(registry)
 
         first, second = server.metadata_round(["down1.example", "down2.example"])

@@ -40,11 +40,6 @@ class TestSimulationClock:
         with pytest.raises(ValueError):
             clock.advance_to(50.0)
 
-    def test_elapsed_days(self):
-        clock = SimulationClock()
-        clock.advance(2 * SECONDS_PER_DAY)
-        assert clock.elapsed_days() == pytest.approx(2.0)
-
     def test_constants(self):
         assert SECONDS_PER_DAY == 24 * SECONDS_PER_HOUR
 
@@ -52,10 +47,6 @@ class TestSimulationClock:
 class TestSoftwareKind:
     def test_pleroma_flags(self):
         assert SoftwareKind.PLEROMA.is_pleroma
-        assert SoftwareKind.PLEROMA.exposes_mrf
-
-    def test_mastodon_does_not_expose_mrf(self):
-        assert not SoftwareKind.MASTODON.exposes_mrf
 
     def test_from_string_known(self):
         assert SoftwareKind.from_string("Mastodon") is SoftwareKind.MASTODON

@@ -6,15 +6,7 @@ import json
 
 import pytest
 
-from repro.datasets.export import (
-    dataset_from_dict,
-    dataset_from_json,
-    dataset_to_dict,
-    dataset_to_json,
-    load_dataset,
-    save_dataset,
-    write_csv_tables,
-)
+from repro.datasets.export import dataset_to_dict, save_dataset, write_csv_tables
 from repro.datasets.schema import (
     InstanceRecord,
     PolicySettingRecord,
@@ -84,23 +76,6 @@ class TestSchema:
         assert record.domain == "alpha.example"
         assert record.is_pleroma
 
-    def test_instance_record_roundtrip(self):
-        record = InstanceRecord(
-            domain="a.example", software="pleroma", enabled_policies=("NoOpPolicy",)
-        )
-        assert InstanceRecord.from_dict(record.to_dict()) == record
-
-    def test_policy_setting_simple_targets(self):
-        record = PolicySettingRecord(
-            domain="a.example", policy="SimplePolicy", config={"reject": ["b.example"]}
-        )
-        assert record.simple_targets("reject") == ("b.example",)
-        assert record.simple_targets("media_removal") == ()
-
-    def test_reject_edge_roundtrip(self):
-        edge = RejectEdge("a.example", "b.example", "reject")
-        assert RejectEdge.from_dict(edge.to_dict()) == edge
-
     def test_post_record_is_local(self):
         local = PostRecord(
             post_id="1", author="a@a.example", domain="a.example",
@@ -111,10 +86,6 @@ class TestSchema:
             content="x", created_at=0.0, collected_from="b.example",
         )
         assert local.is_local and not remote_copy.is_local
-
-    def test_user_record_roundtrip(self):
-        record = UserRecord(handle="a@a.example", domain="a.example", post_count=3)
-        assert UserRecord.from_dict(record.to_dict()) == record
 
 
 class TestStore:
@@ -129,7 +100,6 @@ class TestStore:
     def test_policy_lookups(self, dataset):
         assert dataset.instances_with_policy("SimplePolicy") == ["alpha.example"]
         assert "ObjectAgePolicy" in dataset.policy_names()
-        assert len(dataset.simple_policy_settings()) == 1
 
     def test_edge_lookups(self, dataset):
         assert dataset.rejects_received("bad.example") == 1
@@ -168,30 +138,10 @@ class TestStore:
 
 
 class TestExport:
-    def test_json_roundtrip(self, dataset):
-        rebuilt = dataset_from_json(dataset_to_json(dataset))
-        assert rebuilt.stats() == dataset.stats()
-        assert rebuilt.rejected_domains() == dataset.rejected_domains()
-        assert {u.handle for u in rebuilt.users.values()} == {
-            u.handle for u in dataset.users.values()
-        }
-
-    def test_dict_roundtrip_preserves_policies(self, dataset):
-        rebuilt = dataset_from_dict(dataset_to_dict(dataset))
-        assert rebuilt.policy_settings_for("alpha.example")[0].config["reject"] == [
-            "bad.example"
-        ]
-
-    def test_unsupported_schema_version(self, dataset):
-        payload = dataset_to_dict(dataset)
-        payload["schema_version"] = 99
-        with pytest.raises(ValueError):
-            dataset_from_dict(payload)
-
     def test_save_and_load(self, dataset, tmp_path):
         path = save_dataset(dataset, tmp_path / "crawl.json", indent=2)
         assert path.exists()
-        assert load_dataset(path).stats() == dataset.stats()
+        assert json.loads(path.read_text(encoding="utf-8")) == dataset_to_dict(dataset)
 
     def test_csv_export(self, dataset, tmp_path):
         written = write_csv_tables(dataset, tmp_path)

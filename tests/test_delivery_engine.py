@@ -39,28 +39,17 @@ def _activities(instance, username, contents):
 
 
 class TestDeliverBatch:
-    def test_batch_matches_single_deliveries(self, registry, rejecting_pair):
-        alpha, beta, _ = rejecting_pair
-        activities = _activities(beta, "bob", ["one", "two", "three"])
-
-        batched = FederationDelivery(registry)
-        batch_reports = batched.deliver_batch(activities, "alpha.example")
-
-        single = FederationDelivery(registry)
-        single_reports = [single.deliver(a, "alpha.example") for a in activities]
-
-        assert [(r.accepted, r.policy, r.action) for r in batch_reports] == [
-            (r.accepted, r.policy, r.action) for r in single_reports
-        ]
-        assert batched.stats == single.stats
-
     def test_counted_path_matches_report_path(self, registry, rejecting_pair):
         alpha, beta, gamma = rejecting_pair
         activities = _activities(beta, "bob", ["a", "b"]) + _activities(
             gamma, "gail", ["c"]
         )
         with_reports = FederationDelivery(registry)
-        reports = with_reports.deliver_batch(activities, "alpha.example")
+        reports = [
+            report
+            for activity in activities
+            for report in with_reports.broadcast(activity, ["alpha.example"])
+        ]
 
         counted = FederationDelivery(registry)
         delivered, rejected = counted.deliver_batch_counted(activities, "alpha.example")
@@ -89,10 +78,8 @@ class TestStatsAccounting:
     def test_counters_for_mixed_outcomes(self, registry, rejecting_pair):
         alpha, beta, gamma = rejecting_pair
         delivery = FederationDelivery(registry)
-        for activity in _activities(beta, "bob", ["x", "y"]):
-            delivery.deliver(activity, "alpha.example")
-        for activity in _activities(gamma, "gail", ["z"]):
-            delivery.deliver(activity, "alpha.example")
+        for activity in _activities(beta, "bob", ["x", "y"]) + _activities(gamma, "gail", ["z"]):
+            delivery.broadcast(activity, ["alpha.example"])
 
         stats = delivery.stats
         assert stats.delivered == 3
@@ -104,9 +91,7 @@ class TestStatsAccounting:
     def test_report_rejected_property(self, registry, rejecting_pair):
         _, beta, _ = rejecting_pair
         delivery = FederationDelivery(registry)
-        report = delivery.deliver(
-            _activities(beta, "bob", ["nope"])[0], "alpha.example"
-        )
+        report = delivery.broadcast(_activities(beta, "bob", ["nope"])[0], ["alpha.example"])[0]
         assert report.rejected and not report.accepted
         assert report.policy == "SimplePolicy"
         assert report.action == "reject"
@@ -224,8 +209,8 @@ class TestEngineEquivalence:
             # path: timeline placement must match the real method exactly.
             return {
                 inst.domain: (
-                    list(inst.timelines.public),
-                    list(inst.timelines.whole_known_network),
+                    inst.timelines.public.latest(limit=0),
+                    inst.timelines.whole_known_network.latest(limit=0),
                 )
                 for inst in registry.instances()
             }

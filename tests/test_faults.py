@@ -34,8 +34,10 @@ from repro.faults import (
     FaultSpec,
     RetryPolicy,
 )
+from repro.crawler.crawler import INSTANCE_PATH
 from repro.faults.plan import ROLL_CHUNK, DomainFaultSchedule, compile_for_campaign
 from repro.fediverse.clock import SimulationClock
+from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
 from repro.synth.scenario import scenario_config
@@ -219,12 +221,12 @@ class TestInjectedFaults:
         plan = always_faulted_plan("alpha.example", FaultKind.TRANSIENT)
         client = APIClient(plan.wrap(server), retry=RetryPolicy(max_attempts=3))
         with pytest.raises(APIError) as excinfo:
-            client.instance_metadata("alpha.example")
+            client.get_json("alpha.example", INSTANCE_PATH)
         assert int(excinfo.value.status) == 500
         assert excinfo.value.fault_kind == "transient"
         assert excinfo.value.attempts == 3
         # The untouched sibling is unaffected.
-        assert client.instance_metadata("beta.example")["uri"] == "beta.example"
+        assert client.get_json("beta.example", INSTANCE_PATH)["uri"] == "beta.example"
 
     def test_rate_limit_honours_retry_after(self):
         registry = build_registry()
@@ -265,7 +267,7 @@ class TestInjectedFaults:
         plan = FaultPlan.compile(spec, registry.domains, 0.0, 1e9)
         client = APIClient(plan.wrap(server), retry=RetryPolicy(max_attempts=2))
         with pytest.raises(APIError) as excinfo:
-            client.instance_metadata("alpha.example")
+            client.get_json("alpha.example", INSTANCE_PATH)
         assert int(excinfo.value.status) == 502
         assert excinfo.value.fault_kind == "malformed"
         assert excinfo.value.attempts == 2
@@ -278,7 +280,7 @@ class TestInjectedFaults:
         plan = always_faulted_plan("alpha.example", FaultKind.FLAP)
         client = APIClient(plan.wrap(server), retry=RetryPolicy(max_attempts=5))
         with pytest.raises(APIError) as excinfo:
-            client.instance_metadata("alpha.example")
+            client.get_json("alpha.example", INSTANCE_PATH)
         # 503 with no Retry-After: indistinguishable from a dead instance,
         # so the client must not burn retries on it.
         assert int(excinfo.value.status) == 503
@@ -469,7 +471,7 @@ class TestRetryPolicy:
 
     def test_breaker_never_opens_without_faults(self):
         registry = build_registry(("alpha.example",))
-        registry.set_availability("alpha.example", 404, "not found")
+        registry.get("alpha.example").availability = InstanceAvailability(404, "not found")
         server = FediverseAPIServer(registry)
         client = APIClient(server, retry=RetryPolicy(breaker_threshold=1))
         for _ in range(5):
@@ -494,8 +496,8 @@ class TestFrozenErrorResponses:
 
     def test_shared_batch_error_cannot_corrupt_siblings(self):
         registry = build_registry()
-        registry.set_availability("alpha.example", 502, "bad gateway")
-        registry.set_availability("beta.example", 502, "bad gateway")
+        registry.get("alpha.example").availability = InstanceAvailability(502, "bad gateway")
+        registry.get("beta.example").availability = InstanceAvailability(502, "bad gateway")
         server = FediverseAPIServer(registry)
         first, second = server.metadata_round(["alpha.example", "beta.example"])
         assert first is second  # the cache shares one frozen object

@@ -6,8 +6,6 @@ import pytest
 
 from repro.fediverse.identifiers import (
     domain_matches,
-    handle_domain,
-    is_valid_domain,
     make_actor_uri,
     make_handle,
     make_post_uri,
@@ -36,17 +34,6 @@ class TestNormaliseDomain:
         assert normalise_domain(once) == once
 
 
-class TestValidity:
-    def test_valid_domain(self):
-        assert is_valid_domain("pleroma.example")
-
-    def test_invalid_domain(self):
-        assert not is_valid_domain("not a domain")
-
-    def test_single_label_is_invalid(self):
-        assert not is_valid_domain("localhost")
-
-
 class TestHandles:
     def test_make_handle(self):
         assert make_handle("alice", "Alpha.Example") == "alice@alpha.example"
@@ -64,9 +51,6 @@ class TestHandles:
     def test_parse_invalid_handle(self):
         with pytest.raises(ValueError):
             parse_handle("not-a-handle")
-
-    def test_handle_domain(self):
-        assert handle_domain("bob@beta.example") == "beta.example"
 
     def test_roundtrip(self):
         handle = make_handle("carol", "gamma.example")

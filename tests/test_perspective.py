@@ -11,7 +11,7 @@ from repro.perspective.attributes import (
     HARMFUL_THRESHOLD,
 )
 from repro.perspective.client import PerspectiveClient
-from repro.perspective.lexicon import Lexicon, default_lexicon, tokenize
+from repro.perspective.lexicon import default_lexicon, tokenize
 from repro.perspective.scorer import (
     CEILING,
     LexiconScorer,
@@ -55,9 +55,6 @@ class TestAttributeScores:
     def test_mean_of_empty_list(self):
         assert AttributeScores.mean([]).max_score == 0.0
 
-    def test_as_dict_has_all_attributes(self):
-        assert set(AttributeScores().as_dict()) == {a.value for a in ATTRIBUTES}
-
     def test_paper_threshold_constant(self):
         assert HARMFUL_THRESHOLD == 0.8
 
@@ -68,25 +65,9 @@ class TestLexicon:
         for attribute in ATTRIBUTES:
             assert lexicon.attribute_terms(attribute)
 
-    def test_add_and_remove_term(self):
-        lexicon = Lexicon()
-        lexicon.add_term(Attribute.TOXICITY, "Meanie", weight=1.2)
-        assert lexicon.weight(Attribute.TOXICITY, "meanie") == 1.2
-        assert lexicon.remove_term(Attribute.TOXICITY, "meanie")
-        assert not lexicon.remove_term(Attribute.TOXICITY, "meanie")
-
-    def test_invalid_weight(self):
-        with pytest.raises(ValueError):
-            Lexicon().add_term(Attribute.TOXICITY, "x", weight=0)
-
-    def test_weighted_hits(self):
-        lexicon = default_lexicon()
-        hits = lexicon.weighted_hits(Attribute.TOXICITY, tokenize("you idiot idiot"))
-        assert hits == pytest.approx(2.0)
-
     def test_default_lexicons_are_independent_copies(self):
         first = default_lexicon()
-        first.add_term(Attribute.TOXICITY, "zonk")
+        first.terms[Attribute.TOXICITY]["zonk"] = 1.0
         assert default_lexicon().weight(Attribute.TOXICITY, "zonk") == 0.0
 
     def test_tokenize(self):
@@ -142,16 +123,9 @@ class TestClient:
         assert not first.cached and second.cached
         assert client.stats.requests == 1
         assert client.stats.cache_hits == 1
-        assert client.cache_size == 1
 
     def test_analyze_many(self):
         client = PerspectiveClient()
         results = client.analyze_many(["a b c", "you idiot moron idiot scum"])
         assert len(results) == 2
         assert results[1].scores.toxicity > 0
-
-    def test_clear_cache(self):
-        client = PerspectiveClient()
-        client.analyze("text")
-        client.clear_cache()
-        assert client.cache_size == 0

@@ -78,7 +78,6 @@ class TestUser:
     def test_handle_and_actor_uri(self):
         user = User(username="alice", domain="Alpha.Example")
         assert user.handle == "alice@alpha.example"
-        assert user.actor_uri == "https://alpha.example/users/alice"
 
     def test_display_name_defaults_to_username(self):
         assert User(username="alice", domain="alpha.example").display_name == "alice"

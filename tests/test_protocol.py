@@ -26,7 +26,6 @@ from repro.fediverse.registry import FediverseRegistry
 from repro.protocol.announce import select_hot_posts
 from repro.protocol.conversation import (
     CONVERSATION_FIELD,
-    conversation_id,
     mention_block,
     reply_content,
 )
@@ -69,13 +68,6 @@ class TestAnnounceAndConversation:
         assert select_hot_posts(registry, random.Random(3), 0) == []
 
     def test_conversation_helpers(self):
-        registry = FediverseRegistry()
-        instance = registry.create_instance(
-            "thread.example", install_default_policies=False
-        )
-        instance.register_user("root")
-        root = instance.publish("root", "thread root")
-        assert conversation_id(root) == root.uri
         assert mention_block([]) == ""
         block = mention_block(["a@x.example", "b@y.example"])
         assert block == "@a@x.example @b@y.example"

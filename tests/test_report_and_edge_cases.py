@@ -53,6 +53,10 @@ class TestEmptyDatasetEdgeCases:
     def empty(self) -> Dataset:
         return Dataset()
 
+    @pytest.fixture
+    def labeller(self, empty: Dataset) -> HarmfulnessLabeller:
+        return HarmfulnessLabeller(empty)
+
     def test_policy_analyzer(self, empty):
         analyzer = PolicyAnalyzer(empty)
         assert analyzer.prevalence() == []
@@ -67,22 +71,22 @@ class TestEmptyDatasetEdgeCases:
         assert analyzer.action_event_shares() == {}
         assert analyzer.media_removal_user_share() == 0.0
 
-    def test_reject_analyzer(self, empty):
-        analyzer = RejectAnalyzer(empty)
+    def test_reject_analyzer(self, empty, labeller):
+        analyzer = RejectAnalyzer(empty, labeller)
         assert analyzer.rejected_instances() == []
         summary = analyzer.summary()
         assert summary.rejected_total == 0
         assert summary.spearman_posts_vs_rejects == 0.0
 
-    def test_collateral_analyzer(self, empty):
-        analyzer = CollateralAnalyzer(empty)
+    def test_collateral_analyzer(self, empty, labeller):
+        analyzer = CollateralAnalyzer(empty, labeller)
         summary = analyzer.summary()
         assert summary.labelled_users == 0
         assert summary.harmful_user_share == 0.0
         assert analyzer.threshold_sweep() == {t: 0.0 for t in (0.5, 0.6, 0.7, 0.8, 0.9)}
 
-    def test_annotator(self, empty):
-        summary = InstanceAnnotator(empty).annotate_rejected()
+    def test_annotator(self, empty, labeller):
+        summary = InstanceAnnotator(empty, labeller).annotate_rejected()
         assert summary.total_instances == 0
         assert summary.harmful_category_share == 0.0
 
@@ -91,8 +95,8 @@ class TestEmptyDatasetEdgeCases:
         assert impact.nodes == 0
         assert impact.pair_loss_share == 0.0
 
-    def test_solution_evaluator(self, empty):
-        comparison = SolutionEvaluator(empty).compare()
+    def test_solution_evaluator(self, empty, labeller):
+        comparison = SolutionEvaluator(empty, labeller).compare()
         assert all(outcome.users_blocked == 0 for outcome in comparison.outcomes)
 
     def test_labeller_threshold_validation(self, empty):
