@@ -9,11 +9,6 @@ materialises those ``(token_count, hit_vector)`` columns with one batched
 compiled-matcher scan.  Every later score is pure arithmetic on the cached
 columns; no text is ever re-scanned.
 
-The columns are stamped with the owning lexicon's
-:attr:`~repro.perspective.lexicon.Lexicon.version`, and a column access
-that finds a different version rebuilds every column from the interned
-texts.
-
 Derived scores are bitwise identical to
 :meth:`~repro.perspective.scorer.LexiconScorer.score` — the hit vectors
 come out of the same token-order accumulation, and the density→score
@@ -44,14 +39,12 @@ class CorpusColumns:
 
     def __init__(self, scorer: LexiconScorer, texts: Iterable[str] = ()) -> None:
         self.scorer = scorer
-        self.lexicon_version = scorer.lexicon.version
         self._row_of: dict[str, int] = {}
         self._token_counts: list[int] = []
         self._hit_vectors: list[tuple[float, ...] | None] = []
         #: Lazily derived score objects, one per row; re-labelling a user a
         #: second time is a list load, not even arithmetic.
         self._scores: list[AttributeScores | None] = []
-        self.rebuilds = 0
         self.extend(texts)
 
     # ------------------------------------------------------------------ #
@@ -60,11 +53,6 @@ class CorpusColumns:
     def __len__(self) -> int:
         return len(self._row_of)
 
-    @property
-    def current(self) -> bool:
-        """``True`` while the columns match the lexicon they were scanned with."""
-        return self.lexicon_version == self.scorer.lexicon.version
-
     def column(self, text: str) -> tuple[int, tuple[float, ...] | None] | None:
         """Return the ``(token_count, hit_vector)`` column of ``text``.
 
@@ -72,18 +60,16 @@ class CorpusColumns:
         ``(0, None)`` — its score is 0.0 on every attribute regardless of
         token count, so the count is never materialised for it.
         """
-        self._ensure_current()
         row = self._row_of.get(text)
         if row is None:
             return None
         return (self._token_counts[row], self._hit_vectors[row])
 
     # ------------------------------------------------------------------ #
-    # Building and invalidation
+    # Building
     # ------------------------------------------------------------------ #
     def extend(self, texts: Iterable[str]) -> int:
         """Intern and scan any not-yet-seen texts; return how many were new."""
-        self._ensure_current()
         row_of = self._row_of
         fresh = list(dict.fromkeys(text for text in texts if text not in row_of))
         if not fresh:
@@ -97,20 +83,6 @@ class CorpusColumns:
             self._scores.append(None)
         return len(fresh)
 
-    def refresh(self) -> None:
-        """Re-scan every interned text against the lexicon as it is now."""
-        order = list(self._row_of)
-        columns = self.scorer.lexicon.compiled().scan(order)
-        self._token_counts = [count for count, _ in columns]
-        self._hit_vectors = [hits for _, hits in columns]
-        self._scores = [None] * len(order)
-        self.lexicon_version = self.scorer.lexicon.version
-        self.rebuilds += 1
-
-    def _ensure_current(self) -> None:
-        if self.lexicon_version != self.scorer.lexicon.version:
-            self.refresh()
-
     # ------------------------------------------------------------------ #
     # Score derivation
     # ------------------------------------------------------------------ #
@@ -121,7 +93,6 @@ class CorpusColumns:
         batch after the corpus is materialised) derive from the cached
         columns without touching any text.
         """
-        self._ensure_current()
         row_of = self._row_of
         if any(text not in row_of for text in texts):
             self.extend(texts)

@@ -108,17 +108,6 @@ class Lexicon:
             self.terms.setdefault(attribute, {})
         self._merged: dict[str, tuple[float, ...]] | None = None
         self._matcher: CompiledLexiconMatcher | None = None
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Configuration version of the term tables.
-
-        Derived structures built from a lexicon snapshot (the compiled
-        matcher, corpus score columns) stamp themselves with this value so
-        staleness is one integer comparison.
-        """
-        return self._version
 
     def weight(self, attribute: Attribute, token: str) -> float:
         """Return the weight of ``token`` for ``attribute`` (0 when absent)."""
