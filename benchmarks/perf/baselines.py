@@ -9,6 +9,7 @@ every benchmark run into an equivalence check at scale.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Iterable
 
 from repro.activitypub.activities import Activity
@@ -39,6 +40,12 @@ from repro.mrf.simple import SimplePolicy
 from repro.perspective.attributes import ATTRIBUTES, Attribute, AttributeScores
 from repro.perspective.scorer import LexiconScorer, score_for_density
 from repro.perspective.lexicon import tokenize
+from repro.synth.text import _BENIGN_WORDS
+
+
+def seed_benign_words(rng: random.Random, count: int) -> list[str]:
+    """The seed's ``TextGenerator.benign_words``: one ``rng.choice`` per word."""
+    return [rng.choice(_BENIGN_WORDS) for _ in range(max(1, count))]
 
 
 def naive_add_reject_edges(edges: Iterable[RejectEdge]) -> list[RejectEdge]:

@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import platform
+import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -37,6 +38,7 @@ from repro.perspective.scorer import LexiconScorer
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator, PreparedFediverse
 from repro.synth.scenario import scenario_config
+from repro.synth.text import TextGenerator
 
 #: Thresholds of the Table 2 sweep (kept in sync with experiments.table2).
 SWEEP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -196,6 +198,45 @@ def bench_sweep(pipeline: ReproPipeline, repeats: int = 5) -> dict[str, float]:
         "labelled_users": len(analyzer._analysed_labels()),
         **metrics,
     }
+
+
+# -- Generation stage -------------------------------------------------- #
+#: Post bodies per ``generation`` race run, at every scenario.
+GENERATION_POSTS = 5000
+
+
+def _word_draws(seed: int) -> tuple[random.Random, TextGenerator]:
+    """A fresh generator stream and a text generator drawing from it."""
+    rng = random.Random(seed)
+    return rng, TextGenerator(rng)
+
+
+def bench_generation(run: _Run) -> dict[str, float]:
+    """Race the benign word draw against the seed's ``random.choice`` loop.
+
+    Post lengths are drawn as ``FediverseGenerator._create_posts`` draws
+    them; every run draws all their words from a fresh ``random.Random``.
+    The state is every word plus the stream's final state, so a draw that
+    takes one bit more or less raises.
+    """
+    config = run.config()
+    lengths_rng = random.Random(run.seed)
+    lengths = [
+        max(6, int(lengths_rng.gauss(config.mean_post_length, 6)))
+        for _ in range(GENERATION_POSTS)
+    ]
+    words = Race(
+        build=lambda: _word_draws(run.seed),
+        reference=lambda work: [
+            baselines.seed_benign_words(work[0], length) for length in lengths
+        ],
+        candidates={
+            "inlined": lambda work: [work[1].benign_words(length) for length in lengths]
+        },
+        state=lambda work, drawn: (drawn, work[0].getstate()),
+    )
+    metrics, _ = race("generation", words, run.repeats)
+    return {"posts": len(lengths), "words": sum(lengths), **metrics}
 
 
 # -- Federation stages ------------------------------------------------- #
@@ -420,6 +461,20 @@ def _assembled_state(_: Any, result: CrawlResult) -> dict[str, Any]:
     return crawl_state(assemble_result(result))
 
 
+def _fresh_campaign(
+    config: SynthConfig, window: CampaignConfig, **options: Any
+) -> MeasurementCampaign:
+    """A campaign over a newly generated world, built on a collected heap.
+
+    A crawled world is left as cyclic garbage, and the full collection it
+    owes would otherwise land on the stopwatch of whichever run comes next.
+    """
+    registry = FediverseGenerator(config).generate().registry
+    campaign = MeasurementCampaign(registry, window, **options)
+    gc.collect()
+    return campaign
+
+
 def _crawl_race(config: SynthConfig, window: CampaignConfig) -> Race:
     """The batched crawl engine against the seed loop on twin fediverses.
 
@@ -427,9 +482,7 @@ def _crawl_race(config: SynthConfig, window: CampaignConfig) -> Race:
     paths' transport is built outside the stopwatch.
     """
     return Race(
-        build=lambda: MeasurementCampaign(
-            FediverseGenerator(config).generate().registry, window
-        ),
+        build=lambda: _fresh_campaign(config, window),
         reference=lambda c: baselines.naive_crawl_phases(
             c.registry, window, directory=c.directory, client=c.client
         ),
@@ -514,14 +567,13 @@ def bench_chaos(run: _Run, fault_seed: int = 1337) -> dict[str, float]:
     window = _window(config, min(config.campaign_days, 7.0))  # tractable at scale
 
     def campaign(profile=None, resilient=True, registry=None) -> MeasurementCampaign:
+        options = {
+            "faults": FaultSpec.profile(profile, seed=fault_seed) if profile else None,
+            "retry": RetryPolicy() if resilient else None,
+        }
         if registry is None:
-            registry = FediverseGenerator(config).generate().registry
-        return MeasurementCampaign(
-            registry,
-            window,
-            faults=FaultSpec.profile(profile, seed=fault_seed) if profile else None,
-            retry=RetryPolicy() if resilient else None,
-        )
+            return _fresh_campaign(config, window, **options)
+        return MeasurementCampaign(registry, window, **options)
 
     def plain_and_zero_fault() -> tuple[MeasurementCampaign, MeasurementCampaign]:
         plain = campaign(resilient=False)
@@ -605,6 +657,7 @@ STAGES: dict[str, Callable[[_Run], dict[str, float]]] = {
         run.repeats,
     ),
     "threshold_sweep": lambda run: bench_sweep(run.pipeline, max(run.repeats, 5)),
+    "generation": bench_generation,
     "delivery": bench_delivery,
     "protocol": bench_protocol,
     "crawl": bench_crawl,

@@ -15,6 +15,7 @@ Run a single experiment on the medium scenario and save JSON output::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -92,20 +93,40 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = ReproPipeline(
         scenario=args.scenario, seed=args.seed, campaign_days=args.campaign_days
     )
-    if args.experiment == "all":
-        results = run_all(pipeline)
-    else:
-        results = [run_experiment(args.experiment, pipeline)]
+    # The generated world and the crawl result live until the run ends, so
+    # full collections would only walk them again and again: generate with
+    # the collector paused, then freeze what exists after generation and
+    # again after the crawl.  A crawled world holds reference cycles, and a
+    # frozen cycle is never collected until ``gc.unfreeze()``; that is why
+    # this policy sits here, where the run ends, and not in
+    # ``ReproPipeline``, whose worlds tests build by the dozen.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        pipeline.fediverse  # generates the world, cached on the pipeline
+        gc.freeze()
+        if collecting:
+            gc.enable()
+        pipeline.crawl  # crawls and assembles it, cached likewise
+        gc.freeze()
+        if args.experiment == "all":
+            results = run_all(pipeline)
+        else:
+            results = [run_experiment(args.experiment, pipeline)]
 
-    for result in results:
-        print(result.to_text(row_limit=args.row_limit))
-        print()
+        for result in results:
+            print(result.to_text(row_limit=args.row_limit))
+            print()
 
-    if args.json is not None:
-        payload = [result.to_dict() for result in results]
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-        print(f"wrote {args.json}")
+        if args.json is not None:
+            payload = [result.to_dict() for result in results]
+            args.json.parent.mkdir(parents=True, exist_ok=True)
+            args.json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+            print(f"wrote {args.json}")
+    finally:
+        gc.unfreeze()
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -8,15 +8,19 @@ the formats consistent across the code base.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 _HANDLE_RE = re.compile(r"^@?(?P<username>[A-Za-z0-9_.\-]+)@(?P<domain>[A-Za-z0-9_.\-]+)$")
 
 
+@cache
 def normalise_domain(domain: str) -> str:
     """Return a canonical lowercase form of ``domain``.
 
     Strips a scheme prefix, trailing slashes and surrounding whitespace so
     that ``https://Example.Social/`` and ``example.social`` compare equal.
+    Memoised: each distinct string is canonicalised once, and every caller
+    gets the same canonical string object back.
     """
     cleaned = domain.strip().lower()
     for prefix in ("https://", "http://"):

@@ -29,16 +29,14 @@ class User:
     following: set[str] = field(default_factory=set)
     post_ids: list[str] = field(default_factory=list)
     tags: set[str] = field(default_factory=set)
+    #: The fully qualified ``username@domain`` handle, built at construction.
+    handle: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.domain = normalise_domain(self.domain)
+        self.handle = make_handle(self.username, self.domain)
         if not self.display_name:
             self.display_name = self.username
-
-    @property
-    def handle(self) -> str:
-        """Return the fully qualified ``username@domain`` handle."""
-        return make_handle(self.username, self.domain)
 
     @property
     def follower_count(self) -> int:

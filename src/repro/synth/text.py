@@ -29,6 +29,9 @@ _BENIGN_WORDS = (
     "today", "tomorrow", "yesterday", "thanks", "great", "lovely", "happy",
     "excited", "curious", "reading", "writing", "playing", "building",
 )
+#: ``random.choice`` over :data:`_BENIGN_WORDS` draws ``getrandbits`` of
+#: this width and redraws while the result is out of range.
+_BENIGN_BITS = len(_BENIGN_WORDS).bit_length()
 
 _HASHTAG_POOL = (
     "introductions", "photography", "caturday", "fediverse", "floss",
@@ -58,8 +61,22 @@ class TextGenerator:
     # Benign text
     # ------------------------------------------------------------------ #
     def benign_words(self, count: int) -> list[str]:
-        """Return ``count`` benign filler words."""
-        return [self._rng.choice(_BENIGN_WORDS) for _ in range(max(1, count))]
+        """Return ``count`` benign filler words.
+
+        The words and the generator state after them are those of
+        ``[rng.choice(_BENIGN_WORDS) for ...]``: the loop is ``choice``'s
+        own ``getrandbits`` rejection draw, without its two calls per word.
+        """
+        getrandbits = self._rng.getrandbits
+        pool, size, bits = _BENIGN_WORDS, len(_BENIGN_WORDS), _BENIGN_BITS
+        words: list[str] = []
+        append = words.append
+        for _ in range(max(1, count)):
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            append(pool[index])
+        return words
 
     def benign_post(self, length: int = 20, with_hashtag_probability: float = 0.15) -> str:
         """Return a benign post body of roughly ``length`` words."""

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.runner import build_parser, main
 
 
@@ -71,3 +73,49 @@ class TestMain:
         payload = json.loads(output.read_text(encoding="utf-8"))
         assert payload[0]["experiment_id"] == "table2"
         assert len(payload[0]["rows"]) == 5
+
+
+class TestCollectorPolicy:
+    """``main`` freezes the world it builds and leaves the collector as it found it."""
+
+    ARGV = [
+        "--scenario", "tiny",
+        "--seed", "7",
+        "--campaign-days", "1",
+        "--experiment", "figure1",
+    ]
+
+    @pytest.fixture
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_returns_with_nothing_frozen(self, restore_collector, capsys):
+        gc.enable()
+        assert main(self.ARGV) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_raising_experiment_leaves_nothing_frozen(self, restore_collector, monkeypatch):
+        during = []
+
+        def broken(pipeline):
+            during.append((gc.get_freeze_count(), gc.isenabled()))
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setitem(registry.EXPERIMENTS, "figure1", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            main(self.ARGV)
+        [(frozen, collecting)] = during
+        assert frozen > 0 and collecting  # the world is frozen, the collector on
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, restore_collector, capsys):
+        gc.disable()
+        assert main(self.ARGV) == 0
+        assert gc.get_freeze_count() == 0 and not gc.isenabled()

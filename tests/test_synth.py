@@ -22,7 +22,7 @@ from repro.synth.population import (
     weighted_sample_without_replacement,
 )
 from repro.synth.scenario import SCENARIOS, build_scenario, scenario_config
-from repro.synth.text import TextGenerator
+from repro.synth.text import _BENIGN_WORDS, TextGenerator
 
 
 #: (knob, out-of-range value, start of the ValueError message naming it).
@@ -179,6 +179,15 @@ class TestTextGenerator:
     def test_harmful_post_without_attributes_is_benign(self):
         text = TextGenerator(random.Random(11))
         assert LexiconScorer().score(text.harmful_post((), 0.9)).max_score < 0.3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benign_words_draw_as_random_choice_does(self, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        text = TextGenerator(rng)
+        for count in (0, 1, 16, 63, 64, 200):
+            expected = [twin.choice(_BENIGN_WORDS) for _ in range(max(1, count))]
+            assert text.benign_words(count) == expected
+            assert rng.getstate() == twin.getstate()
 
 
 class TestGroundTruth:
