@@ -33,7 +33,7 @@ from repro.experiments.pipeline import ReproPipeline
 from repro.faults.plan import FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.mrf.object_age import clear_rewrite_ledger
-from repro.perspective.corpus import CorpusColumns
+from repro.perspective.client import PerspectiveClient
 from repro.perspective.scorer import LexiconScorer
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator, PreparedFediverse
@@ -158,24 +158,28 @@ def bench_ingestion(edges: list[RejectEdge], repeats: int = 3) -> dict[str, floa
 def bench_scoring(
     scorer: LexiconScorer, texts: list[str], repeats: int = 3
 ) -> dict[str, float]:
-    """Race lexicon scoring: two candidates against the seed per-attribute loop.
+    """Race lexicon scoring: two client paths against the seed per-attribute loop.
 
-    The compiled engine and re-labelling from corpus columns must reproduce
-    the seed's scores bit for bit.  The columns are built once
-    (``columns_build_seconds``); the race times a re-label.
+    ``fresh`` is a new client loading and scoring the texts in one batched
+    scan; ``loaded`` re-scores them from a client that loaded them once
+    before the race (``load_seconds``), as every label after the first
+    does.  Both must reproduce the seed's scores bit for bit.
     """
-    columns, build_seconds = _timed(CorpusColumns, scorer, texts)
+    loaded = PerspectiveClient(scorer)
+    _, load_seconds = _timed(loaded.load, texts)
     scoring = Race(
         build=lambda: texts,
         reference=partial(baselines.naive_score_many, scorer),
-        candidates={"compiled": scorer.score_many, "columns": columns.scores_for},
+        candidates={
+            "fresh": lambda work: PerspectiveClient(scorer).analyze_many(work),
+            "loaded": loaded.analyze_many,
+        },
     )
     metrics, _ = race("scoring", scoring, repeats)
     return {
         "texts": len(texts),
         "distinct_texts": len(set(texts)),
-        "interned_texts": len(columns),
-        "columns_build_seconds": build_seconds,
+        "load_seconds": load_seconds,
         **metrics,
     }
 
@@ -201,10 +205,6 @@ def bench_sweep(pipeline: ReproPipeline, repeats: int = 5) -> dict[str, float]:
 
 
 # -- Generation stage -------------------------------------------------- #
-#: Post bodies per ``generation`` race run, at every scenario.
-GENERATION_POSTS = 5000
-
-
 def _word_draws(seed: int) -> tuple[random.Random, TextGenerator]:
     """A fresh generator stream and a text generator drawing from it."""
     rng = random.Random(seed)
@@ -214,16 +214,19 @@ def _word_draws(seed: int) -> tuple[random.Random, TextGenerator]:
 def bench_generation(run: _Run) -> dict[str, float]:
     """Race the benign word draw against the seed's ``random.choice`` loop.
 
-    Post lengths are drawn as ``FediverseGenerator._create_posts`` draws
-    them; every run draws all their words from a fresh ``random.Random``.
-    The state is every word plus the stream's final state, so a draw that
-    takes one bit more or less raises.
+    One post length is drawn per post the scenario generates, as
+    ``FediverseGenerator._create_posts`` draws them; every run draws all
+    their words from a fresh ``random.Random``.  The race runs with the
+    collector paused, as ``runner.main`` generates the world, so neither
+    path pays a full collection of the scenario's world.  The state is
+    every word plus the stream's final state, so a draw that takes one bit
+    more or less raises.
     """
     config = run.config()
     lengths_rng = random.Random(run.seed)
     lengths = [
         max(6, int(lengths_rng.gauss(config.mean_post_length, 6)))
-        for _ in range(GENERATION_POSTS)
+        for _ in range(run.pipeline.fediverse.stats.posts)
     ]
     words = Race(
         build=lambda: _word_draws(run.seed),
@@ -235,7 +238,13 @@ def bench_generation(run: _Run) -> dict[str, float]:
         },
         state=lambda work, drawn: (drawn, work[0].getstate()),
     )
-    metrics, _ = race("generation", words, run.repeats)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        metrics, _ = race("generation", words, run.repeats)
+    finally:
+        if collecting:
+            gc.enable()
     return {"posts": len(lengths), "words": sum(lengths), **metrics}
 
 

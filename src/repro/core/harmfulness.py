@@ -16,7 +16,6 @@ from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
 from repro.perspective.attributes import Attribute, AttributeScores, HARMFUL_THRESHOLD
 from repro.perspective.client import PerspectiveClient
-from repro.perspective.corpus import CorpusColumns
 
 
 @dataclass
@@ -65,43 +64,25 @@ class HarmfulnessLabeller:
         self.client = client or PerspectiveClient()
         self.threshold = threshold
         self._user_labels: dict[tuple[str, float], UserLabel | None] = {}
-
-    # ------------------------------------------------------------------ #
-    # Corpus materialisation
-    # ------------------------------------------------------------------ #
-    @property
-    def corpus(self) -> CorpusColumns | None:
-        """The corpus columns the shared client serves scores from."""
-        return self.client.corpus
-
-    def _ensure_corpus(self) -> None:
-        """Materialise score columns for every collected post, once per campaign.
-
-        The first scoring call scans the whole corpus in one batched
-        compiled-matcher pass and sets the resulting
-        :class:`~repro.perspective.corpus.CorpusColumns` as the client's
-        corpus; every later label is arithmetic on the cached columns.
-        Client request accounting and caching are unaffected.
-        """
-        client = self.client
-        if client.corpus is None:
-            client.corpus = CorpusColumns(
-                client.scorer, (post.content for post in self.dataset.posts)
-            )
+        self._corpus_loaded = False
 
     # ------------------------------------------------------------------ #
     # Post-level scoring
     # ------------------------------------------------------------------ #
     def score_post(self, post: PostRecord) -> AttributeScores:
         """Score one post's content."""
-        self._ensure_corpus()
-        return self.client.analyze(post.content).scores
+        return self.score_posts([post])[0]
 
     def score_posts(self, posts: list[PostRecord]) -> list[AttributeScores]:
-        """Score several posts, preserving order."""
-        self._ensure_corpus()
-        results = self.client.analyze_many([post.content for post in posts])
-        return [result.scores for result in results]
+        """Score several posts, preserving order.
+
+        The first call loads every collected post body into the client's
+        score table in one batched scan; every later score is a lookup.
+        """
+        if not self._corpus_loaded:
+            self.client.load(post.content for post in self.dataset.posts)
+            self._corpus_loaded = True
+        return self.client.analyze_many([post.content for post in posts])
 
     # ------------------------------------------------------------------ #
     # User-level labelling

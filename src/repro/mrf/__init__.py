@@ -30,7 +30,6 @@ from repro.mrf.base import (
     MRFDecision,
     MRFPolicy,
     ModerationEvent,
-    PolicyStats,
     Verdict,
 )
 from repro.mrf.bots import (
@@ -71,7 +70,6 @@ __all__ = [
     "MRFDecision",
     "MRFPolicy",
     "ModerationEvent",
-    "PolicyStats",
     "Verdict",
     "MRFPipeline",
     # Registry helpers

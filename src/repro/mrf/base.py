@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -121,23 +121,3 @@ class MRFPolicy(ABC):
     def config(self) -> dict[str, Any]:
         """Return the policy configuration (overridden by subclasses)."""
         return {}
-
-
-@dataclass
-class PolicyStats:
-    """Per-policy counters, useful in tests and benchmarks."""
-
-    seen: int = 0
-    rejected: int = 0
-    rewritten: int = 0
-    by_action: dict[str, int] = field(default_factory=dict)
-
-    def record(self, decision: MRFDecision) -> None:
-        """Update counters from a decision."""
-        self.seen += 1
-        if decision.rejected:
-            self.rejected += 1
-        elif decision.action != PASS_ACTION:
-            self.rewritten += 1
-        if decision.action != PASS_ACTION:
-            self.by_action[decision.action] = self.by_action.get(decision.action, 0) + 1

@@ -21,8 +21,7 @@ from repro.perspective.attributes import (
     AttributeScores,
     HARMFUL_THRESHOLD,
 )
-from repro.perspective.client import AnalysisResult, PerspectiveClient
-from repro.perspective.corpus import CorpusColumns
+from repro.perspective.client import PerspectiveClient
 from repro.perspective.lexicon import Lexicon, default_lexicon
 from repro.perspective.matcher import CompiledLexiconMatcher
 from repro.perspective.scorer import LexiconScorer, density_for_score, score_for_density
@@ -32,10 +31,8 @@ __all__ = [
     "Attribute",
     "AttributeScores",
     "HARMFUL_THRESHOLD",
-    "AnalysisResult",
     "PerspectiveClient",
     "CompiledLexiconMatcher",
-    "CorpusColumns",
     "Lexicon",
     "default_lexicon",
     "LexiconScorer",

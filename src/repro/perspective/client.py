@@ -1,26 +1,23 @@
 """An API-shaped client around the lexicon scorer.
 
 The analysis code talks to the scorer the way the paper's pipeline talked to
-the Perspective API: one ``analyze`` call per text (or batched), with caching
-of repeated texts.  Caching matters because the same post may be observed
-from several instances (it federates).
+the Perspective API: texts go out in batches, per-attribute scores come back,
+and a repeated text is served from cache.  Caching matters because the same
+post may be observed from several instances (it federates).
+
+The client owns one ``text -> scores`` table.  :meth:`PerspectiveClient.load`
+fills it with one batched compiled-matcher scan (the labeller loads every
+collected post body on its first scoring call), so each text is scanned
+once and every later score is a table lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.perspective.attributes import AttributeScores
 from repro.perspective.scorer import LexiconScorer
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """The result of analysing one text."""
-
-    text: str
-    scores: AttributeScores
-    cached: bool = False
 
 
 @dataclass
@@ -38,74 +35,47 @@ class PerspectiveClient:
     Parameters
     ----------
     scorer:
-        The scorer used to produce attribute scores.
-    corpus:
-        Optional :class:`~repro.perspective.corpus.CorpusColumns` built over
-        the same scorer, to serve scores from.  Its scores are bitwise
-        identical to :meth:`LexiconScorer.score`, and request counting and
-        the text cache behave exactly as without one, so a corpus is
-        observable only as throughput.
+        The scorer whose lexicon, gain and ceiling define the scores.
     """
 
-    def __init__(self, scorer: LexiconScorer | None = None, corpus=None) -> None:
+    def __init__(self, scorer: LexiconScorer | None = None) -> None:
         self.scorer = scorer or LexiconScorer()
-        self.corpus = corpus
         self.stats = ClientStats()
-        self._cache: dict[str, AttributeScores] = {}
+        #: text -> scores of every text loaded or submitted so far.
+        self.table: dict[str, AttributeScores] = {}
+        self._requested: set[str] = set()
 
-    def analyze(self, text: str) -> AnalysisResult:
-        """Analyse one text, using the cache when possible."""
-        cached = self._cache.get(text)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return AnalysisResult(text=text, scores=cached, cached=True)
-        self.stats.requests += 1
-        self.stats.analyzed_texts += 1
-        if self.corpus is not None:
-            scores = self.corpus.scores_for_text(text)
-        else:
-            scores = self.scorer.score(text)
-        self._cache[text] = scores
-        return AnalysisResult(text=text, scores=scores)
+    def load(self, texts: Iterable[str]) -> None:
+        """Score every text not yet in the table, in one batched scan.
 
-    def analyze_many(self, texts: list[str]) -> list[AnalysisResult]:
-        """Analyse several texts in submission order.
-
-        Distinct uncached texts are collected first and scored in one batch,
-        while cache semantics and usage counters stay identical to calling
-        :meth:`analyze` per text (duplicates within the batch count as cache
-        hits).
+        Loading is observable only as throughput: the usage counters move
+        when a text is submitted to :meth:`analyze_many`, loaded or not.
+        Scores are bitwise identical to :meth:`LexiconScorer.score`.
         """
+        table = self.table
+        fresh = list(dict.fromkeys(text for text in texts if text not in table))
+        if not fresh:
+            return
+        scorer = self.scorer
+        zero = AttributeScores()
+        for text, (count, hits) in zip(fresh, scorer.lexicon.compiled().scan(fresh)):
+            table[text] = zero if hits is None else scorer.scores_from_column(count, hits)
+
+    def analyze_many(self, texts: list[str]) -> list[AttributeScores]:
+        """Return the scores of ``texts`` in submission order.
+
+        Texts missing from the table are loaded first.  The first submission
+        of a distinct text counts as one request (the unit the real API's
+        quota counts); every later one, in this batch or a later batch,
+        counts as a cache hit.
+        """
+        requested = self._requested
+        fresh = set(texts) - requested
+        if fresh:
+            requested |= fresh
+            self.load(texts)
         stats = self.stats
-        cache = self._cache
-        results: list[AnalysisResult | None] = [None] * len(texts)
-        order: list[str] = []
-        slots: dict[str, list[int]] = {}
-        for index, text in enumerate(texts):
-            known = slots.get(text)
-            if known is not None:
-                # Duplicate of a text scored earlier in this batch: the
-                # sequential path would have served it from the cache.
-                stats.cache_hits += 1
-                known.append(index)
-                continue
-            cached = cache.get(text)
-            if cached is not None:
-                stats.cache_hits += 1
-                results[index] = AnalysisResult(text=text, scores=cached, cached=True)
-                continue
-            stats.requests += 1
-            stats.analyzed_texts += 1
-            order.append(text)
-            slots[text] = [index]
-        if self.corpus is not None:
-            scored = self.corpus.scores_for(order)
-        else:
-            scored = self.scorer.score_many(order)
-        for text, scores in zip(order, scored):
-            cache[text] = scores
-            indices = slots[text]
-            results[indices[0]] = AnalysisResult(text=text, scores=scores)
-            for duplicate in indices[1:]:
-                results[duplicate] = AnalysisResult(text=text, scores=scores, cached=True)
-        return results
+        stats.requests += len(fresh)
+        stats.analyzed_texts += len(fresh)
+        stats.cache_hits += len(texts) - len(fresh)
+        return list(map(self.table.__getitem__, texts))

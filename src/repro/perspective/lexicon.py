@@ -109,10 +109,6 @@ class Lexicon:
         self._merged: dict[str, tuple[float, ...]] | None = None
         self._matcher: CompiledLexiconMatcher | None = None
 
-    def weight(self, attribute: Attribute, token: str) -> float:
-        """Return the weight of ``token`` for ``attribute`` (0 when absent)."""
-        return self.terms[attribute].get(token, 0.0)
-
     def attribute_terms(self, attribute: Attribute) -> dict[str, float]:
         """Return a copy of the term weights for ``attribute``."""
         return dict(self.terms[attribute])
@@ -148,10 +144,6 @@ class Lexicon:
                 self.merged_table(), len(ATTRIBUTES)
             )
         return self._matcher
-
-    def size(self) -> int:
-        """Return the total number of terms across all attributes."""
-        return sum(len(table) for table in self.terms.values())
 
 
 def default_lexicon() -> Lexicon:

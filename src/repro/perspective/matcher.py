@@ -21,12 +21,12 @@ Matches arrive in token order and skipped non-lexicon tokens contribute
 the float identity ``+0.0``, so per-attribute partial sums stay bitwise
 identical to the seed summation.
 
-For corpus-sized batches the engine additionally offers a **batched blob
-scan** (:meth:`CompiledLexiconMatcher.scan`): texts are joined into one
-separator-delimited blob, tokenised vectorised with NumPy on its UTF-8
-bytes (the token alphabet is pure ASCII, so byte-level runs equal
-str-level tokens), and terms are matched by length-grouped byte
-comparison.  The per-text accumulation loop walks matches in position
+Batches (the Perspective client loading a whole corpus) take a
+**batched blob scan** instead (:meth:`CompiledLexiconMatcher.scan`):
+texts are joined into one separator-delimited blob, tokenised vectorised
+with NumPy on its UTF-8 bytes (the token alphabet is pure ASCII, so
+byte-level runs equal str-level tokens), and terms are matched by
+length-grouped byte comparison.  The per-text accumulation loop walks matches in position
 order, preserving the bit-exact contract.
 """
 
@@ -154,19 +154,6 @@ class CompiledLexiconMatcher:
         keeping the token strings around afterwards."""
         return len(_WORD_RE.findall(lowered))
 
-    def scan_text(self, text: str) -> tuple[int, tuple[float, ...] | None]:
-        """Return the ``(token_count, hit_vector)`` column of one text.
-
-        The count is only materialised when the text actually hit the
-        lexicon — a zero-hit column is ``(0, None)`` and scores 0.0 on
-        every attribute no matter how many tokens the text holds.
-        """
-        lowered = text.lower()
-        found = self.hits(lowered)
-        if found is None:
-            return (0, None)
-        return (self.count_tokens(lowered), found)
-
     # ------------------------------------------------------------------ #
     # Batched blob scan
     # ------------------------------------------------------------------ #
@@ -175,25 +162,19 @@ class CompiledLexiconMatcher:
 
         Columns carry everything a score derivation needs: zero-hit texts
         get ``(0, None)``; hit texts get their exact token count and the
-        token-order-accumulated weight vector.  The batched path and the
-        per-text path produce identical columns.
+        token-order-accumulated weight vector, the same as :meth:`hits` and
+        :meth:`count_tokens` give one text at a time.
+
+        The whole batch is tokenised at once on its UTF-8 bytes and terms
+        are matched by length-grouped byte comparison.  The token alphabet
+        is pure ASCII and UTF-8 continuation bytes are all >= 0x80, so
+        byte-level token runs are exactly the str-level tokens; '\\n'
+        separators keep texts apart.  Only the final accumulation (sparse:
+        one iteration per lexicon hit) runs in Python, in match-position
+        order — i.e. token order per text.
         """
         if not texts:
             return []
-        if len(texts) < 32:
-            return [self.scan_text(text) for text in texts]
-        return self._scan_numpy(texts)
-
-    def _scan_numpy(self, texts: list[str]) -> list[tuple[int, tuple[float, ...] | None]]:
-        """Vectorised :meth:`scan`: tokenise the whole corpus on its UTF-8
-        bytes and match terms by length-grouped byte comparison.
-
-        The token alphabet is pure ASCII and UTF-8 continuation bytes are
-        all >= 0x80, so byte-level token runs are exactly the str-level
-        tokens; '\\n' separators keep texts apart.  Only the final
-        accumulation (sparse: one iteration per lexicon hit) runs in
-        Python, in match-position order — i.e. token order per text.
-        """
         joined = "\n".join(texts)
         if joined.isascii():
             # ASCII corpus (the common case): lowercasing is 1:1, so one
@@ -210,20 +191,16 @@ class CompiledLexiconMatcher:
         bounds = np.zeros(len(texts) + 1, dtype=np.int64)
         np.cumsum(sizes + 1, out=bounds[1:])
 
-        is_token = _TOKEN_BYTES[data]
-        after, before = is_token[1:], is_token[:-1]
-        token_starts = np.flatnonzero(after & ~before) + 1
-        if is_token[0]:
-            token_starts = np.concatenate(([0], token_starts))
+        # Padded with False at both ends, the is-token flips alternate start,
+        # end: one pair per token run, none for an empty blob.
+        edges = np.flatnonzero(np.diff(_TOKEN_BYTES[data], prepend=False, append=False))
+        token_starts, token_ends = edges[0::2], edges[1::2]
         counts = np.diff(np.searchsorted(token_starts, bounds))
         columns: list[tuple[int, tuple[float, ...] | None]] = [
             (0, None) for _ in texts
         ]
         if not token_starts.size or self.pattern is None:
             return columns
-        token_ends = np.flatnonzero(before & ~after) + 1
-        if is_token[-1]:
-            token_ends = np.concatenate((token_ends, [len(data)]))
         token_lengths = token_ends - token_starts
 
         # Prefilter: almost no token is a lexicon term, so compare packed

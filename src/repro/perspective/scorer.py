@@ -78,9 +78,9 @@ class LexiconScorer:
         hits = matcher.hits(lowered)
         if hits is None:
             return AttributeScores()
-        return self._scores_from_column(matcher.count_tokens(lowered), hits)
+        return self.scores_from_column(matcher.count_tokens(lowered), hits)
 
-    def _scores_from_column(
+    def scores_from_column(
         self, count: int, hits: tuple[float, ...]
     ) -> AttributeScores:
         """Derive :class:`AttributeScores` from a ``(count, hits)`` column.
@@ -101,20 +101,3 @@ class LexiconScorer:
             )
         )
         return scores
-
-    def score_many(self, texts: list[str]) -> list[AttributeScores]:
-        """Score several texts, preserving order.
-
-        A genuine batch path: identical texts are scored once (federated
-        posts are observed from several instances) and the distinct texts
-        go through the compiled engine's batched corpus scan — one blob
-        pass instead of one scan call per text.
-        """
-        slots: dict[str, AttributeScores] = dict.fromkeys(texts)  # C-level dedup
-        order = list(slots)
-        matcher = self.lexicon.compiled()
-        zero = AttributeScores()
-        derive = self._scores_from_column
-        for text, (count, hits) in zip(order, matcher.scan(order)):
-            slots[text] = zero if hits is None else derive(count, hits)
-        return [slots[text] for text in texts]

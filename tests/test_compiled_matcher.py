@@ -2,7 +2,8 @@
 
 The engine's contract is *bitwise* equality with the seed's per-attribute
 token walk, across both scan implementations (per-text regex, batched
-NumPy byte scan) and across lexicon mutations mid-run.
+NumPy byte scan) and across lexicon mutations mid-run.  The client scores
+through the batched scan, ``LexiconScorer.score`` through the per-text one.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import struct
 
 from perf.baselines import naive_score_many
 from repro.perspective.attributes import ATTRIBUTES
+from repro.perspective.client import PerspectiveClient
 from repro.perspective.lexicon import Lexicon, default_lexicon
 from repro.perspective.scorer import LexiconScorer
 
@@ -55,6 +57,13 @@ def assert_scores_bitwise_equal(left, right):
             assert bits(a.get(attribute)) == bits(b.get(attribute))
 
 
+def per_text_column(matcher, text: str) -> tuple[int, tuple[float, ...] | None]:
+    """One text's scan column through the per-text regex path."""
+    lowered = text.lower()
+    hits = matcher.hits(lowered)
+    return (0, None) if hits is None else (matcher.count_tokens(lowered), hits)
+
+
 def random_texts(rng: random.Random, count: int) -> list[str]:
     texts = []
     for _ in range(count):
@@ -76,7 +85,8 @@ class TestCompiledEngineEquivalence:
         scorer = LexiconScorer()
         texts = list(SPECIALS)
         assert_scores_bitwise_equal(
-            scorer.score_many(texts), naive_score_many(scorer, texts)
+            PerspectiveClient(scorer).analyze_many(texts),
+            naive_score_many(scorer, texts),
         )
         for text in texts:
             assert_scores_bitwise_equal(
@@ -89,11 +99,12 @@ class TestCompiledEngineEquivalence:
         matcher = scorer.lexicon.compiled()
         texts = random_texts(rng, 400)
         assert_scores_bitwise_equal(
-            scorer.score_many(texts), naive_score_many(scorer, texts)
+            PerspectiveClient(scorer).analyze_many(texts),
+            naive_score_many(scorer, texts),
         )
         # Both scan implementations produce identical columns.
-        per_text = [matcher.scan_text(text) for text in texts]
-        assert matcher._scan_numpy(texts) == per_text
+        per_text = [per_text_column(matcher, text) for text in texts]
+        assert matcher.scan(texts) == per_text
 
 
 class TestCompiledMatcher:
@@ -110,7 +121,7 @@ class TestCompiledMatcher:
         assert matcher.hits("café two words") is None
         scorer = LexiconScorer(lexicon)
         assert_scores_bitwise_equal(
-            scorer.score_many(["café two words", "cafe"]),
+            PerspectiveClient(scorer).analyze_many(["café two words", "cafe"]),
             naive_score_many(scorer, ["café two words", "cafe"]),
         )
 
@@ -130,11 +141,9 @@ class TestCompiledMatcher:
 
     def test_blob_and_numpy_paths_agree_on_unicode_and_empties(self):
         matcher = default_lexicon().compiled()
-        texts = list(SPECIALS) * 4  # > 32 texts to engage the batched path
-        per_text = [matcher.scan_text(text) for text in texts]
-        assert matcher._scan_numpy(texts) == per_text
-
-    def test_scan_dispatches_to_batched_path(self):
-        matcher = default_lexicon().compiled()
-        texts = ["idiot moron", "coffee"] * 20
-        assert matcher.scan(texts) == [matcher.scan_text(text) for text in texts]
+        texts = list(SPECIALS) * 4
+        per_text = [per_text_column(matcher, text) for text in texts]
+        assert matcher.scan(texts) == per_text
+        # One-text batches, the empty text among them, scan the same.
+        for text in SPECIALS:
+            assert matcher.scan([text]) == [per_text_column(matcher, text)]

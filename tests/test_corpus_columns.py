@@ -1,4 +1,4 @@
-"""Tests for the materialised corpus score columns."""
+"""Tests for the corpus score table: scan columns, client table and labeller load."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ from perf.baselines import naive_score_many
 from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
 from repro.core.harmfulness import HarmfulnessLabeller
+from repro.experiments.pipeline import ReproPipeline
+from repro.experiments.registry import run_all
 from repro.perspective.attributes import AttributeScores
 from repro.perspective.client import PerspectiveClient
-from repro.perspective.corpus import CorpusColumns
 from repro.perspective.scorer import LexiconScorer
 
 TEXTS = [
@@ -16,7 +17,7 @@ TEXTS = [
     "idiot moron trash",
     "nsfw lewd adult content",
     "",
-    "idiot moron trash",  # duplicate: interned once
+    "idiot moron trash",  # duplicate: tabled once
     "damn hell crap",
 ]
 
@@ -24,47 +25,45 @@ TEXTS = [
 class TestCorpusColumns:
     def test_columns_intern_and_match_scorer(self):
         scorer = LexiconScorer()
-        columns = CorpusColumns(scorer, TEXTS)
-        assert len(columns) == len(set(TEXTS))
-        assert columns.scores_for(TEXTS) == scorer.score_many(TEXTS)
-        assert columns.scores_for(TEXTS) == naive_score_many(scorer, TEXTS)
+        client = PerspectiveClient(scorer)
+        client.load(TEXTS)
+        assert len(client.table) == len(set(TEXTS))
+        assert client.analyze_many(TEXTS) == [scorer.score(text) for text in TEXTS]
+        assert client.analyze_many(TEXTS) == naive_score_many(scorer, TEXTS)
 
     def test_zero_hit_column_skips_token_count(self):
-        scorer = LexiconScorer()
-        columns = CorpusColumns(scorer, TEXTS)
-        count, hits = columns.column("coffee garden bicycle")
+        matcher = LexiconScorer().lexicon.compiled()
+        (count, hits), = matcher.scan(["coffee garden bicycle"])
         assert (count, hits) == (0, None)
-        count, hits = columns.column("idiot moron trash")
+        (count, hits), = matcher.scan(["idiot moron trash"])
         assert count == 3 and hits is not None
 
     def test_extend_on_miss(self):
         scorer = LexiconScorer()
-        columns = CorpusColumns(scorer, TEXTS[:2])
-        assert columns.column("damn hell crap") is None
-        scores = columns.scores_for(["damn hell crap"])
-        assert columns.column("damn hell crap") is not None
-        assert scores == scorer.score_many(["damn hell crap"])
+        client = PerspectiveClient(scorer)
+        client.load(TEXTS[:2])
+        assert "damn hell crap" not in client.table
+        scores = client.analyze_many(["damn hell crap"])
+        assert "damn hell crap" in client.table
+        assert scores == [scorer.score("damn hell crap")]
 
 
 class TestClientCorpusIntegration:
     def test_attached_corpus_only_changes_throughput(self):
         plain = PerspectiveClient()
-        scorer = LexiconScorer()
-        corpus_client = PerspectiveClient(scorer=scorer, corpus=CorpusColumns(scorer, TEXTS))
-        plain_results = plain.analyze_many(TEXTS)
-        corpus_results = corpus_client.analyze_many(TEXTS)
-        assert [r.scores for r in plain_results] == [r.scores for r in corpus_results]
-        assert [r.cached for r in plain_results] == [r.cached for r in corpus_results]
-        assert plain.stats == corpus_client.stats
+        loaded = PerspectiveClient()
+        loaded.load(TEXTS)
+        assert plain.analyze_many(TEXTS) == loaded.analyze_many(TEXTS)
+        assert plain.stats == loaded.stats
 
     def test_analyze_single_uses_corpus_and_charges_quota(self):
         scorer = LexiconScorer()
-        corpus = CorpusColumns(scorer, TEXTS[:2])
-        client = PerspectiveClient(scorer=scorer, corpus=corpus)
+        client = PerspectiveClient(scorer)
+        client.load(TEXTS[:2])
         for text in TEXTS:
-            assert client.analyze(text).scores == scorer.score(text)
-        # Texts the corpus lacked were interned on first analysis.
-        assert all(corpus.column(text) is not None for text in TEXTS)
+            assert client.analyze_many([text]) == [scorer.score(text)]
+        # Texts the table lacked were loaded on first analysis.
+        assert all(text in client.table for text in TEXTS)
         # One request is charged per distinct text, the unit the real API's
         # quota counts; the repeated text is a cache hit.
         assert client.stats.requests == len(set(TEXTS))
@@ -93,15 +92,24 @@ def _dataset() -> Dataset:
 
 
 class TestLabellerCorpus:
-    def test_labeller_materialises_corpus_once_per_campaign(self):
+    def test_labeller_materialises_corpus_once_per_campaign(self, monkeypatch):
         dataset = _dataset()
         labeller = HarmfulnessLabeller(dataset)
-        assert labeller.corpus is None
+        matcher = labeller.client.scorer.lexicon.compiled()
+        scan = matcher.scan
+        scans = []
+
+        def counting_scan(self, texts):
+            scans.append(texts)
+            return scan(texts)
+
+        monkeypatch.setattr(type(matcher), "scan", counting_scan)
+        assert not labeller.client.table
         labels = [labeller.label_user(f"user{i}@inst.example") for i in range(3)]
-        corpus = labeller.corpus
-        assert corpus is not None and len(corpus) == 3
         rescored = labeller.score_posts(dataset.posts)
-        assert labeller.corpus is corpus
+        # One scan of the whole corpus, on the first scoring call.
+        assert scans == [[post.content for post in dataset.posts]]
+        assert len(labeller.client.table) == 3
         # Each user has one post, so a label's mean is that post's scores.
         assert [l.mean_scores for l in labels] == rescored
 
@@ -118,5 +126,18 @@ class TestLabellerCorpus:
                 score.is_harmful(labeller.threshold) for score in scores
             )
             harmful += label.harmful_post_count
-        assert labeller.corpus is not None
+        assert len(labeller.client.table) == 3
         assert harmful == 1
+
+    def test_run_all_counters_match_the_pinned_tiny_run(self):
+        # perfbench reads these three counters off the labeller's client;
+        # a fresh pipeline, since the shared one's counters depend on which
+        # tests ran before.
+        pipeline = ReproPipeline("tiny", seed=42)
+        run_all(pipeline)
+        stats = pipeline.labeller.client.stats
+        assert (stats.requests, stats.analyzed_texts, stats.cache_hits) == (
+            5_422,
+            5_422,
+            16_266,
+        )

@@ -199,13 +199,16 @@ CORPUS = [
 
 def test_merged_scores_match_per_attribute_passes() -> None:
     scorer = LexiconScorer()
-    assert scorer.score_many(CORPUS) == baselines.naive_score_many(scorer, CORPUS)
+    scores = PerspectiveClient(scorer).analyze_many(CORPUS)
+    assert scores == baselines.naive_score_many(scorer, CORPUS)
 
 
 def test_score_many_deduplicates_but_matches_sequential() -> None:
     scorer = LexiconScorer()
     texts = CORPUS * 3
-    assert scorer.score_many(texts) == [scorer.score(text) for text in texts]
+    client = PerspectiveClient(scorer)
+    assert client.analyze_many(texts) == [scorer.score(text) for text in texts]
+    assert len(client.table) == len(CORPUS)
 
 
 def test_cached_client_results_equal_uncached() -> None:
@@ -213,11 +216,11 @@ def test_cached_client_results_equal_uncached() -> None:
     cached_client = PerspectiveClient()
     uncached = LexiconScorer()
     results = cached_client.analyze_many(texts)
-    assert [r.scores for r in results] == [uncached.score(t) for t in texts]
+    assert results == [uncached.score(t) for t in texts]
     # Second round: everything served from cache, scores unchanged.
-    again = cached_client.analyze_many(texts)
-    assert [r.scores for r in again] == [r.scores for r in results]
-    assert all(r.cached for r in again)
+    hits = cached_client.stats.cache_hits
+    assert cached_client.analyze_many(texts) == results
+    assert cached_client.stats.cache_hits == hits + len(texts)
 
 
 def test_batch_analyze_matches_sequential_stats_and_flags() -> None:
@@ -225,10 +228,8 @@ def test_batch_analyze_matches_sequential_stats_and_flags() -> None:
     batch_client = PerspectiveClient()
     seq_client = PerspectiveClient()
     batch = batch_client.analyze_many(texts)
-    seq = [seq_client.analyze(text) for text in texts]
-    assert [(r.text, r.scores, r.cached) for r in batch] == [
-        (r.text, r.scores, r.cached) for r in seq
-    ]
+    seq = [seq_client.analyze_many([text])[0] for text in texts]
+    assert batch == seq
     assert batch_client.stats == seq_client.stats
 
 

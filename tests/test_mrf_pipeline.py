@@ -10,7 +10,7 @@ from perf.baselines import naive_pipeline_filter
 from repro.activitypub.activities import create_activity
 from repro.fediverse.clock import SECONDS_PER_DAY
 from repro.fediverse.post import MediaAttachment, Post, Visibility
-from repro.mrf.base import PASS_ACTION, MRFDecision, PolicyStats, Verdict
+from repro.mrf.base import PASS_ACTION
 from repro.mrf.custom import OBSERVED_CUSTOM_POLICY_NAMES, CustomPolicy
 from repro.mrf.keywords import KeywordPolicy
 from repro.mrf.media import HashtagPolicy, StealEmojiPolicy
@@ -330,24 +330,6 @@ class TestSeedWalkEquivalence:
                     if got.accepted:
                         assert rewrite_view(got) == rewrite_view(want), (actions, extra)
                 assert event_view(pipeline) == event_view(seed), (actions, extra)
-
-
-class TestPolicyStats:
-    def test_record_counts(self, sample_activity):
-        stats = PolicyStats()
-        accept = MRFDecision(verdict=Verdict.ACCEPT, activity=sample_activity)
-        reject = MRFDecision(
-            verdict=Verdict.REJECT, activity=sample_activity, action="reject"
-        )
-        rewrite = MRFDecision(
-            verdict=Verdict.ACCEPT, activity=sample_activity, action="media_removal"
-        )
-        for decision in (accept, reject, rewrite):
-            stats.record(decision)
-        assert stats.seen == 3
-        assert stats.rejected == 1
-        assert stats.rewritten == 1
-        assert stats.by_action == {"reject": 1, "media_removal": 1}
 
 
 class TestRegistry:

@@ -38,9 +38,10 @@ def test_report_contains_every_benchmark(tiny_report) -> None:
         speedups = [key for key in metrics if key.endswith("_speedup")]
         assert speedups and all(metrics[key] > 0.0 for key in speedups)
     scoring = report.metrics["scoring"]
-    assert scoring["compiled_seconds"] > 0.0
-    assert scoring["columns_build_seconds"] > 0.0
-    assert scoring["interned_texts"] > 0
+    assert scoring["fresh_seconds"] > 0.0
+    assert scoring["loaded_seconds"] > 0.0
+    assert scoring["load_seconds"] > 0.0
+    assert scoring["distinct_texts"] > 0
     assert report.metrics["threshold_sweep"]["thresholds"] == len(SWEEP_THRESHOLDS)
     assert report.metrics["generation"]["words"] > report.metrics["generation"]["posts"]
     assert report.metrics["delivery"]["deliveries"] > 0
