@@ -10,14 +10,16 @@ every benchmark run into an equivalence check at scale.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator
 
 from repro.activitypub.activities import Activity
 from repro.activitypub.delivery import FederationStats, apply_accepted
 from repro.api.client import APIClient, APIError
 from repro.api.server import FediverseAPIServer
 from repro.core.collateral import InstanceCollateral
-from repro.core.harmfulness import UserLabel
+from repro.core.harmfulness import HarmfulnessLabeller, InstanceScores, UserLabel
+from repro.core.solutions import SolutionEvaluator
 from repro.crawler.campaign import (
     CampaignConfig,
     CrawlResult,
@@ -470,3 +472,55 @@ def naive_threshold_sweep(
         else:
             sweep[threshold] = 0.0
     return sweep
+
+
+# ---------------------------------------------------------------------- #
+# Seed-faithful per-instance analysis
+# ---------------------------------------------------------------------- #
+class SeedLabeller(HarmfulnessLabeller):
+    """The seed's labeller: ``score_instance`` re-scores on every call."""
+
+    def score_instance(self, domain: str) -> InstanceScores:
+        posts = self.dataset.posts_from(domain)
+        result = InstanceScores(domain=domain, post_count=len(posts))
+        if not posts:
+            return result
+        scores = self.score_posts(posts)
+        result.mean_scores = AttributeScores.mean(scores)
+        result.harmful_post_count = sum(
+            1 for score in scores if score.is_harmful(self.threshold)
+        )
+        result.user_labels = self.label_users_on(domain)
+        result.user_count = len(result.user_labels)
+        return result
+
+
+class SeedSolutionEvaluator(SolutionEvaluator):
+    """The seed's evaluator: ``_media_share`` walks the domain's posts per user."""
+
+    def _media_share(self, domain: str) -> float:
+        posts = self.dataset.posts_from(domain)
+        if not posts:
+            return self.media_harm_share
+        with_media = sum(1 for post in posts if post.has_media)
+        observed = with_media / len(posts)
+        return 0.5 * observed + 0.5 * self.media_harm_share
+
+
+def _seed_max_score(scores: AttributeScores) -> float:
+    return max(scores.get(attribute) for attribute in ATTRIBUTES)
+
+
+@contextmanager
+def seed_max_score() -> Iterator[None]:
+    """Make ``AttributeScores.max_score`` the seed's property while open.
+
+    The property recomputes the maximum on every read, and as a data
+    descriptor it shadows any maximum a score object has already cached.
+    """
+    shipped = AttributeScores.__dict__["max_score"]
+    AttributeScores.max_score = property(_seed_max_score)
+    try:
+        yield
+    finally:
+        AttributeScores.max_score = shipped

@@ -29,7 +29,9 @@ from repro.crawler.campaign import (
 )
 from repro.datasets.schema import RejectEdge
 from repro.datasets.store import Dataset
+from repro.experiments.base import ExperimentResult
 from repro.experiments.pipeline import ReproPipeline
+from repro.experiments.registry import EXPERIMENTS
 from repro.faults.plan import FaultSpec
 from repro.faults.retry import RetryPolicy
 from repro.mrf.object_age import clear_rewrite_ledger
@@ -200,6 +202,59 @@ def bench_sweep(pipeline: ReproPipeline, repeats: int = 5) -> dict[str, float]:
     return {
         "thresholds": len(SWEEP_THRESHOLDS),
         "labelled_users": len(analyzer._analysed_labels()),
+        **metrics,
+    }
+
+
+#: The experiments that read per-instance scores, media shares and score
+#: maxima, in runner order.
+ANALYSIS_EXPERIMENTS = ("figure4", "table1", "rejects", "solutions")
+
+
+def _fresh_analysis(shared: ReproPipeline) -> ReproPipeline:
+    """A pipeline over ``shared``'s crawl and loaded client, its analyzers new."""
+    pipeline = ReproPipeline(shared.scenario, shared.seed, shared.campaign_days)
+    pipeline.crawl = shared.crawl
+    pipeline.perspective = shared.perspective
+    return pipeline
+
+
+def _analyse(pipeline: ReproPipeline) -> list[ExperimentResult]:
+    return [EXPERIMENTS[experiment](pipeline) for experiment in ANALYSIS_EXPERIMENTS]
+
+
+def _seed_analyse(pipeline: ReproPipeline) -> list[ExperimentResult]:
+    """:func:`_analyse` on the seed's instance scores, media shares and maxima."""
+    pipeline.labeller = baselines.SeedLabeller(pipeline.dataset, pipeline.perspective)
+    pipeline.solution_evaluator = baselines.SeedSolutionEvaluator(
+        pipeline.dataset, pipeline.labeller
+    )
+    with baselines.seed_max_score():
+        return _analyse(pipeline)
+
+
+def bench_analysis(run: _Run) -> dict[str, float]:
+    """Race the Figure 4, Table 1, rejects and solutions experiments.
+
+    Each run builds fresh analyzers over the scenario's crawl; the
+    Perspective client they share is loaded before the race, so both paths
+    pay the same table lookups.  The reference recomputes each instance's
+    scores, each domain's media share and each score's maximum on every
+    read, as the seed did; the state is the experiments' JSON text, so a
+    candidate must reproduce every reported bit.
+    """
+    shared = run.pipeline
+    shared.perspective.load(post.content for post in shared.dataset.posts)
+    analysis = Race(
+        build=lambda: _fresh_analysis(shared),
+        reference=_seed_analyse,
+        candidates={"memoised": _analyse},
+        state=lambda _, results: json.dumps([result.to_dict() for result in results]),
+    )
+    metrics, _ = race("analysis", analysis, run.repeats)
+    return {
+        "experiments": len(ANALYSIS_EXPERIMENTS),
+        "rejected_domains": len(shared.dataset.rejected_domains()),
         **metrics,
     }
 
@@ -666,6 +721,7 @@ STAGES: dict[str, Callable[[_Run], dict[str, float]]] = {
         run.repeats,
     ),
     "threshold_sweep": lambda run: bench_sweep(run.pipeline, max(run.repeats, 5)),
+    "analysis": bench_analysis,
     "generation": bench_generation,
     "delivery": bench_delivery,
     "protocol": bench_protocol,

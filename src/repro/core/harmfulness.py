@@ -64,6 +64,7 @@ class HarmfulnessLabeller:
         self.client = client or PerspectiveClient()
         self.threshold = threshold
         self._user_labels: dict[tuple[str, float], UserLabel | None] = {}
+        self._instance_scores: dict[tuple[str, float], InstanceScores] = {}
         self._corpus_loaded = False
 
     # ------------------------------------------------------------------ #
@@ -132,7 +133,19 @@ class HarmfulnessLabeller:
     # Instance-level aggregation
     # ------------------------------------------------------------------ #
     def score_instance(self, domain: str) -> InstanceScores:
-        """Aggregate scores for every collected post originating on ``domain``."""
+        """Aggregate scores for every collected post originating on ``domain``.
+
+        Memoized per (domain, threshold), as :meth:`label_user` is per handle:
+        Figure 4, Table 1 and the Section 4.2 annotation all read the same
+        instances.
+        """
+        key = (domain, self.threshold)
+        scores = self._instance_scores.get(key)
+        if scores is None:
+            scores = self._instance_scores[key] = self._score_instance_uncached(domain)
+        return scores
+
+    def _score_instance_uncached(self, domain: str) -> InstanceScores:
         posts = self.dataset.posts_from(domain)
         result = InstanceScores(domain=domain, post_count=len(posts))
         if not posts:

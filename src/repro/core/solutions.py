@@ -126,6 +126,7 @@ class SolutionEvaluator:
         #: Number of harmful posts after which escalation kicks in.
         self.repeat_offender_limit = repeat_offender_limit
         self._collateral = CollateralAnalyzer(dataset, self.labeller)
+        self._media_shares: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Scope
@@ -243,7 +244,13 @@ class SolutionEvaluator:
         return 0, 0
 
     def _media_share(self, domain: str) -> float:
-        """Return the share of posts on ``domain`` carrying media."""
+        """Return the share of posts on ``domain`` carrying media (memoized)."""
+        share = self._media_shares.get(domain)
+        if share is None:
+            share = self._media_shares[domain] = self._observed_media_share(domain)
+        return share
+
+    def _observed_media_share(self, domain: str) -> float:
         posts = self.dataset.posts_from(domain)
         if not posts:
             return self.media_harm_share

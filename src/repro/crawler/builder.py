@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 from urllib.parse import urlsplit
 
@@ -15,6 +16,12 @@ from repro.datasets.schema import (
     UserRecord,
 )
 from repro.datasets.store import Dataset
+
+
+#: A domain made only of these characters is the whole netloc ``urlsplit``
+#: finds in ``https://<domain>/...``: none of them ends, strips or fails
+#: the parse.
+_PLAIN_DOMAIN = re.compile(r"[a-z0-9._-]+")
 
 
 def _post_origin_domain(post: dict) -> str:
@@ -129,9 +136,17 @@ def build_dataset(
     for collection in timelines:
         if not collection.reachable:
             continue
+        domain = collection.domain
+        # A local post's URI sits under its collection's domain, which is
+        # then its origin: the crawler reads local timelines, so only the
+        # rare other post pays for a parse.
+        local = f"https://{domain}/" if _PLAIN_DOMAIN.fullmatch(domain) else None
         for post in collection.posts:
             author = post.get("account", "")
-            origin = _post_origin_domain(post) or collection.domain
+            if local is not None and post.get("uri", "").startswith(local):
+                origin = domain
+            else:
+                origin = _post_origin_domain(post) or domain
             record = PostRecord(
                 post_id=post.get("id", ""),
                 author=author,

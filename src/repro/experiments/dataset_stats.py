@@ -71,8 +71,9 @@ def run(pipeline: ReproPipeline) -> ExperimentResult:
         if record.timeline_reachable
     ]
     readable_users = sum(record.user_count for record in readable)
+    readable_domains = {record.domain for record in readable}
     observed_posters = len(
-        {user.handle for user in dataset.users.values() if user.domain in {r.domain for r in readable}}
+        {user.handle for user in dataset.users.values() if user.domain in readable_domains}
     )
     result.add_comparison(
         "active_user_share",

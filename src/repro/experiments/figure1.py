@@ -9,6 +9,7 @@ from __future__ import annotations
 from repro.experiments import paper_values
 from repro.experiments.base import ExperimentResult
 from repro.experiments.pipeline import ReproPipeline
+from repro.perspective.attributes import ordered_sum
 
 EXPERIMENT_ID = "figure1"
 TITLE = "Figure 1: top-15 policy types by instance share"
@@ -25,8 +26,8 @@ def run(pipeline: ReproPipeline, limit: int = 15) -> ExperimentResult:
         title=TITLE,
         notes="Sorted by the share of instances enabling each policy.",
     )
-    others_instances = sum(row.instance_share for row in prevalence[limit:])
-    others_users = sum(row.user_share for row in prevalence[limit:])
+    others_instances = ordered_sum(row.instance_share for row in prevalence[limit:])
+    others_users = ordered_sum(row.user_share for row in prevalence[limit:])
     result.rows = [row.as_row() for row in top]
     if prevalence[limit:]:
         result.rows.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.experiments import paper_values
 from repro.experiments.base import ExperimentResult
 from repro.experiments.pipeline import ReproPipeline
+from repro.perspective.attributes import ordered_sum
 
 EXPERIMENT_ID = "figure4"
 TITLE = "Figure 4: rejected Pleroma instances, rejects and Perspective scores"
@@ -29,9 +30,9 @@ def run(pipeline: ReproPipeline) -> ExperimentResult:
 
     scored = [row for row in rows if row.toxicity is not None]
     if scored:
-        mean_toxicity = sum(row.toxicity for row in scored) / len(scored)
-        mean_profanity = sum(row.profanity for row in scored) / len(scored)
-        mean_sexual = sum(row.sexually_explicit for row in scored) / len(scored)
+        mean_toxicity = ordered_sum(row.toxicity for row in scored) / len(scored)
+        mean_profanity = ordered_sum(row.profanity for row in scored) / len(scored)
+        mean_sexual = ordered_sum(row.sexually_explicit for row in scored) / len(scored)
         # Paper's Figure 4 shows instance means mostly in the 0.0–0.4 band,
         # with toxicity the typically-highest attribute; compare against the
         # Table 1 head averages as the reference points.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.pipeline import ReproPipeline
+from repro.perspective.attributes import ordered_sum
 
 EXPERIMENT_ID = "graph_impact"
 TITLE = "Section 6: federation-graph impact of rejects"
@@ -48,7 +49,7 @@ def run(pipeline: ReproPipeline) -> ExperimentResult:
         note="share of reachable instance pairs severed by rejects",
     )
     mean_loss = (
-        sum(impact.reachability_loss.values()) / len(impact.reachability_loss)
+        ordered_sum(impact.reachability_loss.values()) / len(impact.reachability_loss)
         if impact.reachability_loss
         else 0.0
     )

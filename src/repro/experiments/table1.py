@@ -9,6 +9,7 @@ from __future__ import annotations
 from repro.experiments import paper_values
 from repro.experiments.base import ExperimentResult
 from repro.experiments.pipeline import ReproPipeline
+from repro.perspective.attributes import ordered_sum
 
 EXPERIMENT_ID = "table1"
 TITLE = "Table 1: top-5 rejected Pleroma instances"
@@ -55,8 +56,8 @@ def run(pipeline: ReproPipeline, limit: int = 5) -> ExperimentResult:
         if scored:
             result.add_comparison(
                 "top5_mean_toxicity",
-                sum(row.toxicity for row in scored) / len(scored),
-                sum(r["toxicity"] for r in paper_head if r["toxicity"] is not None)
+                ordered_sum(row.toxicity for row in scored) / len(scored),
+                ordered_sum(r["toxicity"] for r in paper_head if r["toxicity"] is not None)
                 / sum(1 for r in paper_head if r["toxicity"] is not None),
             )
     return result

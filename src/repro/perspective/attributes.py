@@ -4,10 +4,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Iterable
 
 #: The harmfulness threshold recommended by the Perspective developers and
 #: used throughout the paper (Section 3).
 HARMFUL_THRESHOLD = 0.8
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right in floating point.
+
+    This is Python 3.11's ``sum`` bit for bit.  Python 3.12's ``sum``
+    compensates rounding (Neumaier summation), so the same values can total
+    to a different last bit there; the runner takes every float total it
+    reports here, so its output is the same on either.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Attribute(str, Enum):
@@ -46,9 +62,9 @@ class AttributeScores:
             attribute = attribute.value
         return float(getattr(self, attribute))
 
-    @property
+    @cached_property
     def max_score(self) -> float:
-        """Return the highest score across all attributes."""
+        """Return the highest score across all attributes (computed once)."""
         return max(self.get(attribute) for attribute in ATTRIBUTES)
 
     def is_harmful(self, threshold: float = HARMFUL_THRESHOLD) -> bool:
@@ -76,7 +92,7 @@ class AttributeScores:
             return cls()
         count = len(scores)
         return cls(
-            toxicity=sum(s.toxicity for s in scores) / count,
-            profanity=sum(s.profanity for s in scores) / count,
-            sexually_explicit=sum(s.sexually_explicit for s in scores) / count,
+            toxicity=ordered_sum(s.toxicity for s in scores) / count,
+            profanity=ordered_sum(s.profanity for s in scores) / count,
+            sexually_explicit=ordered_sum(s.sexually_explicit for s in scores) / count,
         )

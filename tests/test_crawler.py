@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from urllib.parse import urlsplit
+
 import pytest
 
 from repro.api.client import APIClient
@@ -10,8 +12,15 @@ from repro.crawler.builder import build_dataset
 from repro.crawler.campaign import CampaignConfig, CrawlResult, MeasurementCampaign
 from repro.crawler.crawler import InstanceCrawler, TimelineCrawler
 from repro.crawler.directory import InstanceDirectory
-from repro.crawler.snapshots import CrawlFailure, FailureLog, FailureRun, InstanceSnapshot
+from repro.crawler.snapshots import (
+    CrawlFailure,
+    FailureLog,
+    FailureRun,
+    InstanceSnapshot,
+    TimelineCollection,
+)
 from repro.datasets.store import Dataset
+from repro.fediverse.identifiers import normalise_domain
 from repro.fediverse.instance import InstanceAvailability
 from repro.fediverse.registry import FediverseRegistry
 from repro.fediverse.software import SoftwareKind
@@ -369,3 +378,29 @@ class TestBuilder:
         assert post.domain == "rejected.example"
         assert post.collected_from == "rejected.example"
         assert post.is_local
+
+    @pytest.mark.parametrize(
+        ("collected_from", "uri", "account"),
+        [
+            ("home.example", "https://other.example/objects/1", "bob@other.example"),
+            ("home.example", "https://home.example.evil/objects/2", "eve@home.example.evil"),
+            ("home.example", "https://home.example:8443/objects/3", "ann@home.example"),
+            ("home.example", "http://other.example/objects/4", "bob@other.example"),
+            ("home.example", None, "carl@elsewhere.example"),
+            ("home.example?x", "https://home.example?x/objects/5", "ann@home.example"),
+        ],
+    )
+    def test_post_origin_off_the_local_prefix_is_the_uri_host(
+        self, collected_from, uri, account
+    ):
+        status = {"id": "1", "account": account, "content": "hi", "created_at": 1.0}
+        if uri is not None:
+            status["uri"] = uri
+        collection = TimelineCollection(
+            domain=collected_from, timestamp=1.0, posts=[status]
+        )
+        (post,) = build_dataset(snapshots={}, timelines=[collection]).posts
+        # The seed's rule: the URI's netloc, else the author's domain.
+        host = urlsplit(uri).netloc if uri else account.rsplit("@", 1)[1]
+        assert post.domain == normalise_domain(host)
+        assert post.domain != normalise_domain(collected_from)

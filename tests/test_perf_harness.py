@@ -19,7 +19,9 @@ from perf.harness import (
 
 #: The stages the fixture runs.  The protocol, crawl and chaos stages raise
 #: on their own gates and counters, and run in the CI benchmark smoke.
-FIXTURE_STAGES = ("ingestion", "scoring", "threshold_sweep", "generation", "delivery")
+FIXTURE_STAGES = (
+    "ingestion", "scoring", "threshold_sweep", "analysis", "generation", "delivery",
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,8 @@ def test_report_contains_every_benchmark(tiny_report) -> None:
     assert scoring["load_seconds"] > 0.0
     assert scoring["distinct_texts"] > 0
     assert report.metrics["threshold_sweep"]["thresholds"] == len(SWEEP_THRESHOLDS)
+    assert report.metrics["analysis"]["memoised_seconds"] > 0.0
+    assert report.metrics["analysis"]["rejected_domains"] > 0
     assert report.metrics["generation"]["words"] > report.metrics["generation"]["posts"]
     assert report.metrics["delivery"]["deliveries"] > 0
     assert report.metrics["delivery"]["batches"] > 0
