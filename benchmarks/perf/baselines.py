@@ -10,10 +10,17 @@ every benchmark run into an equivalence check at scale.
 from __future__ import annotations
 
 import random
+import re
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator
 
-from repro.activitypub.activities import Activity
+from repro.activitypub.activities import (
+    Activity,
+    announce_activity,
+    create_activity,
+    like_activity,
+)
+from repro.activitypub.actors import Actor
 from repro.activitypub.delivery import FederationStats, apply_accepted
 from repro.api.client import APIClient, APIError
 from repro.api.server import FediverseAPIServer
@@ -33,8 +40,10 @@ from repro.datasets.schema import RejectEdge
 from repro.datasets.store import Dataset
 from repro.fediverse.errors import FederationError
 from repro.fediverse.identifiers import normalise_domain
-from repro.fediverse.post import Visibility
+from repro.fediverse.instance import Instance
+from repro.fediverse.post import MediaAttachment, Post, Visibility
 from repro.fediverse.registry import FediverseRegistry
+from repro.fediverse.timeline import InstanceTimelines
 from repro.mrf.base import PASS_ACTION, MRFContext, MRFDecision, Verdict
 from repro.mrf.object_age import ObjectAgePolicy
 from repro.mrf.pipeline import MRFPipeline
@@ -42,7 +51,19 @@ from repro.mrf.simple import SimplePolicy
 from repro.perspective.attributes import ATTRIBUTES, Attribute, AttributeScores
 from repro.perspective.scorer import LexiconScorer, score_for_density
 from repro.perspective.lexicon import tokenize
-from repro.synth.text import _BENIGN_WORDS
+from repro.protocol.conversation import CONVERSATION_FIELD
+from repro.synth import generator as synth_generator
+from repro.synth import policies as synth_policies
+from repro.synth.generator import FederationBatch, FediverseGenerator, PreparedFediverse
+from repro.synth.ground_truth import InstanceCategory
+from repro.synth.population import geometric_count
+from repro.synth.text import _BENIGN_WORDS, TextGenerator
+
+
+#: The seed's mention and hashtag patterns: the lookbehind first, so the
+#: regex engine tries every position of a status.
+SEED_MENTION_RE = re.compile(r"(?<!\w)@([A-Za-z0-9_.\-]+@[A-Za-z0-9_.\-]+)")
+SEED_HASHTAG_RE = re.compile(r"(?<!\w)#([A-Za-z0-9_]+)")
 
 
 def seed_benign_words(rng: random.Random, count: int) -> list[str]:
@@ -524,3 +545,354 @@ def seed_max_score() -> Iterator[None]:
         yield
     finally:
         AttributeScores.max_score = shipped
+
+
+# ---------------------------------------------------------------------- #
+# Seed-faithful generation
+# ---------------------------------------------------------------------- #
+def _seed_benign_words(self: TextGenerator, count: int) -> list[str]:
+    return seed_benign_words(self._rng, count)
+
+
+def _seed_harmful_post(
+    self: TextGenerator,
+    attributes: tuple[str, ...],
+    target_score: float,
+    length: int = 20,
+) -> str:
+    """The seed's ``TextGenerator.harmful_post``: ``rng.shuffle`` of the words."""
+    if not attributes:
+        return self.benign_post(length)
+    length = max(6, length)
+    words = self.benign_words(length)
+    next_free = 0
+    for attribute_name in attributes:
+        attribute = Attribute(attribute_name)
+        next_free = self._plant(words, attribute, target_score, start=next_free)
+    self._rng.shuffle(words)
+    return " ".join(words)
+
+
+def _seed_weighted_sample_without_replacement(
+    rng: random.Random,
+    items: list[str],
+    weights: list[float],
+    k: int,
+) -> list[str]:
+    """The seed's sampler: one ``rng.expovariate(1.0)`` call per item."""
+    if len(items) != len(weights):
+        raise ValueError("items and weights must have the same length")
+    if k <= 0 or not items:
+        return []
+    keyed = []
+    for item, weight in zip(items, weights):
+        if weight <= 0:
+            continue
+        keyed.append((rng.expovariate(1.0) / weight, item))
+    keyed.sort(key=lambda pair: pair[0])
+    return [item for _, item in keyed[: min(k, len(keyed))]]
+
+
+def _seed_select_hot_posts(
+    registry: FediverseRegistry, rng: random.Random, count: int
+) -> list[str]:
+    """The seed's ``select_hot_posts``: each URI through ``Post.uri``."""
+    candidates = [
+        post.uri
+        for instance in registry.pleroma_instances()
+        for post in instance.local_posts()
+        if post.visibility is Visibility.PUBLIC
+    ]
+    if not candidates or count <= 0:
+        return []
+    return rng.sample(candidates, min(count, len(candidates)))
+
+
+def _seed_publish(
+    self: Instance,
+    username: str,
+    content: str,
+    created_at: float | None = None,
+    visibility: Visibility = Visibility.PUBLIC,
+    attachments: tuple[MediaAttachment, ...] = (),
+    subject: str | None = None,
+    in_reply_to: str | None = None,
+    sensitive: bool = False,
+    tags: tuple[str, ...] = (),
+) -> Post:
+    """The seed's ``Instance.publish``: ``get_user`` and ``post.is_public``."""
+    user = self.get_user(username)
+    post_id = f"{self.domain}-{next(self._post_counter)}"
+    post = Post(
+        post_id=post_id,
+        author=user.handle,
+        domain=self.domain,
+        content=content,
+        created_at=self.created_at if created_at is None else created_at,
+        visibility=visibility,
+        attachments=attachments,
+        subject=subject,
+        in_reply_to=in_reply_to,
+        sensitive=sensitive,
+        is_bot=user.bot,
+        tags=tags,
+    )
+    self.posts[post_id] = post
+    user.post_ids.append(post_id)
+    if post.is_public:
+        self.timelines.add_local(post_id)
+    return post
+
+
+def _seed_add_local(self: InstanceTimelines, post_id: str) -> None:
+    """The seed's ``InstanceTimelines.add_local``: one ``add`` per timeline."""
+    self.public.add(post_id)
+    self.whole_known_network.add(post_id)
+
+
+def _seed_create_posts(
+    self: FediverseGenerator,
+    instance: Instance,
+    user,
+    rng: random.Random,
+    text: TextGenerator,
+    category: InstanceCategory,
+    attributes: tuple[str, ...],
+    target_score: float,
+    band: float | None,
+) -> int:
+    """The seed's ``_create_posts``: every draw and config read per post."""
+    config = self.config
+    if rng.random() >= config.active_user_share:
+        return 0
+    mean_posts = config.mean_posts_per_user
+    if band is not None and band >= 0.8:
+        mean_posts *= config.harmful_post_multiplier
+    n_posts = geometric_count(rng, mean_posts)
+
+    media_rate = config.media_attachment_rate
+    if category is InstanceCategory.SEXUALLY_EXPLICIT:
+        media_rate = config.sexual_media_attachment_rate
+
+    created = 0
+    for _ in range(n_posts):
+        length = max(6, int(rng.gauss(config.mean_post_length, 6)))
+        if attributes:
+            content = text.harmful_post(attributes, target_score, length=length)
+        else:
+            content = text.benign_post(length=length)
+        attachments: tuple[MediaAttachment, ...] = ()
+        if rng.random() < media_rate:
+            attachments = (
+                MediaAttachment(
+                    url=f"https://{instance.domain}/media/{rng.randrange(10**9)}.png",
+                    media_type="image",
+                ),
+            )
+        visibility = Visibility.PUBLIC
+        roll = rng.random()
+        if roll > 0.95:
+            visibility = Visibility.FOLLOWERS_ONLY
+        elif roll > 0.90:
+            visibility = Visibility.UNLISTED
+        instance.publish(
+            user.username,
+            content,
+            created_at=rng.uniform(user.created_at, config.campaign_seconds),
+            visibility=visibility,
+            attachments=attachments,
+            sensitive=category is InstanceCategory.SEXUALLY_EXPLICIT and rng.random() < 0.4,
+        )
+        created += 1
+    return created
+
+
+def _seed_reply_content(participants: list[str], body: str) -> str:
+    """The seed's ``reply_content``: the whole mention block joined per reply."""
+    mentions = " ".join(f"@{handle}" for handle in participants)
+    return f"{mentions} {body}" if mentions else body
+
+
+def _seed_create_reply_threads(
+    self: FediverseGenerator, instance: Instance, rng: random.Random, text: TextGenerator
+) -> int:
+    """The seed's ``_create_reply_threads``: ``Post.uri`` and a re-joined prefix per reply."""
+    config = self.config
+    seeds = [
+        post
+        for post in instance.local_posts()
+        if post.visibility is Visibility.PUBLIC
+    ]
+    usernames = sorted(instance.users)
+    created = 0
+    for seed_post in seeds:
+        if rng.random() >= config.reply_thread_share:
+            continue
+        depth = rng.randint(1, config.reply_thread_max_depth)
+        thread_id = seed_post.uri
+        parent = seed_post
+        participants: list[str] = [seed_post.author]
+        for _ in range(depth):
+            username = rng.choice(usernames)
+            replier = instance.users[username]
+            body = text.benign_post(length=max(4, int(rng.gauss(10.0, 3.0))))
+            reply = instance.publish(
+                username,
+                _seed_reply_content(participants, body),
+                created_at=rng.uniform(parent.created_at, config.campaign_seconds),
+                in_reply_to=parent.uri,
+            )
+            reply.extra[CONVERSATION_FIELD] = thread_id
+            created += 1
+            if replier.handle not in participants:
+                participants.append(replier.handle)
+            parent = reply
+    return created
+
+
+def _seed_federation_batches(
+    self: FediverseGenerator, prepared: PreparedFediverse
+) -> Iterator[FederationBatch]:
+    """The seed's ``federation_batches``: one ``Actor`` per post per receiver."""
+    config = self.config
+    registry = prepared.registry
+    rng = prepared.rng
+    ground_truth = prepared.ground_truth
+    pleroma = registry.pleroma_instances()
+    if len(pleroma) < 2:
+        return
+
+    targeted_by: dict[str, list[Instance]] = {}
+    for instance in pleroma:
+        policy = instance.mrf.get_policy("SimplePolicy")
+        if policy is None:
+            continue
+        for target in sorted(policy.all_targets()):  # type: ignore[union-attr]
+            targeted_by.setdefault(target, []).append(instance)
+
+    weights = [
+        max(1, ground_truth.users_per_instance.get(candidate.domain, 1))
+        for candidate in pleroma
+    ]
+    non_pleroma_domains = [inst.domain for inst in registry.non_pleroma_instances()]
+
+    for origin in pleroma:
+        local_posts = origin.local_posts()
+        if not local_posts:
+            continue
+        receivers: list[Instance] = []
+        receivers.extend(targeted_by.get(origin.domain, [])[:3])
+        fanout_size = config.federation_fanout
+        if config.federation_hot_origin_share > 0.0:
+            if rng.random() < config.federation_hot_origin_share:
+                fanout_size = max(
+                    1,
+                    int(round(fanout_size * config.federation_hot_fanout_multiplier)),
+                )
+        fanout = rng.choices(pleroma, weights=weights, k=fanout_size)
+        receivers.extend(fanout)
+
+        sample_size = min(config.federation_posts_per_peer, len(local_posts))
+        sample = rng.sample(local_posts, sample_size)
+
+        hot_uris = ground_truth.hot_post_uris
+        booster: Actor | None = None
+        boosts: list[str] = []
+        if hot_uris and config.federation_announce_share > 0.0:
+            if rng.random() < config.federation_announce_share:
+                booster = Actor.from_user(
+                    origin.get_user(rng.choice(sorted(origin.users)))
+                )
+                boosts = rng.sample(
+                    hot_uris,
+                    min(config.federation_announces_per_peer, len(hot_uris)),
+                )
+        liker: Actor | None = None
+        likes: list[str] = []
+        if hot_uris and config.federation_like_share > 0.0:
+            if rng.random() < config.federation_like_share:
+                liker = Actor.from_user(
+                    origin.get_user(rng.choice(sorted(origin.users)))
+                )
+                likes = rng.sample(
+                    hot_uris,
+                    min(config.federation_likes_per_peer, len(hot_uris)),
+                )
+        now = registry.clock.now()
+
+        seen_domains: set[str] = set()
+        for receiver in receivers:
+            if receiver.domain == origin.domain or receiver.domain in seen_domains:
+                continue
+            seen_domains.add(receiver.domain)
+            activities = tuple(
+                create_activity(
+                    post,
+                    actor=Actor.from_user(
+                        origin.get_user(post.author.split("@", 1)[0])
+                    ),
+                )
+                for post in sample
+            )
+            yield FederationBatch(
+                origin_domain=origin.domain,
+                target_domain=receiver.domain,
+                activities=activities,
+            )
+            if booster is not None:
+                yield FederationBatch(
+                    origin_domain=origin.domain,
+                    target_domain=receiver.domain,
+                    activities=tuple(
+                        announce_activity(uri, booster, now) for uri in boosts
+                    ),
+                )
+            if liker is not None:
+                yield FederationBatch(
+                    origin_domain=origin.domain,
+                    target_domain=receiver.domain,
+                    activities=tuple(
+                        like_activity(uri, liker, now) for uri in likes
+                    ),
+                )
+
+        if non_pleroma_domains:
+            for domain in rng.sample(
+                non_pleroma_domains, min(10, len(non_pleroma_domains))
+            ):
+                origin.add_peer(domain)
+
+
+#: (owner, name, seed body) of every generation function optimised since the
+#: seed: the word draw, the post and reply loops, the batch stream, the
+#: sampler, hot-post URIs, publishing and its timeline insert.
+_SEED_GENERATION = (
+    (TextGenerator, "benign_words", _seed_benign_words),
+    (TextGenerator, "harmful_post", _seed_harmful_post),
+    (Instance, "publish", _seed_publish),
+    (InstanceTimelines, "add_local", _seed_add_local),
+    (FediverseGenerator, "_create_posts", _seed_create_posts),
+    (FediverseGenerator, "_create_reply_threads", _seed_create_reply_threads),
+    (FediverseGenerator, "federation_batches", _seed_federation_batches),
+    (synth_policies, "weighted_sample_without_replacement",
+     _seed_weighted_sample_without_replacement),
+    (synth_generator, "select_hot_posts", _seed_select_hot_posts),
+)
+
+
+@contextmanager
+def seed_generation() -> Iterator[None]:
+    """Make ``prepare`` and ``federation_batches`` run the seed bodies while open.
+
+    Each name in :data:`_SEED_GENERATION` is swapped for its seed body on
+    its class or module (the policy assigner and the generator look their
+    helpers up in their own modules) and put back on exit.
+    """
+    shipped = [(owner, name, vars(owner)[name]) for owner, name, _ in _SEED_GENERATION]
+    for owner, name, seed in _SEED_GENERATION:
+        setattr(owner, name, seed)
+    try:
+        yield
+    finally:
+        for owner, name, body in shipped:
+            setattr(owner, name, body)

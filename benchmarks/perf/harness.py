@@ -12,7 +12,6 @@ import gc
 import json
 import os
 import platform
-import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -38,9 +37,8 @@ from repro.mrf.object_age import clear_rewrite_ledger
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.scorer import LexiconScorer
 from repro.synth.config import SynthConfig
-from repro.synth.generator import FediverseGenerator, PreparedFediverse
+from repro.synth.generator import FederationBatch, FediverseGenerator, PreparedFediverse
 from repro.synth.scenario import scenario_config
-from repro.synth.text import TextGenerator
 
 #: Thresholds of the Table 2 sweep (kept in sync with experiments.table2).
 SWEEP_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -260,47 +258,115 @@ def bench_analysis(run: _Run) -> dict[str, float]:
 
 
 # -- Generation stage -------------------------------------------------- #
-def _word_draws(seed: int) -> tuple[random.Random, TextGenerator]:
-    """A fresh generator stream and a text generator drawing from it."""
-    rng = random.Random(seed)
-    return rng, TextGenerator(rng)
+def generation_state(
+    prepared: PreparedFediverse, batches: list[FederationBatch]
+) -> dict[str, Any]:
+    """Snapshot everything ``prepare`` and the batch stream produce.
+
+    Per instance: every local post's fields, every user's post ids and both
+    timelines' ids in order; the stream's batches with activity ids blanked,
+    as :func:`federation_state` blanks them; the ground truth; and the
+    generator stream's final state, so a draw that takes one bit more or
+    less shows.
+    """
+    posts, users, timelines = {}, {}, {}
+    for instance in prepared.registry.instances():
+        domain = instance.domain
+        posts[domain] = [dict(vars(post)) for post in instance.posts.values()]
+        users[domain] = [
+            (user.username, user.created_at, user.bot, tuple(user.post_ids))
+            for user in instance.users.values()
+        ]
+        timelines[domain] = (
+            tuple(instance.timelines.public.latest(limit=0)),
+            tuple(instance.timelines.whole_known_network.latest(limit=0)),
+        )
+    return {
+        "posts": posts,
+        "users": users,
+        "timelines": timelines,
+        "batches": [
+            (
+                batch.origin_domain,
+                batch.target_domain,
+                tuple(
+                    dataclasses.replace(activity, activity_id="")
+                    for activity in batch.activities
+                ),
+            )
+            for batch in batches
+        ],
+        "ground_truth": prepared.ground_truth,
+        "rng": prepared.rng.getstate(),
+    }
+
+
+def _generate(
+    generator: FediverseGenerator,
+) -> tuple[PreparedFediverse, list[FederationBatch]]:
+    """Prepare a fediverse and draw its whole federation batch stream."""
+    prepared = generator.prepare()
+    return prepared, list(generator.federation_batches(prepared))
+
+
+def _seed_generate(
+    generator: FediverseGenerator,
+) -> tuple[PreparedFediverse, list[FederationBatch]]:
+    """:func:`_generate` on the seed bodies of every optimised generation path."""
+    with baselines.seed_generation():
+        return _generate(generator)
+
+
+def _collected(generator: FediverseGenerator) -> FediverseGenerator:
+    """``generator``, handed over on a collected heap.
+
+    The worlds of earlier runs are cyclic garbage; collecting them here keeps
+    their cost off the stopwatch of whichever path runs next.
+    """
+    gc.collect()
+    return generator
+
+
+def _generation_race(config: SynthConfig) -> Race:
+    """The shipped generator against its seed bodies on ``config``."""
+    generator = FediverseGenerator(config)
+    return Race(
+        build=lambda: _collected(generator),
+        reference=_seed_generate,
+        candidates={"inlined": _generate},
+        state=lambda _, out: generation_state(*out),
+    )
 
 
 def bench_generation(run: _Run) -> dict[str, float]:
-    """Race the benign word draw against the seed's ``random.choice`` loop.
+    """Race ``prepare`` plus the federation batch stream against the seed.
 
-    One post length is drawn per post the scenario generates, as
-    ``FediverseGenerator._create_posts`` draws them; every run draws all
-    their words from a fresh ``random.Random``.  The race runs with the
-    collector paused, as ``runner.main`` generates the world, so neither
-    path pays a full collection of the scenario's world.  The state is
-    every word plus the stream's final state, so a draw that takes one bit
-    more or less raises.
+    The reference runs the seed bodies of the word draw, the post and reply
+    loops, publishing, the sampler, hot-post URIs and the batch stream
+    (:func:`perf.baselines.seed_generation`).  Both paths run with the
+    collector paused, as ``runner.main`` runs, each on a collected heap.
+    The state is :func:`generation_state`.  A scenario with no reply
+    threads, boosts or favourites is also gated, untimed, with
+    :data:`_PROTOCOL_MIX`, so the reply and hot-post paths always run.
     """
     config = run.config()
-    lengths_rng = random.Random(run.seed)
-    lengths = [
-        max(6, int(lengths_rng.gauss(config.mean_post_length, 6)))
-        for _ in range(run.pipeline.fediverse.stats.posts)
-    ]
-    words = Race(
-        build=lambda: _word_draws(run.seed),
-        reference=lambda work: [
-            baselines.seed_benign_words(work[0], length) for length in lengths
-        ],
-        candidates={
-            "inlined": lambda work: [work[1].benign_words(length) for length in lengths]
-        },
-        state=lambda work, drawn: (drawn, work[0].getstate()),
-    )
     collecting = gc.isenabled()
     gc.disable()
     try:
-        metrics, _ = race("generation", words, run.repeats)
+        metrics, state = race("generation", _generation_race(config), run.repeats)
+        if not _ships_mix(config):
+            race("generation mix", _generation_race(run.config(**_PROTOCOL_MIX)), 1)
     finally:
         if collecting:
             gc.enable()
-    return {"posts": len(lengths), "words": sum(lengths), **metrics}
+    contents = [post["content"] for posts in state["posts"].values() for post in posts]
+    return {
+        "posts": len(contents),
+        "words": sum(len(content.split()) for content in contents),
+        "batches": len(state["batches"]),
+        "activities": sum(len(activities) for *_, activities in state["batches"]),
+        **metrics,
+    }
 
 
 # -- Federation stages ------------------------------------------------- #
@@ -444,6 +510,15 @@ _PROTOCOL_MIX: dict[str, Any] = {
     "reply_thread_max_depth": 10,
 }
 
+def _ships_mix(config: SynthConfig) -> bool:
+    """Whether ``config`` generates reply threads, boosts or favourites."""
+    return bool(
+        config.federation_announce_share
+        or config.federation_like_share
+        or config.reply_thread_share
+    )
+
+
 #: Overrides forcing a scenario back to pure-Create federation.
 _PROTOCOL_ZERO: dict[str, Any] = {
     "federation_announce_share": 0.0,
@@ -464,11 +539,7 @@ def bench_protocol(run: _Run) -> dict[str, float]:
     zeroed = run.config(**_PROTOCOL_ZERO)
     race("protocol create-only", delivery_race(zeroed), 1)
     config = run.config()
-    if not (
-        config.federation_announce_share
-        or config.federation_like_share
-        or config.reply_thread_share
-    ):
+    if not _ships_mix(config):
         config = run.config(**_PROTOCOL_MIX)
     metrics, state = race("protocol", delivery_race(config), min(run.repeats, 2))
     received = [c for per_uri in state["engagement"].values() for c in per_uri]

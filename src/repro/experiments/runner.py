@@ -93,22 +93,17 @@ def main(argv: list[str] | None = None) -> int:
     pipeline = ReproPipeline(
         scenario=args.scenario, seed=args.seed, campaign_days=args.campaign_days
     )
-    # The generated world and the crawl result live until the run ends, so
-    # full collections would only walk them again and again: generate with
-    # the collector paused, then freeze what exists after generation and
-    # again after the crawl.  A crawled world holds reference cycles, and a
-    # frozen cycle is never collected until ``gc.unfreeze()``; that is why
-    # this policy sits here, where the run ends, and not in
-    # ``ReproPipeline``, whose worlds tests build by the dozen.
+    # The generated world and the crawl result live until the run ends, so a
+    # collection would only walk them again and again, and a whole run
+    # leaves almost nothing cyclic to free: the collector stays paused for
+    # the call and gets its state back when the run ends.  That is why this
+    # policy sits here, and not in ``ReproPipeline``, whose worlds tests
+    # build by the dozen.
     collecting = gc.isenabled()
     gc.disable()
     try:
         pipeline.fediverse  # generates the world, cached on the pipeline
-        gc.freeze()
-        if collecting:
-            gc.enable()
         pipeline.crawl  # crawls and assembles it, cached likewise
-        gc.freeze()
         if args.experiment == "all":
             results = run_all(pipeline)
         else:
@@ -124,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
             args.json.write_text(json.dumps(payload, indent=2), encoding="utf-8")
             print(f"wrote {args.json}")
     finally:
-        gc.unfreeze()
         if collecting:
             gc.enable()
     return 0

@@ -9,8 +9,12 @@ from typing import Any
 
 from repro.fediverse.identifiers import make_post_uri, normalise_domain
 
-_HASHTAG_RE = re.compile(r"(?<!\w)#([A-Za-z0-9_]+)")
-_MENTION_RE = re.compile(r"(?<!\w)@([A-Za-z0-9_.\-]+@[A-Za-z0-9_.\-]+)")
+# Each pattern starts with its literal, so ``findall`` jumps from one ``#`` or
+# ``@`` to the next instead of trying every position; the lookbehind after it
+# checks that no word character precedes the literal, which matches the same
+# spans as a lookbehind placed first.
+_HASHTAG_RE = re.compile(r"#(?<!\w#)([A-Za-z0-9_]+)")
+_MENTION_RE = re.compile(r"@(?<!\w@)([A-Za-z0-9_.\-]+@[A-Za-z0-9_.\-]+)")
 _URL_RE = re.compile(r"https?://[^\s]+")
 
 

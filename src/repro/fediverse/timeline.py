@@ -68,9 +68,16 @@ class InstanceTimelines:
         self.whole_known_network = Timeline("whole_known_network")
 
     def add_local(self, post_id: str) -> None:
-        """Record a locally published post on both instance timelines."""
-        self.public.add(post_id)
-        self.whole_known_network.add(post_id)
+        """Record a locally published post on both instance timelines.
+
+        Each timeline appends it as :meth:`Timeline.add` would, without a
+        call per timeline: this runs once per published public post.
+        """
+        for timeline in (self.public, self.whole_known_network):
+            seen = timeline._seen
+            if post_id not in seen:
+                timeline._post_ids.append(post_id)
+                seen.add(post_id)
 
     def remove_everywhere(self, post_id: str) -> None:
         """Remove a post from every instance timeline."""

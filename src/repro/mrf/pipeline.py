@@ -44,6 +44,9 @@ class MRFPipeline:
         #: for the object it replaced.
         self._config_epoch = 0
         self.events: list[ModerationEvent] = []
+        #: The context of the last :meth:`filter` call.  Its other fields are
+        #: set only here, so it is reused for as long as ``now`` is unchanged.
+        self._context: MRFContext | None = None
 
     # ------------------------------------------------------------------ #
     # Policy management
@@ -99,11 +102,13 @@ class MRFPipeline:
     # ------------------------------------------------------------------ #
     def filter(self, activity: Activity, now: float) -> MRFDecision:
         """Run ``activity`` through the pipeline and return the final decision."""
-        ctx = MRFContext(
-            local_domain=self.local_domain,
-            now=now,
-            local_instance=self.local_instance,
-        )
+        ctx = self._context
+        if ctx is None or ctx.now != now:
+            ctx = self._context = MRFContext(
+                local_domain=self.local_domain,
+                now=now,
+                local_instance=self.local_instance,
+            )
         current = activity
         modified = False
         last_policy = ""

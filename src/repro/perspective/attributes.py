@@ -42,6 +42,11 @@ ATTRIBUTES: tuple[Attribute, ...] = (
 )
 
 
+#: Attribute -> its field on :class:`AttributeScores`; a dict probe skips
+#: the enum's ``value`` descriptor on every score read.
+_FIELDS: dict[Attribute, str] = {attribute: attribute.value for attribute in Attribute}
+
+
 @dataclass(frozen=True)
 class AttributeScores:
     """Per-attribute scores for one piece of text (probabilities in [0, 1])."""
@@ -58,9 +63,7 @@ class AttributeScores:
 
     def get(self, attribute: Attribute | str) -> float:
         """Return the score of one attribute."""
-        if isinstance(attribute, Attribute):
-            attribute = attribute.value
-        return float(getattr(self, attribute))
+        return float(getattr(self, _FIELDS.get(attribute, attribute)))
 
     @cached_property
     def max_score(self) -> float:
@@ -90,9 +93,16 @@ class AttributeScores:
         """
         if not scores:
             return cls()
+        # One pass adding each attribute left to right: three ``ordered_sum``
+        # totals, bit for bit.
+        toxicity = profanity = sexually_explicit = 0.0
+        for score in scores:
+            toxicity += score.toxicity
+            profanity += score.profanity
+            sexually_explicit += score.sexually_explicit
         count = len(scores)
         return cls(
-            toxicity=ordered_sum(s.toxicity for s in scores) / count,
-            profanity=ordered_sum(s.profanity for s in scores) / count,
-            sexually_explicit=ordered_sum(s.sexually_explicit for s in scores) / count,
+            toxicity=toxicity / count,
+            profanity=profanity / count,
+            sexually_explicit=sexually_explicit / count,
         )

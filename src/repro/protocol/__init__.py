@@ -10,8 +10,8 @@ and ``conversation.py``:
   the planted set of posts that re-fan across origins in the ``viral``
   scenario.
 * :mod:`repro.protocol.conversation` — reply-thread (conversation)
-  helpers: the conversation field and the accumulated mention blocks that
-  make deep threads cross the Hellthread mention floors at realistic depth.
+  helpers: the conversation field and the accumulated mention prefix that
+  makes deep threads cross the Hellthread mention floors at realistic depth.
 
 Everything here is inert by default: the generator only emits the new
 activity types when a scenario turns the corresponding knobs on, so
@@ -20,9 +20,9 @@ Create-only configurations stay bit-identical to the pre-protocol engine
 """
 
 from repro.protocol.announce import select_hot_posts
-from repro.protocol.conversation import mention_block
+from repro.protocol.conversation import add_mention
 
 __all__ = [
-    "mention_block",
+    "add_mention",
     "select_hot_posts",
 ]

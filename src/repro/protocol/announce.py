@@ -24,10 +24,12 @@ def select_hot_posts(
 
     Candidates are gathered in registry order (deterministic for a given
     seed) across all Pleroma instances; only public posts qualify, since
-    only they federate widely enough to go viral.
+    only they federate widely enough to go viral.  Each URI is
+    ``Post.uri``'s f-string, as ``serialise_status`` builds it: a post's
+    domain is canonical from construction.
     """
     candidates = [
-        post.uri
+        f"https://{post.domain}/objects/{post.post_id}"
         for instance in registry.pleroma_instances()
         for post in instance.local_posts()
         if post.visibility is Visibility.PUBLIC

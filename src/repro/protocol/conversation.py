@@ -11,23 +11,16 @@ build reply storms with that realistic depth→mentions growth.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 #: ``Post.extra`` key carrying the thread's conversation id (root URI).
 CONVERSATION_FIELD = "conversation"
 
 
-def mention_block(participants: Iterable[str]) -> str:
-    """Render the mention prefix a client prepends to a thread reply.
+def add_mention(prefix: str, handle: str) -> str:
+    """Return a reply's mention prefix with ``handle`` joined to the thread.
 
-    ``participants`` are full ``user@domain`` handles; order is preserved
-    (callers pass them in thread-accumulation order) and duplicates are
-    the caller's responsibility to avoid.
+    A reply's content is this prefix, then the body: one ``@user@domain``
+    mention per participant, in the order they joined the thread, each
+    followed by a space.  Growing the prefix as each participant joins
+    saves re-joining the whole block for every reply.
     """
-    return " ".join(f"@{handle}" for handle in participants)
-
-
-def reply_content(participants: Iterable[str], body: str) -> str:
-    """Compose a reply's content: accumulated mentions, then the body."""
-    mentions = mention_block(participants)
-    return f"{mentions} {body}" if mentions else body
+    return f"{prefix}@{handle} "

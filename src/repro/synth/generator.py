@@ -31,7 +31,7 @@ from repro.fediverse.software import SoftwareKind
 from repro.mrf.object_age import clear_rewrite_ledger
 from repro.perspective.attributes import Attribute
 from repro.protocol.announce import select_hot_posts
-from repro.protocol.conversation import CONVERSATION_FIELD, reply_content
+from repro.protocol.conversation import CONVERSATION_FIELD, add_mention
 from repro.synth.config import (
     PAPER_ELITE_NON_PLEROMA_INSTANCES,
     PAPER_ELITE_PLEROMA_INSTANCES,
@@ -560,48 +560,57 @@ class FediverseGenerator:
         band: float | None,
     ) -> int:
         config = self.config
-        if rng.random() >= config.active_user_share:
+        random = rng.random
+        if random() >= config.active_user_share:
             return 0
         mean_posts = config.mean_posts_per_user
         if band is not None and band >= 0.8:
             mean_posts *= config.harmful_post_multiplier
         n_posts = geometric_count(rng, mean_posts)
 
+        explicit = category is InstanceCategory.SEXUALLY_EXPLICIT
         media_rate = config.media_attachment_rate
-        if category is InstanceCategory.SEXUALLY_EXPLICIT:
+        if explicit:
             media_rate = config.sexual_media_attachment_rate
 
-        created = 0
+        # The stream's methods and the config values are bound once per
+        # user; ``a + (b - a) * random()`` is ``rng.uniform(a, b)``'s own
+        # draw, as written in the random module.
+        gauss, randrange = rng.gauss, rng.randrange
+        harmful_post, benign_post = text.harmful_post, text.benign_post
+        publish, username, domain = instance.publish, user.username, instance.domain
+        mean_length = config.mean_post_length
+        start = user.created_at
+        span = config.campaign_seconds - start
         for _ in range(n_posts):
-            length = max(6, int(rng.gauss(config.mean_post_length, 6)))
+            length = max(6, int(gauss(mean_length, 6)))
             if attributes:
-                content = text.harmful_post(attributes, target_score, length=length)
+                content = harmful_post(attributes, target_score, length=length)
             else:
-                content = text.benign_post(length=length)
+                content = benign_post(length=length)
             attachments: tuple[MediaAttachment, ...] = ()
-            if rng.random() < media_rate:
+            if random() < media_rate:
                 attachments = (
                     MediaAttachment(
-                        url=f"https://{instance.domain}/media/{rng.randrange(10**9)}.png",
+                        url=f"https://{domain}/media/{randrange(10**9)}.png",
                         media_type="image",
                     ),
                 )
             visibility = Visibility.PUBLIC
-            roll = rng.random()
+            roll = random()
             if roll > 0.95:
                 visibility = Visibility.FOLLOWERS_ONLY
             elif roll > 0.90:
                 visibility = Visibility.UNLISTED
-            instance.publish(
-                user.username,
+            publish(
+                username,
                 content,
-                created_at=rng.uniform(user.created_at, config.campaign_seconds),
+                created_at=start + span * random(),
                 visibility=visibility,
                 attachments=attachments,
-                sensitive=category is InstanceCategory.SEXUALLY_EXPLICIT and rng.random() < 0.4,
+                sensitive=explicit and random() < 0.4,
             )
-            created += 1
-        return created
+        return n_posts
 
     def _apply_ua_blocking(
         self,
@@ -640,35 +649,46 @@ class FediverseGenerator:
         realistic depth while small instances stay under them.
         """
         config = self.config
+        random, randint, choice, gauss = rng.random, rng.randint, rng.choice, rng.gauss
+        benign_post, publish = text.benign_post, instance.publish
+        share, max_depth = config.reply_thread_share, config.reply_thread_max_depth
+        end = config.campaign_seconds
+        domain, users = instance.domain, instance.users
         seeds = [
             post
             for post in instance.local_posts()
             if post.visibility is Visibility.PUBLIC
         ]
-        usernames = sorted(instance.users)
+        usernames = sorted(users)
         created = 0
         for seed_post in seeds:
-            if rng.random() >= config.reply_thread_share:
+            if random() >= share:
                 continue
-            depth = rng.randint(1, config.reply_thread_max_depth)
-            thread_id = seed_post.uri
-            parent = seed_post
-            participants: list[str] = [seed_post.author]
+            depth = randint(1, max_depth)
+            # Each reply answers the one before it: its URI (the f-string of
+            # ``Post.uri``, whose domain is already canonical) and its time
+            # are carried into the next reply.
+            thread_id = parent_uri = f"https://{domain}/objects/{seed_post.post_id}"
+            parent_time = seed_post.created_at
+            participants = {seed_post.author}
+            prefix = add_mention("", seed_post.author)
             for _ in range(depth):
-                username = rng.choice(usernames)
-                replier = instance.users[username]
-                body = text.benign_post(length=max(4, int(rng.gauss(10.0, 3.0))))
-                reply = instance.publish(
+                username = choice(usernames)
+                body = benign_post(length=max(4, int(gauss(10.0, 3.0))))
+                parent_time = parent_time + (end - parent_time) * random()
+                reply = publish(
                     username,
-                    reply_content(participants, body),
-                    created_at=rng.uniform(parent.created_at, config.campaign_seconds),
-                    in_reply_to=parent.uri,
+                    prefix + body,
+                    created_at=parent_time,
+                    in_reply_to=parent_uri,
                 )
                 reply.extra[CONVERSATION_FIELD] = thread_id
                 created += 1
-                if replier.handle not in participants:
-                    participants.append(replier.handle)
-                parent = reply
+                handle = users[username].handle
+                if handle not in participants:
+                    participants.add(handle)
+                    prefix = add_mention(prefix, handle)
+                parent_uri = f"https://{domain}/objects/{reply.post_id}"
         return created
 
     # ------------------------------------------------------------------ #
@@ -793,6 +813,12 @@ class FediverseGenerator:
                         min(config.federation_likes_per_peer, len(hot_uris)),
                     )
             now = registry.clock.now()
+            # Each sampled post's actor is built once and shared by every
+            # receiver's Create (actors are frozen).
+            actors = [
+                Actor.from_user(origin.get_user(post.author.split("@", 1)[0]))
+                for post in sample
+            ]
 
             seen_domains: set[str] = set()
             for receiver in receivers:
@@ -800,13 +826,8 @@ class FediverseGenerator:
                     continue
                 seen_domains.add(receiver.domain)
                 activities = tuple(
-                    create_activity(
-                        post,
-                        actor=Actor.from_user(
-                            origin.get_user(post.author.split("@", 1)[0])
-                        ),
-                    )
-                    for post in sample
+                    create_activity(post, actor=actor)
+                    for post, actor in zip(sample, actors)
                 )
                 yield FederationBatch(
                     origin_domain=origin.domain,

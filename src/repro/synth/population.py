@@ -60,10 +60,13 @@ def weighted_sample_without_replacement(
         raise ValueError("items and weights must have the same length")
     if k <= 0 or not items:
         return []
+    # ``-log(1.0 - random())`` is ``rng.expovariate(1.0)``'s own draw (its
+    # division by the rate 1.0 is exact).
+    random = rng.random
     keyed = []
     for item, weight in zip(items, weights):
         if weight <= 0:
             continue
-        keyed.append((rng.expovariate(1.0) / weight, item))
+        keyed.append((-math.log(1.0 - random()) / weight, item))
     keyed.sort(key=lambda pair: pair[0])
     return [item for _, item in keyed[: min(k, len(keyed))]]

@@ -109,7 +109,17 @@ class TextGenerator:
         for attribute_name in attributes:
             attribute = Attribute(attribute_name)
             next_free = self._plant(words, attribute, target_score, start=next_free)
-        self._rng.shuffle(words)
+        # ``rng.shuffle(words)``: the same swaps, each index drawn by
+        # ``_randbelow``'s ``getrandbits`` rejection loop, without its call
+        # per word.
+        getrandbits = self._rng.getrandbits
+        for i in range(len(words) - 1, 0, -1):
+            bound = i + 1
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            words[i], words[j] = words[j], words[i]
         return " ".join(words)
 
     def _plant(

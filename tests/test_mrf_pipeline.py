@@ -115,6 +115,20 @@ class TestPipeline:
         pipeline.add_policy(SimplePolicy(reject=["bad.example"]))
         assert pipeline.simple_policy_config() == {"reject": ["bad.example"]}
 
+    def test_each_filter_sees_its_own_time(self):
+        # The pipeline reuses its context while the time is unchanged; a
+        # post an hour old is young at the first time and old at the next.
+        pipeline = MRFPipeline(local_domain="alpha.example")
+        pipeline.add_policy(ObjectAgePolicy(threshold=3600.0, actions=["reject"]))
+        activity = make_activity(created_at=NOW - 1800.0)
+        later = NOW + 3600.0
+        verdicts = [
+            pipeline.filter(activity, now=now).rejected
+            for now in (NOW, NOW, later, later, NOW)
+        ]
+        assert verdicts == [False, False, True, True, False]
+        assert [event.timestamp for event in pipeline.events] == [later, later]
+
 
 class TestPolicyOrdering:
     def test_readding_changes_evaluation_order(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.perspective.attributes import (
@@ -9,6 +11,7 @@ from repro.perspective.attributes import (
     Attribute,
     AttributeScores,
     HARMFUL_THRESHOLD,
+    ordered_sum,
 )
 from repro.perspective.client import PerspectiveClient
 from repro.perspective.lexicon import default_lexicon, tokenize
@@ -54,6 +57,20 @@ class TestAttributeScores:
 
     def test_mean_of_empty_list(self):
         assert AttributeScores.mean([]).max_score == 0.0
+
+    def test_mean_adds_each_attribute_as_ordered_sum_does(self):
+        # ``mean`` totals the three attributes in one pass; each total must
+        # be its ``ordered_sum`` bit for bit (the float-order rule).
+        rng = random.Random(2021)
+        for _ in range(400):
+            scores = [
+                AttributeScores(rng.random(), rng.random(), rng.random())
+                for _ in range(rng.randint(1, 80))
+            ]
+            mean = AttributeScores.mean(scores)
+            for attribute in ATTRIBUTES:
+                total = ordered_sum(score.get(attribute) for score in scores)
+                assert mean.get(attribute).hex() == (total / len(scores)).hex()
 
     def test_paper_threshold_constant(self):
         assert HARMFUL_THRESHOLD == 0.8

@@ -7,9 +7,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perf.baselines import SEED_HASHTAG_RE, SEED_MENTION_RE
 from repro.datasets.schema import PostRecord
 from repro.datasets.store import Dataset
 from repro.fediverse.identifiers import domain_matches, make_handle, normalise_domain, parse_handle
+from repro.fediverse.post import _HASHTAG_RE, _MENTION_RE
 from repro.fediverse.timeline import Timeline
 from repro.perspective.attributes import ATTRIBUTES, AttributeScores
 from repro.perspective.scorer import (
@@ -37,6 +39,15 @@ usernames = st.text(
 )
 scores = st.floats(min_value=0.0, max_value=1.0)
 texts = st.text(min_size=0, max_size=200)
+#: Statuses built from what the mention and hashtag patterns react to: both
+#: literals, the characters of their classes, whitespace, and non-ASCII word
+#: characters (``İ`` lowercases to two code points), behind an optional
+#: leading literal.
+status_texts = st.builds(
+    str.__add__,
+    st.sampled_from(["", "@", "#", "@@"]),
+    st.text(alphabet="@#.-_09azAZéİß \t\n", max_size=40),
+)
 
 
 class TestIdentifierProperties:
@@ -59,6 +70,17 @@ class TestIdentifierProperties:
     @given(domains, domain_labels)
     def test_wildcard_matches_any_subdomain(self, domain, label):
         assert domain_matches(f"{label}.{domain}", f"*.{domain}")
+
+
+class TestContentPatternProperties:
+    @given(status_texts)
+    @settings(max_examples=500)
+    def test_literal_first_patterns_match_the_seed_patterns(self, text):
+        for shipped, seed in ((_MENTION_RE, SEED_MENTION_RE), (_HASHTAG_RE, SEED_HASHTAG_RE)):
+            assert shipped.findall(text) == seed.findall(text)
+            assert [match.span(0) for match in shipped.finditer(text)] == [
+                match.span(0) for match in seed.finditer(text)
+            ]
 
 
 class TestScorerProperties:

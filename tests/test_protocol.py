@@ -16,6 +16,7 @@ import pytest
 
 from perf.harness import delivery_race, race
 from repro.activitypub.activities import ActivityType
+from repro.activitypub.actors import Actor
 from repro.api.client import APIClient
 from repro.api.http import CRAWLER_UA_TOKEN, DEFAULT_USER_AGENT, USER_AGENT_HEADER
 from repro.api.server import UA_BLOCKED_REASON, FediverseAPIServer, agent_blocked
@@ -24,11 +25,7 @@ from repro.crawler.crawler import INSTANCE_PATH
 from repro.fediverse.post import Visibility
 from repro.fediverse.registry import FediverseRegistry
 from repro.protocol.announce import select_hot_posts
-from repro.protocol.conversation import (
-    CONVERSATION_FIELD,
-    mention_block,
-    reply_content,
-)
+from repro.protocol.conversation import CONVERSATION_FIELD, add_mention
 from repro.synth.config import SynthConfig
 from repro.synth.generator import FediverseGenerator
 from repro.synth.scenario import SCENARIOS, scenario_config
@@ -68,11 +65,10 @@ class TestAnnounceAndConversation:
         assert select_hot_posts(registry, random.Random(3), 0) == []
 
     def test_conversation_helpers(self):
-        assert mention_block([]) == ""
-        block = mention_block(["a@x.example", "b@y.example"])
-        assert block == "@a@x.example @b@y.example"
-        assert reply_content(["a@x.example"], "hi") == "@a@x.example hi"
-        assert reply_content([], "hi") == "hi"
+        prefix = add_mention("", "a@x.example")
+        assert prefix + "hi" == "@a@x.example hi"
+        prefix = add_mention(prefix, "b@y.example")
+        assert prefix + "hi" == "@a@x.example @b@y.example hi"
         assert isinstance(CONVERSATION_FIELD, str)
 
 
@@ -90,6 +86,24 @@ class TestActivityMixGeneration:
         assert ActivityType.ANNOUNCE not in types
         assert ActivityType.LIKE not in types
         assert prepared.ground_truth.hot_post_uris == []
+
+    def test_every_create_carries_its_authors_actor(self):
+        # The stream builds each sampled post's actor once and shares it
+        # across receivers; each Create must still carry its own author's.
+        generator = FediverseGenerator(scenario_config("tiny"))
+        prepared = generator.prepare()
+        registry = prepared.registry
+        creates = [
+            activity
+            for batch in generator.federation_batches(prepared)
+            for activity in batch.activities
+            if activity.activity_type is ActivityType.CREATE
+        ]
+        assert len({activity.obj.author for activity in creates}) > 1
+        for activity in creates:
+            post = activity.obj
+            author = registry.get(post.domain).get_user(post.author.split("@", 1)[0])
+            assert activity.actor == Actor.from_user(author)
 
     def test_mix_batches_are_type_homogeneous_and_sample_the_hot_pool(self):
         generator = FediverseGenerator(scenario_config("tiny", seed=11, **MIX))

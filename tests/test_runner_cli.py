@@ -76,7 +76,7 @@ class TestMain:
 
 
 class TestCollectorPolicy:
-    """``main`` freezes the world it builds and leaves the collector as it found it."""
+    """``main`` runs with the collector paused and leaves it as it found it."""
 
     ARGV = [
         "--scenario", "tiny",
@@ -112,7 +112,7 @@ class TestCollectorPolicy:
         with pytest.raises(RuntimeError, match="experiment failed"):
             main(self.ARGV)
         [(frozen, collecting)] = during
-        assert frozen > 0 and collecting  # the world is frozen, the collector on
+        assert frozen == 0 and not collecting  # nothing frozen, the collector off
         assert gc.get_freeze_count() == 0 and gc.isenabled()
 
     def test_disabled_collector_stays_disabled(self, restore_collector, capsys):
